@@ -117,7 +117,9 @@ class WeightedLeastConnectionPolicy(AssignmentPolicy):
             ratio = sim.queue_count(tier, k) / w
             if best_ratio is None or ratio < best_ratio - 1e-12:
                 best, best_ratio = k, ratio
-        assert best is not None
+        if best is None:
+            raise AssertionError(
+                f"tier {tier}: no resource with a positive weight")
         return best
 
 

@@ -18,10 +18,11 @@ import statistics
 import sys
 from pathlib import Path
 
-from .baselines import PolicyKind, make_policy
+from .baselines import make_policy
 from .ga import GAConfig, QueueVariant, evolve
 from .model import EnvironmentConfig, InvalidScheduleError, Snapshot
-from .penalty import AllowanceMode, PenaltyModel, ViolationBreakdown, total_penalty
+from .penalty import (AllowanceMode, ViolationBreakdown,
+                      expected_wait_multitier, total_penalty)
 from .sim import Simulator, simulate_to_snapshot
 from .workload import WorkloadFormatError, WorkloadSpec, generate, load, save
 
@@ -150,18 +151,22 @@ def _require_workload_flags(args) -> None:
         raise SystemExit2(f"missing required flags: {', '.join(missing)}")
 
 
-def _workload(args, env: EnvironmentConfig):
-    if getattr(args, "workload", None):
-        return load(args.workload)
+def _workload_spec(args, seed=None) -> WorkloadSpec:
+    """Generation flags as a spec; ``seed`` overrides ``--seed``."""
     _require_workload_flags(args)
-    spec = WorkloadSpec(
+    return WorkloadSpec(
         arrival_rate=float(args.arrival_rate),
         num_jobs=int(args.jobs),
         service_rate=float(args.mu),
         allowance_fraction=float(args.allowance),
-        seed=int(args.seed),
+        seed=int(args.seed if seed is None else seed),
     )
-    return generate(spec, env)
+
+
+def _workload(args, env: EnvironmentConfig):
+    if getattr(args, "workload", None):
+        return load(args.workload)
+    return generate(_workload_spec(args), env)
 
 
 def _environment(args) -> EnvironmentConfig:
@@ -171,21 +176,13 @@ def _environment(args) -> EnvironmentConfig:
         resources_per_tier=_parse_resources(args.resources, tiers),
         chi=float(args.chi),
         nu=float(args.nu),
-        allowance_fraction=float(args.allowance),
     )
 
 
 def cmd_generate(args) -> int:
-    _require_workload_flags(args)
+    spec = _workload_spec(args)
     env = EnvironmentConfig(num_tiers=int(args.tiers),
                             resources_per_tier=1)
-    spec = WorkloadSpec(
-        arrival_rate=float(args.arrival_rate),
-        num_jobs=int(args.jobs),
-        service_rate=float(args.mu),
-        allowance_fraction=float(args.allowance),
-        seed=int(args.seed),
-    )
     jobs = generate(spec, env)
     save(jobs, args.out)
     print(f"wrote {len(jobs)} jobs to {args.out} "
@@ -198,6 +195,8 @@ def _parse_ga_token(token: str, default_mode: str):
     """Split 'ga-virtualized:per-tier' into (variant, mode); None if baseline."""
     base, _, suffix = token.partition(":")
     if base not in GA_POLICIES:
+        if token not in BASELINES:
+            raise SystemExit2(f"unknown policy {token!r}")
         return None
     mode = suffix or default_mode
     if mode not in ("total", "per-tier"):
@@ -207,10 +206,20 @@ def _parse_ga_token(token: str, default_mode: str):
     return variant, AllowanceMode(mode)
 
 
+def _ga_config(args, ga_spec, seed: int) -> GAConfig:
+    """Search flags as a config; ``--ga-seed`` overrides ``seed``."""
+    variant, mode = ga_spec
+    return GAConfig(
+        population=int(args.population),
+        generations=int(args.generations),
+        variant=variant,
+        mode=mode,
+        seed=int(args.ga_seed if args.ga_seed is not None else seed),
+    )
+
+
 def _job_records(breakdown: ViolationBreakdown, snapshot: Snapshot,
                  schedule, phase: str) -> list[dict]:
-    from .penalty import expected_wait_multitier
-
     records = []
     for jid in sorted(breakdown.per_job):
         v = breakdown.per_job[jid]
@@ -243,6 +252,41 @@ def _improvement(initial: float, enhanced: float) -> float:
     return 100.0 * (initial - enhanced) / initial
 
 
+def _totals(result) -> dict:
+    return {
+        "violation": result.total_violation,
+        "penalty": result.total_cost,
+        "signed": result.total_signed,
+        "max_violation": result.max_violation,
+    }
+
+
+def _write_run_summary(out_dir: Path, args, arrival: str, state: dict,
+                       initial, enhanced, evaluations: int) -> dict:
+    """Write ``run``'s ``summary.json``; ``state`` describes what was judged
+    (a frozen snapshot, or a drained stream when online)."""
+    summary = {
+        "schema": "tiersched.run-summary/1",
+        "policy": args.policy,
+        "mode": args.mode,
+        "arrival_policy": arrival,
+        "seed": int(args.seed),
+        **state,
+        "initial": _totals(initial),
+        "enhanced": _totals(enhanced),
+        "improvement": {
+            "violation_pct": _improvement(initial.total_violation,
+                                          enhanced.total_violation),
+            "penalty_pct": _improvement(initial.total_cost,
+                                        enhanced.total_cost),
+        },
+        "evaluations": evaluations,
+    }
+    (out_dir / "summary.json").write_text(
+        json.dumps(summary, indent=2) + "\n", encoding="ascii")
+    return summary
+
+
 def _snapshot_counts(snapshot: Snapshot) -> dict:
     per_tier = [len([j for j, p in snapshot.progress.items() if p.tier == t])
                 for t in range(snapshot.env.num_tiers)]
@@ -257,14 +301,15 @@ def cmd_run(args) -> int:
     env = _environment(args)
     jobs = _workload(args, env)
     mode = AllowanceMode(args.mode)
+    ga_spec = _parse_ga_token(args.policy, args.mode)
+    config = _ga_config(args, ga_spec, args.seed) if ga_spec else None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ga_spec = _parse_ga_token(args.policy, args.mode)
 
-    if ga_spec and args.epoch > 0:
-        return _run_online(args, env, jobs, ga_spec, out_dir)
+    if config and args.epoch > 0:
+        return _run_online(args, env, jobs, config, out_dir)
 
-    arrival = args.initial_policy if ga_spec else args.policy
+    arrival = args.initial_policy if config else args.policy
     sim = Simulator(jobs, env, make_policy(arrival, env, seed=int(args.seed)),
                     keep_trace=args.trace)
     sim.run(until_external_arrivals=len(jobs))
@@ -273,15 +318,7 @@ def cmd_run(args) -> int:
     initial = total_penalty(snapshot, mode)
     history = []
     evaluations = 0
-    if ga_spec:
-        variant, ga_mode = ga_spec
-        config = GAConfig(
-            population=int(args.population),
-            generations=int(args.generations),
-            variant=variant,
-            mode=ga_mode,
-            seed=int(args.ga_seed if args.ga_seed is not None else args.seed),
-        )
+    if config:
         result = evolve(snapshot, config)
         enhanced = total_penalty(snapshot, mode, schedule=result.best_schedule)
         history = result.history
@@ -289,37 +326,12 @@ def cmd_run(args) -> int:
     else:
         enhanced = initial
 
-    summary = {
-        "schema": "tiersched.run-summary/1",
-        "policy": args.policy,
-        "mode": mode.value,
-        "arrival_policy": arrival,
-        "seed": int(args.seed),
-        "snapshot_clock": snapshot.clock,
-        "counts": _snapshot_counts(snapshot),
-        "initial": {
-            "violation": initial.total_violation,
-            "penalty": initial.total_cost,
-            "signed": initial.total_signed,
-            "max_violation": initial.max_violation,
-        },
-        "enhanced": {
-            "violation": enhanced.total_violation,
-            "penalty": enhanced.total_cost,
-            "signed": enhanced.total_signed,
-            "max_violation": enhanced.max_violation,
-        },
-        "improvement": {
-            "violation_pct": _improvement(initial.total_violation,
-                                          enhanced.total_violation),
-            "penalty_pct": _improvement(initial.total_cost,
-                                        enhanced.total_cost),
-        },
-        "evaluations": evaluations,
-    }
-    final_schedule = (result.best_schedule if ga_spec else snapshot.schedule)
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="ascii")
+    summary = _write_run_summary(
+        out_dir, args, arrival,
+        {"snapshot_clock": snapshot.clock,
+         "counts": _snapshot_counts(snapshot)},
+        initial, enhanced, evaluations)
+    final_schedule = (result.best_schedule if config else snapshot.schedule)
     _write_jsonl(out_dir / "jobs.jsonl",
                  _job_records(initial, snapshot, snapshot.schedule, "initial")
                  + _job_records(enhanced, snapshot, final_schedule, "enhanced"))
@@ -345,56 +357,25 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _run_online(args, env, jobs, ga_spec, out_dir: Path) -> int:
+def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
     """Online variant: re-run the genetic search at a fixed event cadence."""
-    variant, ga_mode = ga_spec
-    config = GAConfig(
-        population=int(args.population),
-        generations=int(args.generations),
-        variant=variant,
-        mode=ga_mode,
-        seed=int(args.ga_seed if args.ga_seed is not None else args.seed),
-    )
     arrival = args.initial_policy
+    seed = int(args.seed)
 
     def optimizer(snapshot: Snapshot):
         return evolve(snapshot, config).best_schedule
 
-    baseline = Simulator(jobs, env, make_policy(arrival, env)).run().report()
-    optimized = Simulator(jobs, env, make_policy(arrival, env),
+    baseline = Simulator(jobs, env, make_policy(arrival, env, seed=seed)
+                         ).run().report()
+    optimized = Simulator(jobs, env, make_policy(arrival, env, seed=seed),
                           optimizer=optimizer,
                           reschedule_every=int(args.epoch)).run().report()
 
-    summary = {
-        "schema": "tiersched.run-summary/1",
-        "policy": args.policy,
-        "mode": ga_mode.value,
-        "arrival_policy": arrival,
-        "seed": int(args.seed),
-        "online_epoch": int(args.epoch),
-        "counts": {"completed": optimized.job_count},
-        "initial": {
-            "violation": baseline.total_violation,
-            "penalty": baseline.total_cost,
-            "signed": baseline.total_signed,
-            "max_violation": baseline.max_violation,
-        },
-        "enhanced": {
-            "violation": optimized.total_violation,
-            "penalty": optimized.total_cost,
-            "signed": optimized.total_signed,
-            "max_violation": optimized.max_violation,
-        },
-        "improvement": {
-            "violation_pct": _improvement(baseline.total_violation,
-                                          optimized.total_violation),
-            "penalty_pct": _improvement(baseline.total_cost,
-                                        optimized.total_cost),
-        },
-        "evaluations": 0,
-    }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="ascii")
+    summary = _write_run_summary(
+        out_dir, args, arrival,
+        {"online_epoch": int(args.epoch),
+         "counts": {"completed": optimized.job_count}},
+        baseline, optimized, 0)
     records = []
     for phase, report in (("initial", baseline), ("enhanced", optimized)):
         for jid in sorted(report.outcomes):
@@ -414,29 +395,26 @@ def _run_online(args, env, jobs, ga_spec, out_dir: Path) -> int:
 def cmd_compare(args) -> int:
     env = _environment(args)
     seeds = args.seeds if args.seeds else [int(args.seed)]
-    if len(seeds) < 1:
-        raise SystemExit2("need at least one seed")
+    # Every input is checked before the first row runs or a file is written.
+    specs = [_workload_spec(args, seed) for seed in seeds]
+    ga_specs = {token: _parse_ga_token(token, args.mode)
+                for token in args.policies}
+    configs = {(token, spec.seed): _ga_config(args, ga_spec, spec.seed)
+               for token, ga_spec in ga_specs.items() if ga_spec
+               for spec in specs}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     run_records = []
     job_records = []
     per_policy: dict[str, list[dict]] = {p: [] for p in args.policies}
-    for seed in seeds:
-        spec = WorkloadSpec(
-            arrival_rate=float(args.arrival_rate),
-            num_jobs=int(args.jobs),
-            service_rate=float(args.mu),
-            allowance_fraction=float(args.allowance),
-            seed=int(seed),
-        )
+    for spec in specs:
+        seed = spec.seed
         jobs = generate(spec, env)
         ga_snapshot = None
         for token in args.policies:
-            ga_spec = _parse_ga_token(token, args.mode)
-            if ga_spec is None:
-                if token not in BASELINES:
-                    raise SystemExit2(f"unknown policy {token!r}")
+            config = configs.get((token, seed))
+            if config is None:
                 snapshot = simulate_to_snapshot(
                     jobs, env, make_policy(token, env, seed=int(seed)))
                 bd = total_penalty(snapshot, AllowanceMode.TOTAL)
@@ -447,14 +425,7 @@ def cmd_compare(args) -> int:
                         jobs, env,
                         make_policy(args.initial_policy, env, seed=int(seed)))
                 snapshot = ga_snapshot
-                variant, row_mode = ga_spec
-                config = GAConfig(
-                    population=int(args.population),
-                    generations=int(args.generations),
-                    variant=variant,
-                    mode=row_mode,
-                    seed=int(args.ga_seed if args.ga_seed is not None else seed),
-                )
+                row_mode = config.mode
                 result = evolve(snapshot, config)
                 bd = total_penalty(snapshot, row_mode,
                                    schedule=result.best_schedule)

@@ -59,6 +59,10 @@ class GAConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.elite + 2 * self.crossover_count + self.mutation_count > self.population:
             raise ValueError("elite + operator offspring exceed the population")
+        if self.crossover_count + self.mutation_count == 0:
+            raise ValueError(
+                f"population {self.population} gets no crossover and no "
+                f"mutation; every generation would only copy the incumbent")
 
     @property
     def crossover_count(self) -> int:
@@ -378,7 +382,7 @@ def evolve_segmented(snapshot: Snapshot,
     initial = evaluator.fitness(initial_orders)
 
     best_orders: list[tuple[int, ...]] = []
-    fixed_total = evaluator._pinned_total
+    fixed_total = evaluator.pinned_total
     histories: list[list[GenerationStats]] = []
     evaluations = 0
     for qi, order in enumerate(initial_orders):

@@ -30,16 +30,14 @@ class EnvironmentConfig:
     """Shape of the environment plus its SLA penalty parameters.
 
     ``chi`` is the monetary ceiling of the per-job penalty curve and ``nu``
-    its curvature (1/time).  ``allowance_fraction`` is the default slack
-    granted relative to a job's total execution time when workloads are
-    synthesized.
+    its curvature (1/time).  The slack granted to synthesized jobs belongs
+    to the workload, not the environment (see ``WorkloadSpec``).
     """
 
     num_tiers: int = 2
     resources_per_tier: tuple[int, ...] = (3, 3)
     chi: float = 1.0
     nu: float = 0.01
-    allowance_fraction: float = 0.20
 
     def __post_init__(self) -> None:
         if isinstance(self.resources_per_tier, int):
@@ -59,8 +57,6 @@ class EnvironmentConfig:
             raise ValueError("cost factor chi must be positive")
         if self.nu <= 0:
             raise ValueError("scaling factor nu must be positive")
-        if self.allowance_fraction < 0:
-            raise ValueError("allowance_fraction must be nonnegative")
 
     @property
     def num_queues(self) -> int:
@@ -280,15 +276,6 @@ class Schedule:
             out.extend(queue)
         return out
 
-    def locate(self, job_id: int) -> tuple[int, int, int] | None:
-        """(tier, resource, position) of a job, or None if absent."""
-        for tier, tier_queues in enumerate(self.orders):
-            for k, queue in enumerate(tier_queues):
-                for pos, jid in enumerate(queue):
-                    if jid == job_id:
-                        return tier, k, pos
-        return None
-
     def flat_waiting(self) -> tuple[tuple[int, ...], ...]:
         """Waiting orders of every queue, tier-major (the genetic genome)."""
         return tuple(
@@ -432,20 +419,23 @@ class Snapshot:
     progress: dict[int, JobProgress] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        scheduled = {jid for tier in range(self.schedule.num_tiers)
-                     for jid in self.schedule.tier_ids(tier)}
-        if scheduled != set(self.progress):
+        # One pass over the schedule: each job's first (tier, in-service
+        # head) location, checked against its progress record below.
+        located: dict[int, tuple[int, bool]] = {}
+        for tier, (tier_queues, tier_busy) in enumerate(
+                zip(self.schedule.orders, self.schedule.busy)):
+            for queue, residual in zip(tier_queues, tier_busy):
+                for pos, jid in enumerate(queue):
+                    located.setdefault(
+                        jid, (tier, pos == 0 and residual is not None))
+        if located.keys() != self.progress.keys():
             raise ValueError("schedule and progress must cover the same jobs")
         for jid, prog in self.progress.items():
-            loc = self.schedule.locate(jid)
-            assert loc is not None
-            tier, k, pos = loc
+            tier, head_in_service = located[jid]
             if tier != prog.tier:
                 raise ValueError(
                     f"job {jid} scheduled in tier {tier} but resides in "
                     f"tier {prog.tier}")
-            head_in_service = (pos == 0
-                               and self.schedule.busy[tier][k] is not None)
             if head_in_service != prog.in_service:
                 raise ValueError(
                     f"job {jid}: in-service flag disagrees with the schedule")
@@ -457,7 +447,3 @@ class Snapshot:
         return sorted(
             jid for jid, prog in self.progress.items()
             if not prog.in_service and (tier is None or prog.tier == tier))
-
-    def in_service_ids(self) -> list[int]:
-        return sorted(jid for jid, prog in self.progress.items()
-                      if prog.in_service)

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 from .model import Schedule, SchedulingError, Snapshot
 from .penalty import AllowanceMode, ScheduleEvaluator
 
-#: Default ceiling on enumerated schedules before the oracle refuses.
+#: Ceiling on enumerated schedules before the oracle refuses.
 DEFAULT_MAX_STATES = 5_000_000
 
 
@@ -65,24 +65,23 @@ def _ordered_splits(ids: list[int], queues: int):
 
 
 def exhaustive_best(snapshot: Snapshot,
-                    mode: AllowanceMode = AllowanceMode.TOTAL,
-                    max_states: int = DEFAULT_MAX_STATES) -> OracleResult:
+                    mode: AllowanceMode = AllowanceMode.TOTAL) -> OracleResult:
     """Certified minimizer of the signed violation total.
 
     Ties break toward the lexicographically smallest schedule (per-queue id
     tuples, tier-major), which makes the result deterministic.  Refuses
-    instances whose enumeration would exceed ``max_states``.
+    instances whose enumeration would exceed ``DEFAULT_MAX_STATES``.
     """
     estimated = count_states(snapshot)
-    if estimated > max_states:
+    if estimated > DEFAULT_MAX_STATES:
         raise InstanceTooLargeError(
             f"instance needs {estimated} schedule evaluations, above the "
-            f"ceiling of {max_states}")
+            f"ceiling of {DEFAULT_MAX_STATES}")
 
     evaluator = ScheduleEvaluator(snapshot, mode)
     env = snapshot.env
     best_orders: list[tuple[tuple[int, ...], ...]] = []
-    total_fitness = evaluator._pinned_total
+    total_fitness = evaluator.pinned_total
     states = 0
     for tier in range(env.num_tiers):
         ids = snapshot.waiting_ids(tier)
@@ -98,7 +97,8 @@ def exhaustive_best(snapshot: Snapshot,
             if (best_score is None or score < best_score
                     or (score == best_score and blocks < best_blocks)):
                 best_blocks, best_score = blocks, score
-        assert best_blocks is not None
+        if best_blocks is None:
+            raise AssertionError(f"tier {tier}: no schedule enumerated")
         best_orders.extend(best_blocks)
         total_fitness += best_score
     schedule = snapshot.schedule.with_waiting(best_orders)

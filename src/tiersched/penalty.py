@@ -126,6 +126,18 @@ class JobViolation:
     tier_alphas: tuple[tuple[int, float], ...] = ()
 
 
+def violation_totals(records) -> dict[str, float]:
+    """Aggregates of expected or realized per-job records (any re-iterable
+    collection of objects with ``alpha`` and ``cost``)."""
+    return {
+        "total_signed": sum(r.alpha for r in records),
+        "total_violation": sum(max(r.alpha, 0.0) for r in records),
+        "total_cost": sum(r.cost for r in records),
+        "max_violation": max((max(r.alpha, 0.0) for r in records),
+                             default=0.0),
+    }
+
+
 @dataclass(frozen=True)
 class ViolationBreakdown:
     """Per-job violation times and penalties plus their aggregates.
@@ -154,13 +166,8 @@ class ViolationBreakdown:
     @classmethod
     def from_violations(cls, mode: AllowanceMode,
                         violations: dict[int, JobViolation]) -> "ViolationBreakdown":
-        signed = sum(v.alpha for v in violations.values())
-        positive = sum(max(v.alpha, 0.0) for v in violations.values())
-        cost = sum(v.cost for v in violations.values())
-        worst = max((max(v.alpha, 0.0) for v in violations.values()), default=0.0)
-        return cls(mode=mode, per_job=violations, total_signed=signed,
-                   total_violation=positive, total_cost=cost,
-                   max_violation=worst)
+        return cls(mode=mode, per_job=violations,
+                   **violation_totals(violations.values()))
 
 
 class ScheduleEvaluator:
@@ -204,7 +211,8 @@ class ScheduleEvaluator:
                 self._exec[jid] = job.exec_times[prog.tier]
                 self._tier[jid] = prog.tier
         self._pinned = pinned
-        self._pinned_total = sum(v.alpha for v in pinned.values())
+        #: Signed violation of the in-service jobs, fixed for every candidate.
+        self.pinned_total = sum(v.alpha for v in pinned.values())
 
     def _job_violation(self, jid: int, tier: int, alpha: float) -> JobViolation:
         tier_alphas = ((tier, alpha),) if self.mode is AllowanceMode.PER_TIER else ()
@@ -228,7 +236,7 @@ class ScheduleEvaluator:
         ``flat_orders`` lists the waiting order of every queue, tier-major,
         exactly as :meth:`Schedule.flat_waiting` produces them.
         """
-        total = self._pinned_total
+        total = self.pinned_total
         for qi, order in enumerate(flat_orders):
             total += self.queue_score(qi, order)
         return total

@@ -25,12 +25,10 @@ from .model import (
     validate_schedule,
 )
 from .penalty import (
-    AllowanceMode,
-    JobViolation,
     PenaltyModel,
-    ViolationBreakdown,
     differentiated_allowance,
     penalty,
+    violation_totals,
 )
 
 _COMPLETION = 0  # processed before arrivals at equal timestamps
@@ -112,10 +110,6 @@ class SimReport:
         return len(self.outcomes)
 
     @property
-    def mean_violation(self) -> float:
-        return self.total_violation / len(self.outcomes) if self.outcomes else 0.0
-
-    @property
     def mean_wait(self) -> float:
         if not self.outcomes:
             return 0.0
@@ -127,15 +121,14 @@ class Simulator:
 
     ``policy`` assigns arriving jobs to queues (least-backlog FCFS by
     default).  ``optimizer``, when given, is called with a frozen snapshot
-    after qualifying events and may return a replacement schedule; invalid
-    schedules are rejected and logged, never installed.
+    every ``reschedule_every`` events and may return a replacement schedule;
+    invalid schedules are rejected and logged, never installed.
     """
 
     def __init__(self, jobs: JobSet, env: EnvironmentConfig,
                  policy: AssignmentPolicy | PolicyKind | str | None = None,
                  *,
                  optimizer=None,
-                 reschedule_on: tuple[str, ...] = ("arrive", "finish"),
                  reschedule_every: int = 1,
                  keep_trace: bool = False):
         if jobs.num_tiers not in (0, env.num_tiers):
@@ -148,7 +141,6 @@ class Simulator:
             policy = make_policy(policy, env)
         self.policy = policy
         self.optimizer = optimizer
-        self.reschedule_on = tuple(reschedule_on)
         self.reschedule_every = max(1, int(reschedule_every))
         self.keep_trace = keep_trace
         self.trace: list[TraceEvent] = []
@@ -183,9 +175,6 @@ class Simulator:
     def queue_count(self, tier: int, k: int) -> int:
         return len(self._queues[tier][k])
 
-    def is_busy(self, tier: int, k: int) -> bool:
-        return self._busy[tier][k] is not None
-
     def residual(self, tier: int, k: int) -> float:
         entry = self._busy[tier][k]
         return 0.0 if entry is None else max(0.0, entry[2] - self.clock)
@@ -207,22 +196,19 @@ class Simulator:
         if not self._events:
             return False
         time, rank, job_id, tier = heapq.heappop(self._events)
-        assert time >= self.clock - TIME_EPS, "event times must not decrease"
+        if time < self.clock - TIME_EPS:
+            raise AssertionError("event times must not decrease")
         self.clock = time
         if rank == _COMPLETION:
             self._handle_completion(job_id, tier)
-            self._maybe_reschedule("finish")
         else:
             self._handle_arrival(job_id, tier)
-            self._maybe_reschedule("arrive")
+        self._maybe_reschedule()
         return True
 
-    def run(self, *, until_time: float | None = None,
-            until_external_arrivals: int | None = None) -> "Simulator":
+    def run(self, *, until_external_arrivals: int | None = None) -> "Simulator":
         """Process events until drained or a stopping condition is met."""
         while self._events:
-            if until_time is not None and self._events[0][0] > until_time:
-                break
             self.step()
             if (until_external_arrivals is not None
                     and self.external_arrivals >= until_external_arrivals):
@@ -265,9 +251,11 @@ class Simulator:
         state = self._states[job_id]
         k = state.resource
         entry = self._busy[tier][k]
-        assert entry is not None and entry[0] == job_id, "completion out of order"
+        if entry is None or entry[0] != job_id:
+            raise AssertionError("completion out of order")
         queue = self._queues[tier][k]
-        assert queue and queue[0] == job_id
+        if not queue or queue[0] != job_id:
+            raise AssertionError("completing job is not the queue head")
         queue.pop(0)
         self._busy[tier][k] = None
         state.in_service = False
@@ -299,29 +287,34 @@ class Simulator:
         heapq.heappush(self._events, (end, _COMPLETION, head, tier))
         self._trace("start", head, tier, k)
 
-    def _maybe_reschedule(self, kind: str) -> None:
-        if self.optimizer is None or kind not in self.reschedule_on:
+    def _maybe_reschedule(self) -> None:
+        if self.optimizer is None:
             return
         self._since_reschedule += 1
         if self._since_reschedule < self.reschedule_every:
             return
         self._since_reschedule = 0
-        candidate = self.optimizer(self.snapshot())
-        self.install_schedule(candidate)
+        snapshot = self.snapshot()
+        self.install_schedule(self.optimizer(snapshot), snapshot)
 
     # ------------------------------------------------------------------
     # rescheduling
 
-    def install_schedule(self, schedule: Schedule) -> bool:
+    def install_schedule(self, schedule: Schedule,
+                         snapshot: Snapshot | None = None) -> bool:
         """Replace the waiting orders with those of a candidate schedule.
 
         The candidate is validated against the live state first; in-service
         jobs must stay pinned and per-tier waiting sets must be preserved.
+        ``snapshot`` must be a snapshot of the current state (the one the
+        candidate was computed from); a fresh one is taken when omitted.
         Invalid candidates are rejected (logged, previous schedule kept).
         Newly non-empty queues on idle resources begin service immediately.
         """
+        if snapshot is None:
+            snapshot = self.snapshot()
         report = validate_schedule(schedule, self.env, self.jobs,
-                                   snapshot=self.snapshot())
+                                   snapshot=snapshot)
         if not report.ok:
             self._trace("reject", 0, -1, -1)
             return False
@@ -392,9 +385,6 @@ class Simulator:
                         f"tier {tier} resource {k}: in-service job is not "
                         f"the queue head")
 
-    def waits_of(self, job_id: int) -> tuple[float, ...]:
-        return tuple(self._states[job_id].waits)
-
     def report(self, model: PenaltyModel | None = None) -> SimReport:
         """Realized outcomes for every completed job."""
         model = model or PenaltyModel.from_env(self.env)
@@ -422,13 +412,8 @@ class Simulator:
                 cost=penalty(alpha, model),
                 tier_alphas=tier_alphas,
             )
-        signed = sum(o.alpha for o in outcomes.values())
-        positive = sum(max(o.alpha, 0.0) for o in outcomes.values())
-        cost = sum(o.cost for o in outcomes.values())
-        worst = max((max(o.alpha, 0.0) for o in outcomes.values()), default=0.0)
-        return SimReport(outcomes=outcomes, total_signed=signed,
-                         total_violation=positive, total_cost=cost,
-                         max_violation=worst)
+        return SimReport(outcomes=outcomes,
+                         **violation_totals(outcomes.values()))
 
     def trace_lines(self) -> list[str]:
         return [f"# tiersched-trace {TRACE_VERSION}"] + [
@@ -436,14 +421,9 @@ class Simulator:
 
 
 def run_to_completion(jobs: JobSet, env: EnvironmentConfig,
-                      policy=None, *, model: PenaltyModel | None = None,
-                      optimizer=None, reschedule_every: int = 1,
-                      keep_trace: bool = False) -> SimReport:
+                      policy=None) -> SimReport:
     """Drain a job set through the environment and report realized outcomes."""
-    sim = Simulator(jobs, env, policy, optimizer=optimizer,
-                    reschedule_every=reschedule_every, keep_trace=keep_trace)
-    sim.run()
-    return sim.report(model=model)
+    return Simulator(jobs, env, policy).run().report()
 
 
 def simulate_to_snapshot(jobs: JobSet, env: EnvironmentConfig,

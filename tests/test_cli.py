@@ -2,11 +2,80 @@ import json
 
 import pytest
 
+from tiersched import (
+    EnvironmentConfig,
+    WorkloadSpec,
+    generate,
+    make_policy,
+)
 from tiersched.cli import main
+from tiersched.sim import Simulator
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_exit(argv, code, capsys) -> str:
+    """Run the CLI and hold it to its contract: the documented exit code and
+    no traceback.  Returns stderr."""
+    try:
+        got = main(list(argv))
+    except SystemExit as err:  # argparse rejects before main's handlers
+        got = err.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert "Traceback" not in err
+    return err
+
+
+GEN = ("--jobs", "30", "--lambda", "2.5")
+
+# argv -> exit code, and a fragment of the message on stderr.
+CONTRACT = {
+    "compare-missing-jobs": (
+        ("compare", "--lambda", "2.5", "--policies", "fcfs"), 2,
+        "usage error: missing required flags: --jobs"),
+    "compare-missing-lambda": (
+        ("compare", "--jobs", "30", "--policies", "fcfs"), 2,
+        "usage error: missing required flags: --lambda"),
+    "compare-unknown-policy-after-a-valid-one": (
+        ("compare", *GEN, "--policies", "fcfs", "bogus"), 2,
+        "unknown policy 'bogus'"),
+    "compare-unknown-mode-suffix": (
+        ("compare", *GEN, "--policies", "wlc", "ga-virtualized:sideways"), 2,
+        "unknown allowance mode 'sideways'"),
+    "compare-ga-without-operators": (
+        ("compare", *GEN, "--policies", "wlc", "ga-virtualized",
+         "--population", "4"), 3, "no crossover and no mutation"),
+    "compare-negative-allowance": (
+        ("compare", *GEN, "--allowance", "-0.1", "--policies", "fcfs"), 3,
+        "allowance_fraction must be nonnegative"),
+    "run-missing-lambda": (
+        ("run", "--jobs", "30"), 2,
+        "usage error: missing required flags: --lambda"),
+    "run-unknown-policy": (
+        ("run", *GEN, "--policy", "bogus"), 2, "invalid choice"),
+    "run-ga-without-operators": (
+        ("run", *GEN, "--policy", "ga-segmented", "--population", "5"), 3,
+        "no crossover and no mutation"),
+    "run-online-ga-without-operators": (
+        ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "4",
+         "--population", "2"), 3, "no crossover and no mutation"),
+    "run-negative-allowance": (
+        ("run", *GEN, "--allowance", "-0.1"), 3,
+        "allowance_fraction must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_exit_code_contract(case, tmp_path, capsys):
+    argv, code, message = CONTRACT[case]
+    out = tmp_path / "out"
+    err = assert_exit((*argv, "--out-dir", str(out)), code, capsys)
+    assert message in err
+    # Inputs are checked before anything runs or is written.
+    assert not out.exists()
 
 
 def read_jsonl(path):
@@ -29,18 +98,16 @@ class TestGenerate:
                        "--out", str(out)) == 0
         assert len(load(out)) == 100
 
-    def test_missing_jobs_is_usage_error(self, tmp_path):
-        assert run_cli("generate", "--lambda", "2.0",
-                       "--out", str(tmp_path / "w.txt")) == 2
+    def test_missing_jobs_is_usage_error(self, tmp_path, capsys):
+        assert_exit(("generate", "--lambda", "2.0",
+                     "--out", str(tmp_path / "w.txt")), 2, capsys)
 
-    def test_missing_rate_is_usage_error(self, tmp_path):
-        assert run_cli("generate", "--jobs", "10",
-                       "--out", str(tmp_path / "w.txt")) == 2
+    def test_missing_rate_is_usage_error(self, tmp_path, capsys):
+        assert_exit(("generate", "--jobs", "10",
+                     "--out", str(tmp_path / "w.txt")), 2, capsys)
 
-    def test_unknown_flag_exits_two(self):
-        with pytest.raises(SystemExit) as err:
-            run_cli("generate", "--frobnicate")
-        assert err.value.code == 2
+    def test_unknown_flag_exits_two(self, capsys):
+        assert_exit(("generate", "--frobnicate"), 2, capsys)
 
 
 class TestRun:
@@ -101,17 +168,16 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["counts"]["resident"] >= 1
 
-    def test_unreadable_workload_is_input_error(self, tmp_path):
+    def test_unreadable_workload_is_input_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"
-        assert run_cli("run", "--workload", str(missing),
-                       "--policy", "fcfs", "--out-dir",
-                       str(tmp_path / "x")) == 3
+        assert_exit(("run", "--workload", str(missing), "--policy", "fcfs",
+                     "--out-dir", str(tmp_path / "x")), 3, capsys)
 
-    def test_malformed_workload_is_input_error(self, tmp_path):
+    def test_malformed_workload_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a workload\n")
-        assert run_cli("run", "--workload", str(bad), "--policy", "fcfs",
-                       "--out-dir", str(tmp_path / "x")) == 3
+        assert_exit(("run", "--workload", str(bad), "--policy", "fcfs",
+                     "--out-dir", str(tmp_path / "x")), 3, capsys)
 
     def test_online_mode(self, tmp_path):
         out = tmp_path / "online"
@@ -121,6 +187,28 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["online_epoch"] == 4
         assert summary["counts"]["completed"] == 25
+
+    def test_online_run_honours_seed(self, tmp_path):
+        out = tmp_path / "online"
+        assert run_cli("run", "--jobs", "40", "--lambda", "5.0", "--seed", "5",
+                       "--policy", "ga-virtualized", "--initial-policy",
+                       "random", "--generations", "10", "--epoch", "5",
+                       "--out-dir", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        env = EnvironmentConfig()
+        jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=40, seed=5),
+                        env)
+
+        def totals(seed):
+            report = Simulator(jobs, env, make_policy("random", env, seed=seed)
+                               ).run().report()
+            return {"violation": report.total_violation,
+                    "penalty": report.total_cost,
+                    "signed": report.total_signed,
+                    "max_violation": report.max_violation}
+
+        assert summary["initial"] == totals(5)
+        assert summary["initial"] != totals(0)
 
 
 class TestCompare:
@@ -168,7 +256,7 @@ class TestCompare:
             assert sum(max(a, 0.0) for a in alphas) == pytest.approx(
                 row["violation_total"], abs=1e-9)
 
-    def test_unknown_policy_is_usage_error(self, tmp_path):
-        assert run_cli("compare", "--jobs", "10", "--lambda", "2.0",
-                       "--policies", "mystery", "--seeds", "1",
-                       "--out-dir", str(tmp_path / "x")) == 2
+    def test_unknown_policy_is_usage_error(self, tmp_path, capsys):
+        assert_exit(("compare", "--jobs", "10", "--lambda", "2.0",
+                     "--policies", "mystery", "--seeds", "1",
+                     "--out-dir", str(tmp_path / "x")), 2, capsys)

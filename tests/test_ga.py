@@ -193,6 +193,25 @@ class TestSelection:
         assert picks.count("good") / 100_000 >= 0.999
 
 
+class TestGAConfig:
+    @pytest.mark.parametrize("population", [2, 3, 4, 5])
+    def test_population_without_operators_rejected(self, population):
+        with pytest.raises(ValueError, match="no crossover and no mutation"):
+            GAConfig(population=population)
+
+    def test_explicit_zero_counts_rejected(self):
+        with pytest.raises(ValueError, match="no crossover and no mutation"):
+            GAConfig(crossovers=0, mutations=0)
+
+    def test_smallest_default_population_with_operators(self):
+        config = GAConfig(population=6)
+        assert (config.crossover_count, config.mutation_count) == (1, 1)
+
+    def test_explicit_count_rescues_a_small_population(self):
+        config = GAConfig(population=4, mutations=1)
+        assert (config.crossover_count, config.mutation_count) == (0, 1)
+
+
 class TestEvolve:
     def test_budget_history_and_monotonicity(self):
         snap = loaded_snapshot(5.0, 20, seed=14)

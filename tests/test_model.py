@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tiersched import (
     EnvironmentConfig,
     Job,
+    JobProgress,
     JobSet,
     Schedule,
+    Snapshot,
     WorkloadSpec,
     generate,
     remaining_wait,
@@ -30,7 +34,6 @@ class TestEnvironmentConfig:
         dict(resources_per_tier=(3, 0)),
         dict(chi=0.0),
         dict(nu=-1.0),
-        dict(allowance_fraction=-0.1),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -114,6 +117,48 @@ class TestValidateSchedule:
         report = validate_schedule(moved, env, jobs, snapshot=snap)
         assert not report.ok
         assert any("in-service" in v for v in report.violations)
+
+
+class TestSnapshotChecks:
+    """A snapshot refuses schedule and progress records that disagree."""
+
+    @pytest.fixture
+    def snap(self, env_2x2):
+        jobs = JobSet((job(1, (2.0, 1.0)), job(2, (1.0, 1.0), arrival=0.5),
+                       job(3, (1.0, 2.0), arrival=0.6)))
+        return fresh_snapshot(env_2x2, jobs, (((1, 2), (3,)), ((), ())),
+                              busy=((1.5, None), (None, None)))
+
+    @staticmethod
+    def rebuilt(snap, progress):
+        return Snapshot(env=snap.env, jobs=snap.jobs, clock=snap.clock,
+                        schedule=snap.schedule, progress=progress)
+
+    def test_scheduled_job_without_progress(self, snap):
+        progress = {jid: p for jid, p in snap.progress.items() if jid != 3}
+        with pytest.raises(ValueError, match="cover the same jobs"):
+            self.rebuilt(snap, progress)
+
+    def test_progress_for_an_unscheduled_job(self, snap):
+        extra = replace(snap.progress[3], job_id=4)
+        with pytest.raises(ValueError, match="cover the same jobs"):
+            self.rebuilt(snap, {**snap.progress, 4: extra})
+
+    def test_job_in_the_wrong_tier(self, snap):
+        second_tier = JobProgress(job_id=3, tier=1, tier_arrivals=(0.6, 1.6),
+                                  completed_waits=(0.0,), departures=(1.6,),
+                                  elapsed_wait=0.0)
+        with pytest.raises(ValueError, match="scheduled in tier 0 but "
+                                             "resides in tier 1"):
+            self.rebuilt(snap, {**snap.progress, 3: second_tier})
+
+    @pytest.mark.parametrize("jid, in_service", [(1, False), (2, True),
+                                                 (3, True)])
+    def test_in_service_flag_mismatch(self, snap, jid, in_service):
+        flipped = replace(snap.progress[jid], in_service=in_service,
+                          service_start=0.0)
+        with pytest.raises(ValueError, match=f"job {jid}: in-service flag"):
+            self.rebuilt(snap, {**snap.progress, jid: flipped})
 
 
 class TestRemainingWait:

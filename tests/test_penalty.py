@@ -203,6 +203,6 @@ class TestScheduleEvaluator:
         snap = loaded_snapshot(6.0, 45, seed=6)
         evaluator = ScheduleEvaluator(snap, AllowanceMode.TOTAL)
         orders = snap.schedule.flat_waiting()
-        total = evaluator._pinned_total + sum(
+        total = evaluator.pinned_total + sum(
             evaluator.queue_score(qi, order) for qi, order in enumerate(orders))
         assert total == pytest.approx(evaluator.fitness(orders), abs=1e-12)

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import tiersched
 from tiersched import (
     AllowanceMode,
     EnvironmentConfig,
@@ -139,6 +145,56 @@ class TestRescheduleHook:
         assert scheduled == plain.trace
         assert hooked.report() == plain.report()
 
+    @staticmethod
+    def count_snapshots(monkeypatch) -> list:
+        calls = []
+        plain = Simulator.snapshot
+
+        def counted(sim):
+            calls.append(sim.clock)
+            return plain(sim)
+
+        monkeypatch.setattr(Simulator, "snapshot", counted)
+        return calls
+
+    def test_one_snapshot_per_decision(self, env_2x3, monkeypatch):
+        jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=25, seed=6),
+                        env_2x3)
+        calls = self.count_snapshots(monkeypatch)
+        decided = []
+
+        def optimizer(snap):
+            decided.append(snap.clock)
+            return snap.schedule
+
+        sim = Simulator(jobs, env_2x3, optimizer=optimizer,
+                        reschedule_every=3, keep_trace=True)
+        sim.run()
+        assert len(decided) > 10
+        assert calls == decided
+        assert [ev.kind for ev in sim.trace].count("reschedule") == len(decided)
+
+    def test_tampered_candidate_rejected_from_the_hook(self, env_2x3,
+                                                      monkeypatch):
+        jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=25, seed=6),
+                        env_2x3)
+        plain = Simulator(jobs, env_2x3, keep_trace=True)
+        plain.run()
+        calls = self.count_snapshots(monkeypatch)
+
+        def tamper(snap):
+            # An unknown job id joins the first queue: never valid.
+            flat = list(snap.schedule.flat_waiting())
+            flat[0] += (len(jobs) + 1,)
+            return snap.schedule.with_waiting(flat)
+
+        hooked = Simulator(jobs, env_2x3, optimizer=tamper, keep_trace=True)
+        hooked.run()
+        kinds = [ev.kind for ev in hooked.trace]
+        assert kinds.count("reject") == len(calls) > 0
+        assert "reschedule" not in kinds
+        assert [ev for ev in hooked.trace if ev.kind != "reject"] == plain.trace
+
     def test_genetic_hook_never_worsens_expected_violation(self, env_2x3):
         jobs = generate(WorkloadSpec(arrival_rate=6.0, num_jobs=40, seed=9),
                         env_2x3)
@@ -181,6 +237,36 @@ class TestRescheduleHook:
         assert snap.schedule.in_service_id(0, 1) == 2  # least backlog
         # Both busy; nothing waiting, so install is a no-op round trip.
         assert sim.install_schedule(snap.schedule)
+
+
+class TestInvariantsUnderOptimize:
+    def test_broken_state_raises_under_python_O(self):
+        # Job 1 is in service after the first step; erasing that record
+        # must make its completion fail loudly even with asserts stripped.
+        script = textwrap.dedent("""
+            from tiersched import EnvironmentConfig, Job, JobSet
+            from tiersched.sim import Simulator
+            env = EnvironmentConfig(num_tiers=1, resources_per_tier=(1,))
+            jobs = JobSet((Job(id=1, arrival=0.0, exec_times=(1.0,),
+                               target_completion=2.0),))
+            sim = Simulator(jobs, env)
+            sim.step()
+            sim._busy[0][0] = None
+            print("debug", __debug__)
+            try:
+                sim.step()
+            except AssertionError as err:
+                print("raised", err)
+            else:
+                print("completed silently")
+        """)
+        src = Path(tiersched.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.splitlines() == [
+            "debug False", "raised completion out of order"]
 
 
 class TestPolicyContract:
