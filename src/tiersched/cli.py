@@ -298,6 +298,9 @@ def _snapshot_counts(snapshot: Snapshot) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.epoch > 0 and args.policy in BASELINES:
+        raise SystemExit2(f"--epoch needs a genetic --policy, not "
+                          f"{args.policy!r}")
     env = _environment(args)
     jobs = _workload(args, env)
     mode = AllowanceMode(args.mode)
@@ -362,8 +365,13 @@ def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
     arrival = args.initial_policy
     seed = int(args.seed)
 
+    evaluations = 0
+
     def optimizer(snapshot: Snapshot):
-        return evolve(snapshot, config).best_schedule
+        nonlocal evaluations
+        result = evolve(snapshot, config)
+        evaluations += result.evaluations
+        return result.best_schedule
 
     baseline = Simulator(jobs, env, make_policy(arrival, env, seed=seed)
                          ).run().report()
@@ -375,7 +383,7 @@ def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
         out_dir, args, arrival,
         {"online_epoch": int(args.epoch),
          "counts": {"completed": optimized.job_count}},
-        baseline, optimized, 0)
+        baseline, optimized, evaluations)
     records = []
     for phase, report in (("initial", baseline), ("enhanced", optimized)):
         for jid in sorted(report.outcomes):
@@ -397,6 +405,10 @@ def cmd_compare(args) -> int:
     seeds = args.seeds if args.seeds else [int(args.seed)]
     # Every input is checked before the first row runs or a file is written.
     specs = [_workload_spec(args, seed) for seed in seeds]
+    repeated = sorted({p for p in args.policies if args.policies.count(p) > 1})
+    if repeated:
+        raise SystemExit2(
+            f"policies given more than once: {', '.join(repeated)}")
     ga_specs = {token: _parse_ga_token(token, args.mode)
                 for token in args.policies}
     configs = {(token, spec.seed): _ga_config(args, ga_spec, spec.seed)

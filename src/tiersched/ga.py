@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -139,44 +140,27 @@ def fitness(chromosome: Chromosome, snapshot: Snapshot,
     return ScheduleEvaluator(snapshot, mode).fitness(chromosome.segments)
 
 
-@dataclass(frozen=True)
-class FitnessValue:
-    """Raw score plus its normalized share of the selection wheel."""
-
-    raw: float
-    normalized: float
-
-
-def fitness_values(raws) -> list[FitnessValue]:
-    """Roulette weights from raw scores.
+def roulette_wheel(raws) -> list[float]:
+    """Cumulative roulette shares of a generation's raw scores.
 
     Raw scores measure violation, so selection inverts them: weight grows as
     the score falls below the generation's worst.  A tiny epsilon keeps
-    degenerate (all-equal) populations on a uniform wheel.
+    degenerate (all-equal) populations on a uniform wheel.  The last entry is
+    pinned to 1 so rounding never leaves a draw past the end.
     """
-    raws = list(raws)
     worst = max(raws)
     eps = 1e-12 * max(1.0, max(abs(r) for r in raws))
     weights = [(worst - r) + eps for r in raws]
     total = sum(weights)
-    return [FitnessValue(raw=r, normalized=w / total)
-            for r, w in zip(raws, weights)]
-
-
-def select(population, raws, rng: np.random.Generator, count: int = 1) -> list:
-    """Roulette-wheel draw of ``count`` members (with replacement)."""
-    values = fitness_values(raws)
-    wheel = list(accumulate(v.normalized for v in values))
+    wheel = list(accumulate(w / total for w in weights))
     wheel[-1] = 1.0
+    return wheel
+
+
+def select(population, wheel, rng: np.random.Generator, count: int = 1) -> list:
+    """Roulette-wheel draw of ``count`` members (with replacement)."""
     return [population[bisect_right(wheel, rng.random())]
             for _ in range(count)]
-
-
-def _tier_order(chromosome: Chromosome) -> dict[int, list[int]]:
-    order: dict[int, list[int]] = {}
-    for seg, tier in zip(chromosome.segments, chromosome.segment_tier):
-        order.setdefault(tier, []).extend(seg)
-    return order
 
 
 def crossover(parent_a: Chromosome, parent_b: Chromosome,
@@ -199,29 +183,27 @@ def crossover(parent_a: Chromosome, parent_b: Chromosome,
 
 def _crossover_child(template: Chromosome, donor: Chromosome,
                      cut: int) -> Chromosome:
-    donor_order = _tier_order(donor)
+    own = [g for seg in template.segments for g in seg]
+    theirs = [g for seg in donor.segments for g in seg]
+    # A tier's segments are contiguous, so each tier owns one span of flat
+    # gene positions, the same span in both parents.  Tiers before the cut's
+    # span keep the template's genes, tiers after it take the donor's, and
+    # only the span the cut falls in needs repair.
+    lo = hi = 0
+    for _, group in groupby(zip(template.segments, template.segment_tier),
+                            key=itemgetter(1)):
+        lo, hi = hi, hi + sum(len(seg) for seg, _ in group)
+        if cut < hi:
+            break
+    kept = set(own[lo:cut])
+    flat = (own[:cut] + [g for g in theirs[lo:hi] if g not in kept]
+            + theirs[hi:])
+    # Re-split the child's order into the template's segment sizes.
     segments: list[tuple[int, ...]] = []
-    offset = 0
-    tier_fill: dict[int, list[int]] = {}
-    # First pass: per tier, the child's flat gene order.
-    tier_sizes: dict[int, int] = {}
-    for seg, tier in zip(template.segments, template.segment_tier):
-        tier_sizes[tier] = tier_sizes.get(tier, 0) + len(seg)
-    for tier in sorted(tier_sizes):
-        span = tier_sizes[tier]
-        local_cut = min(max(cut - offset, 0), span)
-        own = template.genes_in_tier(tier)
-        head = own[:local_cut]
-        kept = set(head)
-        tier_fill[tier] = head + [g for g in donor_order.get(tier, [])
-                                  if g not in kept]
-        offset += span
-    # Second pass: re-split each tier's order into the template's sizes.
-    consumed: dict[int, int] = {t: 0 for t in tier_fill}
-    for seg, tier in zip(template.segments, template.segment_tier):
-        start = consumed[tier]
-        segments.append(tuple(tier_fill[tier][start:start + len(seg)]))
-        consumed[tier] = start + len(seg)
+    start = 0
+    for seg in template.segments:
+        segments.append(tuple(flat[start:start + len(seg)]))
+        start += len(seg)
     return Chromosome(segments=tuple(segments),
                       segment_tier=template.segment_tier)
 
@@ -300,20 +282,20 @@ def _run_ga(seeded: Chromosome, sample_random, score, config: GAConfig,
             rng: np.random.Generator):
     """Shared evolution loop; returns (best, best_score, history, evals).
 
-    Every population member is scored in every generation, so the evaluation
-    budget is exactly population x generations.  The best-ever chromosome is
-    carried unmodified into each next generation (elitism), which makes the
+    ``evals`` is the logical budget, population x generations: every member
+    of every generation has a score.  Scores are pure, so the elite and the
+    roulette copies carry their parent's score and only crossover children
+    and mutants are scored afresh.  The best-ever chromosome is carried
+    unmodified into each next generation (elitism), which makes the
     best-so-far history nonincreasing.
     """
     n = config.population
     population = [seeded] + [sample_random(rng) for _ in range(n - 1)]
+    fits = [score(c) for c in population]
     best_c = None
     best_f = float("inf")
     history: list[GenerationStats] = []
-    evaluations = 0
     for gen in range(config.generations):
-        fits = [score(c) for c in population]
-        evaluations += n
         for c, f in zip(population, fits):
             if f < best_f:
                 best_c, best_f = c, f
@@ -321,17 +303,21 @@ def _run_ga(seeded: Chromosome, sample_random, score, config: GAConfig,
             generation=gen, best=best_f, mean=sum(fits) / n))
         if gen == config.generations - 1:
             break
+        wheel = roulette_wheel(fits)
         nxt = [best_c]
         for _ in range(config.crossover_count):
-            pa, pb = select(population, fits, rng, 2)
-            ca, cb = crossover(pa, pb, rng)
-            nxt.extend((ca, cb))
+            pa, pb = select(population, wheel, rng, 2)
+            nxt.extend(crossover(pa, pb, rng))
         for _ in range(config.mutation_count):
-            nxt.append(mutate(select(population, fits, rng, 1)[0], rng))
-        while len(nxt) < n:
-            nxt.extend(select(population, fits, rng, 1))
-        population = nxt[:n]
-    return best_c, best_f, history, evaluations
+            nxt.append(mutate(select(population, wheel, rng, 1)[0], rng))
+        nxt = nxt[:n]
+        nxt_fits = [best_f] + [score(c) for c in nxt[1:]]
+        # Roulette copies are drawn as indices so they carry their scores.
+        for i in select(range(n), wheel, rng, n - len(nxt)):
+            nxt.append(population[i])
+            nxt_fits.append(fits[i])
+        population, fits = nxt, nxt_fits
+    return best_c, best_f, history, n * config.generations
 
 
 def evolve(snapshot: Snapshot, config: GAConfig | None = None) -> EvolveResult:

@@ -8,6 +8,7 @@ from tiersched import (
     generate,
     make_policy,
 )
+from tiersched import cli
 from tiersched.cli import main
 from tiersched.sim import Simulator
 
@@ -45,6 +46,9 @@ CONTRACT = {
     "compare-unknown-mode-suffix": (
         ("compare", *GEN, "--policies", "wlc", "ga-virtualized:sideways"), 2,
         "unknown allowance mode 'sideways'"),
+    "compare-repeated-policy": (
+        ("compare", *GEN, "--policies", "wlc", "ga-virtualized", "wlc"), 2,
+        "policies given more than once: wlc"),
     "compare-ga-without-operators": (
         ("compare", *GEN, "--policies", "wlc", "ga-virtualized",
          "--population", "4"), 3, "no crossover and no mutation"),
@@ -62,6 +66,9 @@ CONTRACT = {
     "run-online-ga-without-operators": (
         ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "4",
          "--population", "2"), 3, "no crossover and no mutation"),
+    "run-epoch-with-baseline-policy": (
+        ("run", *GEN, "--policy", "wlc", "--epoch", "5"), 2,
+        "--epoch needs a genetic --policy, not 'wlc'"),
     "run-negative-allowance": (
         ("run", *GEN, "--allowance", "-0.1"), 3,
         "allowance_fraction must be nonnegative"),
@@ -179,7 +186,15 @@ class TestRun:
         assert_exit(("run", "--workload", str(bad), "--policy", "fcfs",
                      "--out-dir", str(tmp_path / "x")), 3, capsys)
 
-    def test_online_mode(self, tmp_path):
+    def test_online_mode(self, tmp_path, monkeypatch):
+        decisions = []
+        plain = cli.evolve
+
+        def counted(snapshot, config):
+            decisions.append(config)
+            return plain(snapshot, config)
+
+        monkeypatch.setattr(cli, "evolve", counted)
         out = tmp_path / "online"
         assert run_cli("run", "--jobs", "25", "--lambda", "4.0", "--seed", "2",
                        "--policy", "ga-virtualized", "--generations", "20",
@@ -187,6 +202,9 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["online_epoch"] == 4
         assert summary["counts"]["completed"] == 25
+        # The search budget is summed over every rescheduling decision.
+        assert len(decisions) > 1
+        assert summary["evaluations"] == len(decisions) * 10 * 20
 
     def test_online_run_honours_seed(self, tmp_path):
         out = tmp_path / "online"

@@ -23,11 +23,12 @@ from tiersched.ga import (
     decode,
     encode,
     fitness,
-    fitness_values,
     mutate,
     random_chromosome,
+    roulette_wheel,
     select,
 )
+from tiersched import ga
 from tiersched.ga import _crossover_child
 
 from conftest import fresh_snapshot, job, loaded_snapshot
@@ -176,20 +177,26 @@ class TestMutate:
 
 class TestSelection:
     def test_normalized_weights_sum_to_one(self):
-        values = fitness_values([3.0, 7.0, 11.0, 2.0])
-        assert sum(v.normalized for v in values) == pytest.approx(1.0, abs=1e-9)
+        wheel = roulette_wheel([3.0, 7.0, 11.0, 2.0])
+        assert wheel[-1] == 1.0
+        shares = [b - a for a, b in zip([0.0] + wheel, wheel)]
+        assert sum(shares) == pytest.approx(1.0, abs=1e-9)
+        assert all(share > 0 for share in shares)
+        assert max(range(4), key=shares.__getitem__) == 3  # lowest raw score
 
     def test_equal_fitness_is_uniform(self):
         rng = np.random.default_rng(6)
         population = ["a", "b", "c", "d"]
-        picks = select(population, [5.0] * 4, rng, count=100_000)
+        picks = select(population, roulette_wheel([5.0] * 4), rng,
+                       count=100_000)
         for member in population:
             assert picks.count(member) / 100_000 == pytest.approx(0.25,
                                                                   abs=0.01)
 
     def test_lower_violation_dominates_selection(self):
         rng = np.random.default_rng(7)
-        picks = select(["good", "bad"], [10.0, 30.0], rng, count=100_000)
+        picks = select(["good", "bad"], roulette_wheel([10.0, 30.0]), rng,
+                       count=100_000)
         assert picks.count("good") / 100_000 >= 0.999
 
 
@@ -319,3 +326,103 @@ class TestEvolveSegmented:
         via_dispatch = evolve(snap, config)
         direct = evolve_segmented(snap, config)
         assert via_dispatch.best_schedule == direct.best_schedule
+
+
+class TestScoringWork:
+    """Only crossover children and mutants are scored after the first
+    generation; the elite and the roulette copies carry their parent's
+    score, while ``evaluations`` keeps the logical budget."""
+
+    @staticmethod
+    def scored(config):
+        return (config.population + (config.generations - 1)
+                * (2 * config.crossover_count + config.mutation_count))
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Scorings per ``_run_ga`` call, and ``ScheduleEvaluator.fitness``
+        calls overall."""
+        runs: list[int] = []
+        fitness_calls = [0]
+        plain_run, plain_fitness = ga._run_ga, ScheduleEvaluator.fitness
+
+        def run(seeded, sample_random, score, config, rng):
+            runs.append(0)
+
+            def counting(c):
+                runs[-1] += 1
+                return score(c)
+
+            return plain_run(seeded, sample_random, counting, config, rng)
+
+        def fitness_counted(self, flat_orders):
+            fitness_calls[0] += 1
+            return plain_fitness(self, flat_orders)
+
+        monkeypatch.setattr(ga, "_run_ga", run)
+        monkeypatch.setattr(ScheduleEvaluator, "fitness", fitness_counted)
+        return runs, fitness_calls
+
+    CONFIGS = [dict(), dict(population=14, elite=2, crossovers=2, mutations=3)]
+
+    @pytest.mark.parametrize("extra", CONFIGS)
+    def test_virtualized_scores_only_offspring(self, counted, extra):
+        runs, fitness_calls = counted
+        snap = loaded_snapshot(6.0, 30, seed=16)
+        config = GAConfig(generations=60, seed=3, **extra)
+        result = evolve(snap, config)
+        assert runs == [self.scored(config)]
+        # Plus one scoring of the incumbent for ``initial_fitness``.
+        assert fitness_calls[0] == self.scored(config) + 1
+        assert result.evaluations == config.population * config.generations
+
+    @pytest.mark.parametrize("extra", CONFIGS)
+    def test_segmented_scores_only_offspring_per_queue(self, counted, extra):
+        runs, _ = counted
+        snap = loaded_snapshot(6.0, 30, seed=16)
+        config = GAConfig(generations=60, seed=3,
+                          variant=QueueVariant.SEGMENTED, **extra)
+        result = evolve(snap, config)
+        evolved = sum(len(q) >= 2 for q in snap.schedule.flat_waiting())
+        assert evolved >= 2
+        assert runs == [self.scored(config)] * evolved
+        assert result.evaluations == (evolved * config.population
+                                      * config.generations)
+
+
+class TestPinnedStream:
+    """Full-size runs (lambda 7, 110 jobs, default config) pinned to the
+    values the search has always produced, so a change to the order of
+    random draws or to the operators shows up here."""
+
+    def test_virtualized_seed_3(self):
+        snap = loaded_snapshot(7.0, 110, seed=3)
+        assert len(snap.waiting_ids()) == 61
+        result = evolve(snap, GAConfig(seed=3))
+        assert result.best_fitness == 532.7401782838413
+        assert result.history[-1] == ga.GenerationStats(
+            generation=999, best=532.7401782838413, mean=532.8845123800496)
+        assert result.best_chromosome.segments == (
+            (57, 74, 50, 87, 65, 56, 107, 64, 55, 104, 101, 52, 76, 91, 70,
+             86, 94, 82, 62, 90, 97),
+            (51, 96, 93, 67, 95, 102, 61, 89, 83, 85, 80, 75, 108, 54, 72,
+             88, 63, 79, 109, 110),
+            (103, 106, 92, 98, 59, 73, 100, 53, 66, 69, 60, 58, 99, 78, 68,
+             81, 84, 105, 71, 77),
+            (), (), ())
+
+    def test_segmented_seed_4(self):
+        snap = loaded_snapshot(7.0, 110, seed=4)
+        assert len(snap.waiting_ids()) == 73
+        result = evolve(snap, GAConfig(seed=4, variant=QueueVariant.SEGMENTED))
+        assert result.best_fitness == 862.1365407580395
+        assert result.history[-1] == ga.GenerationStats(
+            generation=999, best=862.1365407580395, mean=862.2165699452703)
+        assert result.best_chromosome.segments == (
+            (89, 64, 66, 54, 110, 43, 84, 97, 90, 68, 45, 87, 47, 105, 52,
+             100, 50, 38, 91, 55, 70),
+            (107, 106, 85, 73, 77, 72, 108, 86, 74, 75, 46, 42, 44, 48, 78,
+             104, 81, 58, 109, 67, 95, 39, 94, 76, 60, 88, 49),
+            (82, 98, 99, 61, 101, 40, 62, 63, 79, 96, 102, 69, 80, 56, 92,
+             53, 65, 57, 59, 51, 93, 103, 83, 71, 41),
+            (), (), ())
