@@ -7,7 +7,7 @@ and a brute-force oracle for desk-scale ground truth.
 """
 
 from .baselines import PolicyKind, make_policy
-from .ga import Chromosome, EvolveResult, GAConfig, QueueVariant, evolve, evolve_segmented
+from .ga import EvolveResult, GAConfig, QueueVariant, evolve, evolve_segmented
 from .model import (
     EnvironmentConfig,
     InvalidScheduleError,
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllowanceMode",
-    "Chromosome",
     "EnvironmentConfig",
     "EvolveResult",
     "GAConfig",

@@ -298,6 +298,8 @@ def _snapshot_counts(snapshot: Snapshot) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.epoch < 0:
+        raise SystemExit2(f"--epoch must be 0 or more, not {args.epoch}")
     if args.epoch > 0 and args.policy in BASELINES:
         raise SystemExit2(f"--epoch needs a genetic --policy, not "
                           f"{args.policy!r}")
@@ -405,10 +407,11 @@ def cmd_compare(args) -> int:
     seeds = args.seeds if args.seeds else [int(args.seed)]
     # Every input is checked before the first row runs or a file is written.
     specs = [_workload_spec(args, seed) for seed in seeds]
-    repeated = sorted({p for p in args.policies if args.policies.count(p) > 1})
-    if repeated:
-        raise SystemExit2(
-            f"policies given more than once: {', '.join(repeated)}")
+    for flag, values in (("policies", args.policies), ("seeds", seeds)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise SystemExit2(f"{flag} given more than once: "
+                              f"{', '.join(map(str, repeated))}")
     ga_specs = {token: _parse_ga_token(token, args.mode)
                 for token in args.policies}
     configs = {(token, spec.seed): _ga_config(args, ga_spec, spec.seed)

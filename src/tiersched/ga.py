@@ -1,11 +1,13 @@
 """Permutation genetic search over frozen queue snapshots.
 
 The genome is the cascade of every resource queue's waiting order, tier-major
-("one virtual queue").  Genes never cross tier boundaries, and in-service
-jobs are pinned in the snapshot rather than encoded, so every operator maps
-valid chromosomes to valid chromosomes by construction.  Moving a gene within
-its segment reorders a queue; moving it to another segment of the same tier
-migrates the job to a sibling resource.
+("one virtual queue"): exactly :meth:`Schedule.flat_waiting`, a tuple with one
+tuple of job ids per queue (a segment), which :meth:`Schedule.with_waiting`
+turns back into a schedule.  Genes never cross tier boundaries, and
+in-service jobs are pinned in the snapshot rather than encoded, so every
+operator maps valid genomes to valid genomes by construction.  Moving a gene
+within its segment reorders a queue; moving it to another segment of the same
+tier migrates the job to a sibling resource.
 
 Two search variants share the same machinery: the virtualized variant evolves
 the whole cascade at once (reorder + migrate), the segmented variant evolves
@@ -16,13 +18,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 
 import numpy as np
 
 from .model import Schedule, Snapshot
 from .penalty import AllowanceMode, ScheduleEvaluator
+
+#: One waiting order per queue, tier-major, as ``Schedule.flat_waiting()``.
+Genome = tuple[tuple[int, ...], ...]
 
 
 class QueueVariant:
@@ -36,15 +40,14 @@ class GAConfig:
 
     Operator counts default to one tenth of the population, rounded; with the
     default population of 10 that is one crossover pair and one insert
-    mutation per generation, the rest of the next population being elitism
-    plus roulette-selected copies.
+    mutation per generation.  The rest of the next population is the
+    best-so-far genome (elitism) plus roulette-selected copies.
     """
 
     population: int = 10
     generations: int = 1000
     crossovers: int | None = None
     mutations: int | None = None
-    elite: int = 1
     variant: str = QueueVariant.VIRTUALIZED
     mode: AllowanceMode = AllowanceMode.TOTAL
     seed: int = 0
@@ -54,12 +57,13 @@ class GAConfig:
             raise ValueError("population must hold at least two chromosomes")
         if self.generations < 1:
             raise ValueError("need at least one generation")
-        if self.elite < 0 or (self.crossovers or 0) < 0 or (self.mutations or 0) < 0:
+        if (self.crossovers or 0) < 0 or (self.mutations or 0) < 0:
             raise ValueError("counts must be nonnegative")
         if self.variant not in (QueueVariant.VIRTUALIZED, QueueVariant.SEGMENTED):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.elite + 2 * self.crossover_count + self.mutation_count > self.population:
-            raise ValueError("elite + operator offspring exceed the population")
+        if 1 + 2 * self.crossover_count + self.mutation_count > self.population:
+            raise ValueError("the elite and the operator offspring exceed "
+                             "the population")
         if self.crossover_count + self.mutation_count == 0:
             raise ValueError(
                 f"population {self.population} gets no crossover and no "
@@ -78,66 +82,18 @@ class GAConfig:
         return round(0.1 * self.population)
 
 
-@dataclass(frozen=True)
-class Chromosome:
-    """Waiting-job orders of every queue, tier-major.
-
-    ``segment_tier[s]`` is the tier owning segment ``s``; segments of one
-    tier are contiguous.  In-service jobs are not genes.
-    """
-
-    segments: tuple[tuple[int, ...], ...]
-    segment_tier: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments",
-                           tuple(tuple(s) for s in self.segments))
-        object.__setattr__(self, "segment_tier", tuple(self.segment_tier))
-        if len(self.segments) != len(self.segment_tier):
-            raise ValueError("one owning tier per segment required")
-
-    @property
-    def num_genes(self) -> int:
-        return sum(len(s) for s in self.segments)
-
-    def genes_in_tier(self, tier: int) -> list[int]:
-        out: list[int] = []
-        for seg, t in zip(self.segments, self.segment_tier):
-            if t == tier:
-                out.extend(seg)
-        return out
-
-
-def encode(snapshot: Snapshot) -> Chromosome:
-    """Chromosome of the snapshot's current schedule."""
-    return Chromosome(
-        segments=snapshot.schedule.flat_waiting(),
-        segment_tier=tuple(t for t, _ in snapshot.env.iter_queues()))
-
-
-def decode(chromosome: Chromosome, snapshot: Snapshot) -> Schedule:
-    """Schedule realizing a chromosome over the snapshot's pinned heads."""
-    return snapshot.schedule.with_waiting(chromosome.segments)
-
-
-def chromosome_valid(chromosome: Chromosome, snapshot: Snapshot) -> bool:
-    """True when per-tier gene multisets match the snapshot's waiting jobs."""
+def chromosome_valid(genome: Genome, snapshot: Snapshot) -> bool:
+    """True when ``genome`` holds one order per queue and each tier's queues
+    hold exactly the snapshot's waiting jobs of that tier, once each."""
     env = snapshot.env
-    if chromosome.segment_tier != tuple(t for t, _ in env.iter_queues()):
+    if len(genome) != env.num_queues:
         return False
-    for tier in range(env.num_tiers):
-        genes = chromosome.genes_in_tier(tier)
-        if len(set(genes)) != len(genes):
-            return False
+    for tier, count in enumerate(env.resources_per_tier):
+        start = env.queue_offset(tier)
+        genes = [g for seg in genome[start:start + count] for g in seg]
         if sorted(genes) != snapshot.waiting_ids(tier):
             return False
     return True
-
-
-def fitness(chromosome: Chromosome, snapshot: Snapshot,
-            mode: AllowanceMode) -> float:
-    """Signed violation total of the decoded schedule (lower is better)."""
-    return ScheduleEvaluator(snapshot, mode).fitness(chromosome.segments)
 
 
 def roulette_wheel(raws) -> list[float]:
@@ -163,17 +119,16 @@ def select(population, wheel, rng: np.random.Generator, count: int = 1) -> list:
             for _ in range(count)]
 
 
-def crossover(parent_a: Chromosome, parent_b: Chromosome,
-              rng: np.random.Generator) -> tuple[Chromosome, Chromosome]:
-    """Single-point crossover with order-preserving repair, per tier.
+def crossover(parent_a: Genome, parent_b: Genome,
+              rng: np.random.Generator) -> tuple[Genome, Genome]:
+    """Single-point crossover with order-preserving repair.
 
     One cut point is drawn over the gene positions.  A child keeps its
     template parent's segment sizes, copies that parent's genes before the
     cut, and fills the rest in the other parent's relative order, skipping
-    ids already placed.  Because both parents hold the same per-tier gene
-    multisets, the repair never moves a gene across tiers.
+    ids already placed.
     """
-    total = parent_a.num_genes
+    total = sum(len(seg) for seg in parent_a)
     if total == 0:
         return parent_a, parent_b
     cut = int(rng.integers(total))
@@ -181,52 +136,44 @@ def crossover(parent_a: Chromosome, parent_b: Chromosome,
             _crossover_child(parent_b, parent_a, cut))
 
 
-def _crossover_child(template: Chromosome, donor: Chromosome,
-                     cut: int) -> Chromosome:
-    own = [g for seg in template.segments for g in seg]
-    theirs = [g for seg in donor.segments for g in seg]
-    # A tier's segments are contiguous, so each tier owns one span of flat
-    # gene positions, the same span in both parents.  Tiers before the cut's
-    # span keep the template's genes, tiers after it take the donor's, and
-    # only the span the cut falls in needs repair.
-    lo = hi = 0
-    for _, group in groupby(zip(template.segments, template.segment_tier),
-                            key=itemgetter(1)):
-        lo, hi = hi, hi + sum(len(seg) for seg, _ in group)
-        if cut < hi:
-            break
-    kept = set(own[lo:cut])
-    flat = (own[:cut] + [g for g in theirs[lo:hi] if g not in kept]
-            + theirs[hi:])
+def _crossover_child(template: Genome, donor: Genome, cut: int) -> Genome:
+    # Job ids are unique across tiers and a tier owns the same span of flat
+    # positions in both parents.  So the donor genes left after the skip are
+    # the rest of the cut's tier followed by every later tier, in place: the
+    # repair never moves a gene across tiers.
+    own = [g for seg in template for g in seg]
+    kept = set(own[:cut])
+    flat = own[:cut] + [g for seg in donor for g in seg if g not in kept]
     # Re-split the child's order into the template's segment sizes.
-    segments: list[tuple[int, ...]] = []
+    child: list[tuple[int, ...]] = []
     start = 0
-    for seg in template.segments:
-        segments.append(tuple(flat[start:start + len(seg)]))
+    for seg in template:
+        child.append(tuple(flat[start:start + len(seg)]))
         start += len(seg)
-    return Chromosome(segments=tuple(segments),
-                      segment_tier=template.segment_tier)
+    return tuple(child)
 
 
-def mutate(chromosome: Chromosome, rng: np.random.Generator) -> Chromosome:
+def mutate(genome: Genome, tiers: tuple[int, ...],
+           rng: np.random.Generator) -> Genome:
     """Insert mutation: pull one gene and reinsert it within its tier.
 
-    Reinsertion into the same segment reorders that queue; reinsertion into a
-    sibling segment migrates the job to another resource of the tier.
+    ``tiers[s]`` is the tier owning segment ``s``.  Reinsertion into the same
+    segment reorders that queue; reinsertion into a sibling segment migrates
+    the job to another resource of the tier.
     """
-    total = chromosome.num_genes
+    total = sum(len(seg) for seg in genome)
     if total == 0:
-        return chromosome
+        return genome
     gene_idx = int(rng.integers(total))
-    segments = [list(s) for s in chromosome.segments]
+    segments = [list(s) for s in genome]
     seg_idx = 0
     while gene_idx >= len(segments[seg_idx]):
         gene_idx -= len(segments[seg_idx])
         seg_idx += 1
     gene = segments[seg_idx].pop(gene_idx)
-    tier = chromosome.segment_tier[seg_idx]
+    tier = tiers[seg_idx]
 
-    tier_segs = [i for i, t in enumerate(chromosome.segment_tier) if t == tier]
+    tier_segs = [i for i, t in enumerate(tiers) if t == tier]
     slots = sum(len(segments[i]) + 1 for i in tier_segs)
     slot = int(rng.integers(slots))
     for i in tier_segs:
@@ -234,13 +181,12 @@ def mutate(chromosome: Chromosome, rng: np.random.Generator) -> Chromosome:
             segments[i].insert(slot, gene)
             break
         slot -= len(segments[i]) + 1
-    return Chromosome(segments=tuple(tuple(s) for s in segments),
-                      segment_tier=chromosome.segment_tier)
+    return tuple(tuple(s) for s in segments)
 
 
-def random_chromosome(snapshot: Snapshot, rng: np.random.Generator) -> Chromosome:
-    """Uniformly random valid chromosome: per tier, a random permutation of
-    the waiting jobs dealt to uniformly random queues."""
+def random_chromosome(snapshot: Snapshot, rng: np.random.Generator) -> Genome:
+    """Uniformly random valid genome: per tier, a random permutation of the
+    waiting jobs dealt to uniformly random queues."""
     env = snapshot.env
     per_queue: dict[tuple[int, int], list[int]] = {
         (t, k): [] for t, k in env.iter_queues()}
@@ -252,9 +198,7 @@ def random_chromosome(snapshot: Snapshot, rng: np.random.Generator) -> Chromosom
         picks = rng.integers(env.resources_per_tier[tier], size=len(order))
         for jid, k in zip(order, picks):
             per_queue[(tier, int(k))].append(jid)
-    return Chromosome(
-        segments=tuple(tuple(per_queue[(t, k)]) for t, k in env.iter_queues()),
-        segment_tier=tuple(t for t, _ in env.iter_queues()))
+    return tuple(tuple(per_queue[(t, k)]) for t, k in env.iter_queues())
 
 
 @dataclass(frozen=True)
@@ -272,22 +216,22 @@ class EvolveResult:
 
     best_schedule: Schedule
     best_fitness: float
-    best_chromosome: Chromosome
     initial_fitness: float
     history: tuple[GenerationStats, ...]
     evaluations: int
 
 
-def _run_ga(seeded: Chromosome, sample_random, score, config: GAConfig,
-            rng: np.random.Generator):
+def _run_ga(seeded: Genome, tiers: tuple[int, ...], sample_random, score,
+            config: GAConfig, rng: np.random.Generator):
     """Shared evolution loop; returns (best, best_score, history, evals).
 
-    ``evals`` is the logical budget, population x generations: every member
-    of every generation has a score.  Scores are pure, so the elite and the
-    roulette copies carry their parent's score and only crossover children
-    and mutants are scored afresh.  The best-ever chromosome is carried
-    unmodified into each next generation (elitism), which makes the
-    best-so-far history nonincreasing.
+    ``tiers`` is the owning tier of each of the genomes' segments.  ``evals``
+    is the logical budget, population x generations: every member of every
+    generation has a score.  Scores are pure, so the elite and the roulette
+    copies carry their parent's score and only crossover children and mutants
+    are scored afresh.  The best-ever genome is carried unmodified into each
+    next generation (elitism), which makes the best-so-far history
+    nonincreasing.
     """
     n = config.population
     population = [seeded] + [sample_random(rng) for _ in range(n - 1)]
@@ -309,8 +253,7 @@ def _run_ga(seeded: Chromosome, sample_random, score, config: GAConfig,
             pa, pb = select(population, wheel, rng, 2)
             nxt.extend(crossover(pa, pb, rng))
         for _ in range(config.mutation_count):
-            nxt.append(mutate(select(population, wheel, rng, 1)[0], rng))
-        nxt = nxt[:n]
+            nxt.append(mutate(select(population, wheel, rng, 1)[0], tiers, rng))
         nxt_fits = [best_f] + [score(c) for c in nxt[1:]]
         # Roulette copies are drawn as indices so they carry their scores.
         for i in select(range(n), wheel, rng, n - len(nxt)):
@@ -331,20 +274,19 @@ def evolve(snapshot: Snapshot, config: GAConfig | None = None) -> EvolveResult:
     if config.variant == QueueVariant.SEGMENTED:
         return evolve_segmented(snapshot, config)
     evaluator = ScheduleEvaluator(snapshot, config.mode)
-    rng = np.random.default_rng(config.seed)
-    seeded = encode(snapshot)
-    initial = evaluator.fitness(seeded.segments)
+    seeded = snapshot.schedule.flat_waiting()
+    initial = evaluator.fitness(seeded)
     best_c, best_f, history, evaluations = _run_ga(
         seeded=seeded,
+        tiers=tuple(t for t, _ in snapshot.env.iter_queues()),
         sample_random=lambda r: random_chromosome(snapshot, r),
-        score=lambda c: evaluator.fitness(c.segments),
+        score=evaluator.fitness,
         config=config,
-        rng=rng,
+        rng=np.random.default_rng(config.seed),
     )
     return EvolveResult(
-        best_schedule=decode(best_c, snapshot),
+        best_schedule=snapshot.schedule.with_waiting(best_c),
         best_fitness=best_f,
-        best_chromosome=best_c,
         initial_fitness=initial,
         history=tuple(history),
         evaluations=evaluations,
@@ -362,8 +304,6 @@ def evolve_segmented(snapshot: Snapshot,
     """
     config = config or GAConfig()
     evaluator = ScheduleEvaluator(snapshot, config.mode)
-    env = snapshot.env
-    queue_tiers = [t for t, _ in env.iter_queues()]
     initial_orders = snapshot.schedule.flat_waiting()
     initial = evaluator.fitness(initial_orders)
 
@@ -376,22 +316,19 @@ def evolve_segmented(snapshot: Snapshot,
             best_orders.append(order)
             fixed_total += evaluator.queue_score(qi, order)
             continue
-        tier = queue_tiers[qi]
-        seeded = Chromosome(segments=(order,), segment_tier=(tier,))
 
-        def sample(r: np.random.Generator, order=order, tier=tier) -> Chromosome:
-            perm = tuple(order[int(i)] for i in r.permutation(len(order)))
-            return Chromosome(segments=(perm,), segment_tier=(tier,))
+        def sample(r: np.random.Generator, order=order) -> Genome:
+            return (tuple(order[int(i)] for i in r.permutation(len(order))),)
 
-        rng = np.random.default_rng((config.seed, qi))
         best_c, best_f, history, evals = _run_ga(
-            seeded=seeded,
+            seeded=(order,),
+            tiers=(0,),
             sample_random=sample,
-            score=lambda c, qi=qi: evaluator.queue_score(qi, c.segments[0]),
+            score=lambda g, qi=qi: evaluator.queue_score(qi, g[0]),
             config=config,
-            rng=rng,
+            rng=np.random.default_rng((config.seed, qi)),
         )
-        best_orders.append(best_c.segments[0])
+        best_orders.append(best_c[0])
         histories.append(history)
         evaluations += evals
 
@@ -402,13 +339,9 @@ def evolve_segmented(snapshot: Snapshot,
         mean = fixed_total + sum(h[gen].mean for h in histories)
         combined.append(GenerationStats(generation=gen, best=best, mean=mean))
 
-    best_schedule = snapshot.schedule.with_waiting(best_orders)
-    best_chromosome = Chromosome(segments=tuple(best_orders),
-                                 segment_tier=tuple(queue_tiers))
     return EvolveResult(
-        best_schedule=best_schedule,
+        best_schedule=snapshot.schedule.with_waiting(best_orders),
         best_fitness=evaluator.fitness(best_orders),
-        best_chromosome=best_chromosome,
         initial_fitness=initial,
         history=tuple(combined),
         evaluations=evaluations,

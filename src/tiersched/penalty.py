@@ -192,7 +192,6 @@ class ScheduleEvaluator:
         self._tier = [0] * size
         self._delays = [
             snapshot.schedule.residual(t, k) for t, k in env.iter_queues()]
-        self._queue_tier = [t for t, _ in env.iter_queues()]
         pinned: dict[int, JobViolation] = {}
         for jid in snapshot.resident_ids():
             prog = snapshot.progress[jid]

@@ -109,12 +109,6 @@ class SimReport:
     def job_count(self) -> int:
         return len(self.outcomes)
 
-    @property
-    def mean_wait(self) -> float:
-        if not self.outcomes:
-            return 0.0
-        return sum(o.total_wait for o in self.outcomes.values()) / len(self.outcomes)
-
 
 class Simulator:
     """Drives a job set through the tiered environment.
@@ -141,7 +135,10 @@ class Simulator:
             policy = make_policy(policy, env)
         self.policy = policy
         self.optimizer = optimizer
-        self.reschedule_every = max(1, int(reschedule_every))
+        if reschedule_every < 1:
+            raise ValueError(f"reschedule_every must be at least 1, not "
+                             f"{reschedule_every!r}")
+        self.reschedule_every = int(reschedule_every)
         self.keep_trace = keep_trace
         self.trace: list[TraceEvent] = []
 

@@ -17,6 +17,7 @@ from tiersched import (
     EnvironmentConfig,
     GAConfig,
     QueueVariant,
+    ScheduleEvaluator,
     WorkloadSpec,
     differentiated_allowance,
     evolve,
@@ -30,11 +31,8 @@ from tiersched import (
     total_penalty,
 )
 from tiersched.ga import (
-    Chromosome,
     chromosome_valid,
     crossover,
-    encode,
-    fitness,
     mutate,
     random_chromosome,
 )
@@ -72,10 +70,8 @@ class TestCriterion1Equations:
         # Fitness hand algebra on the two-permutation.
         jobs2 = JobSet((job(1, (2.0,)), job(2, (5.0,))))
         snap2 = fresh_snapshot(env_1x1, jobs2, (((1, 2),),))
-        fwd = fitness(Chromosome(segments=((1, 2),), segment_tier=(0,)),
-                      snap2, AllowanceMode.TOTAL)
-        bwd = fitness(Chromosome(segments=((2, 1),), segment_tier=(0,)),
-                      snap2, AllowanceMode.TOTAL)
+        fwd = ScheduleEvaluator(snap2, AllowanceMode.TOTAL).fitness(((1, 2),))
+        bwd = ScheduleEvaluator(snap2, AllowanceMode.TOTAL).fitness(((2, 1),))
         checks.append(abs((fwd - bwd) - (2.0 - 5.0)) <= 1e-12)
         checks.append(abs(fwd - ((-0.4) + (2.0 - 1.0))) <= 1e-12)
 
@@ -242,7 +238,7 @@ class TestCriterion6Structure:
         started = time.time()
         snap = loaded_snapshot(6.0, 24, seed=31)
         rng = np.random.default_rng(31)
-        base = encode(snap)
+        base = snap.schedule.flat_waiting()
         pool = [base] + [random_chromosome(snap, rng) for _ in range(5)]
         bad = 0
         for i in range(10_000):
@@ -251,8 +247,9 @@ class TestCriterion6Structure:
             bad += not chromosome_valid(cb, snap)
             pool[i % 6] = ca
         mutant = base
+        tiers = tuple(t for t, _ in snap.env.iter_queues())
         for _ in range(10_000):
-            mutant = mutate(mutant, rng)
+            mutant = mutate(mutant, tiers, rng)
             bad += not chromosome_valid(mutant, snap)
 
         config = GAConfig(population=10, generations=300, seed=7)

@@ -49,6 +49,9 @@ CONTRACT = {
     "compare-repeated-policy": (
         ("compare", *GEN, "--policies", "wlc", "ga-virtualized", "wlc"), 2,
         "policies given more than once: wlc"),
+    "compare-repeated-seed": (
+        ("compare", *GEN, "--policies", "wlc", "--seeds", "1", "2", "1"), 2,
+        "seeds given more than once: 1"),
     "compare-ga-without-operators": (
         ("compare", *GEN, "--policies", "wlc", "ga-virtualized",
          "--population", "4"), 3, "no crossover and no mutation"),
@@ -69,6 +72,9 @@ CONTRACT = {
     "run-epoch-with-baseline-policy": (
         ("run", *GEN, "--policy", "wlc", "--epoch", "5"), 2,
         "--epoch needs a genetic --policy, not 'wlc'"),
+    "run-negative-epoch": (
+        ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "-5"), 2,
+        "--epoch must be 0 or more, not -5"),
     "run-negative-allowance": (
         ("run", *GEN, "--allowance", "-0.1"), 3,
         "allowance_fraction must be nonnegative"),

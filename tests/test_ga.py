@@ -17,12 +17,8 @@ from tiersched import (
     validate_schedule,
 )
 from tiersched.ga import (
-    Chromosome,
     chromosome_valid,
     crossover,
-    decode,
-    encode,
-    fitness,
     mutate,
     random_chromosome,
     roulette_wheel,
@@ -34,27 +30,32 @@ from tiersched.ga import _crossover_child
 from conftest import fresh_snapshot, job, loaded_snapshot
 
 
-def tier_multisets(chromosome):
-    tiers = {}
-    for seg, tier in zip(chromosome.segments, chromosome.segment_tier):
-        tiers.setdefault(tier, []).extend(seg)
-    return {t: sorted(g) for t, g in tiers.items()}
+def tier_genes(genome, env):
+    """Each tier's genes in genome order, read through the tier's queue span."""
+    return {tier: [g for seg in genome[env.queue_offset(tier):
+                                       env.queue_offset(tier) + count]
+                   for g in seg]
+            for tier, count in enumerate(env.resources_per_tier)}
+
+
+def queue_tiers(snap):
+    return tuple(t for t, _ in snap.env.iter_queues())
 
 
 class TestEncodeDecode:
     def test_round_trip_identity(self):
         snap = loaded_snapshot(5.0, 25, seed=3)
-        chrom = encode(snap)
-        assert decode(chrom, snap) == snap.schedule
+        chrom = snap.schedule.flat_waiting()
+        assert snap.schedule.with_waiting(chrom) == snap.schedule
         assert chromosome_valid(chrom, snap)
 
     def test_empty_segments_preserved(self, env_2x3):
         jobs = JobSet((job(1, (1.0, 1.0)),))
         snap = fresh_snapshot(env_2x3, jobs,
                               (((1,), (), ()), ((), (), ())))
-        chrom = encode(snap)
-        assert chrom.segments == ((1,), (), (), (), (), ())
-        assert decode(chrom, snap) == snap.schedule
+        chrom = snap.schedule.flat_waiting()
+        assert chrom == ((1,), (), (), (), (), ())
+        assert snap.schedule.with_waiting(chrom) == snap.schedule
 
     def test_fuzzed_decodes_stay_valid(self):
         rng = np.random.default_rng(7)
@@ -62,27 +63,63 @@ class TestEncodeDecode:
             snap = loaded_snapshot(5.0, 14, seed=seed)
             chrom = random_chromosome(snap, rng)
             assert chromosome_valid(chrom, snap)
-            schedule = decode(chrom, snap)
+            schedule = snap.schedule.with_waiting(chrom)
             report = validate_schedule(schedule, snap.env, snap.jobs,
                                        snapshot=snap)
             assert report.ok, report.violations
+
+
+def _swap_across_tiers(segs):
+    segs[0][0], segs[3][0] = segs[3][0], segs[0][0]
+
+
+def _duplicate_gene(segs):
+    segs[0][1] = segs[0][0]
+
+
+def _drop_gene(segs):
+    segs[4].pop()
+
+
+def _add_segment(segs):
+    segs.append([])
+
+
+class TestChromosomeValid:
+    @staticmethod
+    def snapshot(env_2x3):
+        jobs = JobSet(tuple(job(i, (1.0, 1.0)) for i in range(1, 7)))
+        return fresh_snapshot(env_2x3, jobs,
+                              (((1, 2), (3,), ()), ((4,), (5, 6), ())))
+
+    def test_snapshot_order_is_valid(self, env_2x3):
+        snap = self.snapshot(env_2x3)
+        assert chromosome_valid(snap.schedule.flat_waiting(), snap)
+
+    @pytest.mark.parametrize("breaks", [
+        _swap_across_tiers, _duplicate_gene, _drop_gene, _add_segment],
+        ids=["gene-swapped-across-tiers", "duplicated-gene", "missing-gene",
+             "wrong-segment-count"])
+    def test_broken_genome_rejected(self, env_2x3, breaks):
+        snap = self.snapshot(env_2x3)
+        segs = [list(s) for s in snap.schedule.flat_waiting()]
+        breaks(segs)
+        assert not chromosome_valid(tuple(tuple(s) for s in segs), snap)
 
 
 class TestFitness:
     def test_single_waiting_job_scores_minus_allowance(self, env_1x1):
         jobs = JobSet((job(1, (2.0,)),))
         snap = fresh_snapshot(env_1x1, jobs, (((1,),),))
-        chrom = encode(snap)
-        assert fitness(chrom, snap, AllowanceMode.TOTAL) == pytest.approx(
+        evaluator = ScheduleEvaluator(snap, AllowanceMode.TOTAL)
+        assert evaluator.fitness(snap.schedule.flat_waiting()) == pytest.approx(
             -jobs.job(1).allowance)
 
     def test_two_job_ordering_difference_is_exec_gap(self, env_1x1):
         jobs = JobSet((job(1, (2.0,)), job(2, (5.0,))))
         snap = fresh_snapshot(env_1x1, jobs, (((1, 2),),))
-        forward = Chromosome(segments=((1, 2),), segment_tier=(0,))
-        backward = Chromosome(segments=((2, 1),), segment_tier=(0,))
-        diff = (fitness(forward, snap, AllowanceMode.TOTAL)
-                - fitness(backward, snap, AllowanceMode.TOTAL))
+        evaluator = ScheduleEvaluator(snap, AllowanceMode.TOTAL)
+        diff = evaluator.fitness(((1, 2),)) - evaluator.fitness(((2, 1),))
         assert diff == pytest.approx(2.0 - 5.0)
 
     @pytest.mark.parametrize("mode", list(AllowanceMode))
@@ -91,22 +128,24 @@ class TestFitness:
         snap = loaded_snapshot(6.0, 40, seed=11)
         for _ in range(10):
             chrom = random_chromosome(snap, rng)
-            got = fitness(chrom, snap, mode)
-            breakdown = total_penalty(snap, mode, schedule=decode(chrom, snap))
+            got = ScheduleEvaluator(snap, mode).fitness(chrom)
+            breakdown = total_penalty(
+                snap, mode, schedule=snap.schedule.with_waiting(chrom))
             assert got == pytest.approx(breakdown.total_signed, abs=1e-9)
 
     def test_evaluation_is_pure(self):
         snap = loaded_snapshot(6.0, 30, seed=12)
         chrom = random_chromosome(snap, np.random.default_rng(1))
-        first = fitness(chrom, snap, AllowanceMode.TOTAL)
+        first = ScheduleEvaluator(snap, AllowanceMode.TOTAL).fitness(chrom)
         for _ in range(5):
-            assert fitness(chrom, snap, AllowanceMode.TOTAL) == first
+            assert ScheduleEvaluator(snap, AllowanceMode.TOTAL).fitness(
+                chrom) == first
 
 
 class TestCrossover:
     def test_identical_parents_identical_children(self):
         snap = loaded_snapshot(5.0, 20, seed=5)
-        chrom = encode(snap)
+        chrom = snap.schedule.flat_waiting()
         rng = np.random.default_rng(0)
         a, b = crossover(chrom, chrom, rng)
         assert a == chrom and b == chrom
@@ -114,18 +153,17 @@ class TestCrossover:
     def test_cut_at_zero_copies_donor_order(self):
         snap = loaded_snapshot(5.0, 20, seed=6)
         rng = np.random.default_rng(1)
-        template = encode(snap)
+        template = snap.schedule.flat_waiting()
         donor = random_chromosome(snap, rng)
         child = _crossover_child(template, donor, cut=0)
-        for tier in set(template.segment_tier):
-            assert child.genes_in_tier(tier) == donor.genes_in_tier(tier)
-        sizes = [len(s) for s in child.segments]
-        assert sizes == [len(s) for s in template.segments]
+        assert tier_genes(child, snap.env) == tier_genes(donor, snap.env)
+        sizes = [len(s) for s in child]
+        assert sizes == [len(s) for s in template]
 
     def test_fuzz_preserves_tier_multisets(self):
         rng = np.random.default_rng(2)
         snap = loaded_snapshot(6.0, 24, seed=9)
-        base = encode(snap)
+        base = snap.schedule.flat_waiting()
         pool = [base] + [random_chromosome(snap, rng) for _ in range(6)]
         for i in range(10_000):
             pa, pb = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]
@@ -139,17 +177,19 @@ class TestMutate:
     def test_single_gene_single_queue_tier_unchanged(self, env_1x1):
         jobs = JobSet((job(1, (2.0,)),))
         snap = fresh_snapshot(env_1x1, jobs, (((1,),),))
-        chrom = encode(snap)
+        chrom = snap.schedule.flat_waiting()
         rng = np.random.default_rng(3)
+        tiers = queue_tiers(snap)
         for _ in range(20):
-            assert mutate(chrom, rng) == chrom
+            assert mutate(chrom, tiers, rng) == chrom
 
     def test_fuzz_preserves_validity(self):
         rng = np.random.default_rng(4)
         snap = loaded_snapshot(6.0, 24, seed=10)
-        chrom = encode(snap)
+        chrom = snap.schedule.flat_waiting()
+        tiers = queue_tiers(snap)
         for _ in range(10_000):
-            chrom = mutate(chrom, rng)
+            chrom = mutate(chrom, tiers, rng)
             assert chromosome_valid(chrom, snap)
 
     def test_cross_segment_moves_roughly_match_uniform_slots(self):
@@ -160,15 +200,16 @@ class TestMutate:
         snap = fresh_snapshot(env, jobs,
                               ((tuple(range(1, 5)), tuple(range(5, 9)),
                                 tuple(range(9, 13))),))
-        chrom = encode(snap)
+        chrom = snap.schedule.flat_waiting()
         rng = np.random.default_rng(5)
+        tiers = queue_tiers(snap)
         moved = 0
         trials = 10_000
         for _ in range(trials):
-            segment_of = {g: si for si, seg in enumerate(chrom.segments)
+            segment_of = {g: si for si, seg in enumerate(chrom)
                           for g in seg}
-            mutant = mutate(chrom, rng)
-            new_segment_of = {g: si for si, seg in enumerate(mutant.segments)
+            mutant = mutate(chrom, tiers, rng)
+            new_segment_of = {g: si for si, seg in enumerate(mutant)
                               for g in seg}
             if any(segment_of[g] != new_segment_of[g] for g in segment_of):
                 moved += 1
@@ -217,6 +258,15 @@ class TestGAConfig:
     def test_explicit_count_rescues_a_small_population(self):
         config = GAConfig(population=4, mutations=1)
         assert (config.crossover_count, config.mutation_count) == (0, 1)
+
+    def test_elite_and_offspring_beyond_population_rejected(self):
+        # 1 elite + 2 x 2 crossover children + 2 mutants = 7 > 6
+        with pytest.raises(ValueError, match="exceed the population"):
+            GAConfig(population=6, crossovers=2, mutations=2)
+
+    def test_elite_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            GAConfig(elite=1)
 
 
 class TestEvolve:
@@ -346,14 +396,15 @@ class TestScoringWork:
         fitness_calls = [0]
         plain_run, plain_fitness = ga._run_ga, ScheduleEvaluator.fitness
 
-        def run(seeded, sample_random, score, config, rng):
+        def run(seeded, tiers, sample_random, score, config, rng):
             runs.append(0)
 
             def counting(c):
                 runs[-1] += 1
                 return score(c)
 
-            return plain_run(seeded, sample_random, counting, config, rng)
+            return plain_run(seeded, tiers, sample_random, counting, config,
+                             rng)
 
         def fitness_counted(self, flat_orders):
             fitness_calls[0] += 1
@@ -363,7 +414,7 @@ class TestScoringWork:
         monkeypatch.setattr(ScheduleEvaluator, "fitness", fitness_counted)
         return runs, fitness_calls
 
-    CONFIGS = [dict(), dict(population=14, elite=2, crossovers=2, mutations=3)]
+    CONFIGS = [dict(), dict(population=14, crossovers=2, mutations=3)]
 
     @pytest.mark.parametrize("extra", CONFIGS)
     def test_virtualized_scores_only_offspring(self, counted, extra):
@@ -402,7 +453,7 @@ class TestPinnedStream:
         assert result.best_fitness == 532.7401782838413
         assert result.history[-1] == ga.GenerationStats(
             generation=999, best=532.7401782838413, mean=532.8845123800496)
-        assert result.best_chromosome.segments == (
+        assert result.best_schedule.flat_waiting() == (
             (57, 74, 50, 87, 65, 56, 107, 64, 55, 104, 101, 52, 76, 91, 70,
              86, 94, 82, 62, 90, 97),
             (51, 96, 93, 67, 95, 102, 61, 89, 83, 85, 80, 75, 108, 54, 72,
@@ -418,7 +469,7 @@ class TestPinnedStream:
         assert result.best_fitness == 862.1365407580395
         assert result.history[-1] == ga.GenerationStats(
             generation=999, best=862.1365407580395, mean=862.2165699452703)
-        assert result.best_chromosome.segments == (
+        assert result.best_schedule.flat_waiting() == (
             (89, 64, 66, 54, 110, 43, 84, 97, 90, 68, 45, 87, 47, 105, 52,
              100, 50, 38, 91, 55, 70),
             (107, 106, 85, 73, 77, 72, 108, 86, 74, 75, 46, 42, 44, 48, 78,

@@ -9,10 +9,11 @@ from tiersched import (
     GAConfig,
     InstanceTooLargeError,
     JobSet,
+    ScheduleEvaluator,
     evolve,
     exhaustive_best,
 )
-from tiersched.ga import decode, fitness, random_chromosome
+from tiersched.ga import random_chromosome
 from tiersched.oracle import count_states
 
 from conftest import fresh_snapshot, job, loaded_snapshot
@@ -74,8 +75,8 @@ class TestCertifiedMinimality:
             result = exhaustive_best(snap, AllowanceMode.TOTAL)
             for _ in range(300):
                 chrom = random_chromosome(snap, rng)
-                assert (fitness(chrom, snap, AllowanceMode.TOTAL)
-                        >= result.fitness - 1e-9)
+                assert (ScheduleEvaluator(snap, AllowanceMode.TOTAL).fitness(
+                    chrom) >= result.fitness - 1e-9)
 
     def test_genetic_search_never_beats_oracle(self, env_2x2):
         for seed in (5, 6, 7):
@@ -88,7 +89,6 @@ class TestCertifiedMinimality:
     def test_oracle_schedule_scores_its_fitness(self, env_2x2, mode):
         snap = loaded_snapshot(5.0, 8, seed=9, env=env_2x2)
         result = exhaustive_best(snap, mode)
-        from tiersched import ScheduleEvaluator
         evaluator = ScheduleEvaluator(snap, mode)
         assert evaluator.fitness(result.schedule.flat_waiting()) == \
             pytest.approx(result.fitness, abs=1e-9)

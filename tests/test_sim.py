@@ -157,6 +157,14 @@ class TestRescheduleHook:
         monkeypatch.setattr(Simulator, "snapshot", counted)
         return calls
 
+    @pytest.mark.parametrize("cadence", [0, -3])
+    def test_cadence_below_one_rejected(self, env_2x3, cadence):
+        jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=5, seed=6),
+                        env_2x3)
+        with pytest.raises(ValueError, match="reschedule_every"):
+            Simulator(jobs, env_2x3, optimizer=lambda snap: snap.schedule,
+                      reschedule_every=cadence)
+
     def test_one_snapshot_per_decision(self, env_2x3, monkeypatch):
         jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=25, seed=6),
                         env_2x3)
