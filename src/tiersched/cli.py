@@ -305,6 +305,11 @@ def cmd_run(args) -> int:
                           f"{args.policy!r}")
     env = _environment(args)
     jobs = _workload(args, env)
+    # One arrival and one completion per job and tier.
+    events = 2 * env.num_tiers * len(jobs)
+    if args.epoch > events:
+        raise SystemExit2(f"--epoch {args.epoch} exceeds the run's {events} "
+                          f"events, so no rescheduling decision would run")
     mode = AllowanceMode(args.mode)
     ga_spec = _parse_ga_token(args.policy, args.mode)
     config = _ga_config(args, ga_spec, args.seed) if ga_spec else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baselines import AssignmentPolicy, PolicyKind, make_policy
 from .model import (
@@ -24,15 +25,14 @@ from .model import (
     Snapshot,
     validate_schedule,
 )
-from .penalty import (
-    PenaltyModel,
-    differentiated_allowance,
-    penalty,
-    violation_totals,
-)
+from .penalty import PenaltyModel, penalty, violation_totals
 
 _COMPLETION = 0  # processed before arrivals at equal timestamps
 _ARRIVAL = 1
+
+# Per-job status codes.  A moving job has completed one tier and its arrival
+# at the next has not been processed yet.
+_PENDING, _WAITING, _SERVING, _MOVING, _DONE = range(5)
 
 TRACE_VERSION = 1
 
@@ -54,33 +54,12 @@ class TraceEvent:
         return f"{self.time!r} {self.kind} {job} {tier} {res}"
 
 
-class _JobState:
-    """Mutable per-job bookkeeping internal to the simulator."""
-
-    __slots__ = ("tier", "tier_arrivals", "waits", "departures", "resource",
-                 "in_service", "in_queue", "done")
-
-    def __init__(self) -> None:
-        self.tier = -1
-        self.tier_arrivals: list[float] = []
-        self.waits: list[float] = []
-        self.departures: list[float] = []
-        self.resource = -1
-        self.in_service = False
-        # False while a job is in flight between tiers: it has completed one
-        # tier and its arrival at the next has not been processed yet.
-        self.in_queue = False
-        self.done = False
-
-
-@dataclass(frozen=True)
-class JobOutcome:
+class JobOutcome(NamedTuple):
     """Realized timings of one completed job.
 
     The violation time is mode-independent once a job is done: the per-tier
     allowance shares sum to the total allowance, so both formulations reduce
-    to total wait minus total allowance.  ``tier_alphas`` keeps the per-tier
-    attribution for differentiated analyses.
+    to total wait minus total allowance.
     """
 
     job_id: int
@@ -92,7 +71,6 @@ class JobOutcome:
     response_time: float
     alpha: float
     cost: float
-    tier_alphas: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -148,7 +126,18 @@ class Simulator:
         # (job_id, start, end) per resource while mid-service
         self._busy: list[list[tuple[int, float, float] | None]] = [
             [None] * m for m in env.resources_per_tier]
-        self._states: dict[int, _JobState] = {}
+        # Per-job state in flat lists indexed by job id (slot 0 unused);
+        # arrivals and waits are job-major: entry ``jid * tiers + tier``.
+        n, tiers = len(jobs) + 1, env.num_tiers
+        self._tier = [-1] * n
+        self._resource = [-1] * n
+        self._status = [_PENDING] * n
+        self._completion = [0.0] * n
+        self._arrive = [0.0] * (n * tiers)
+        self._wait = [0.0] * (n * tiers)
+        # exec[tier][jid]: execution time of a job at a tier
+        self._exec = [[0.0] + [job.exec_times[t] for job in jobs]
+                      for t in range(tiers)]
         self._events: list[tuple[float, int, int, int]] = []
         self.arrived = [0] * env.num_tiers
         self.departed = 0
@@ -172,17 +161,19 @@ class Simulator:
     def queue_count(self, tier: int, k: int) -> int:
         return len(self._queues[tier][k])
 
-    def residual(self, tier: int, k: int) -> float:
-        entry = self._busy[tier][k]
-        return 0.0 if entry is None else max(0.0, entry[2] - self.clock)
-
     def backlog(self, tier: int, k: int) -> float:
-        """Unfinished work in a queue: in-service residual plus waiting work."""
-        total = self.residual(tier, k)
+        """Unfinished work in a queue: in-service residual plus waiting work,
+        summed in queue order."""
         queue = self._queues[tier][k]
-        start = 1 if self._busy[tier][k] is not None else 0
-        for jid in queue[start:]:
-            total += self.jobs.job(jid).exec_times[tier]
+        entry = self._busy[tier][k]
+        if entry is None:
+            total = 0.0
+        else:
+            total = max(0.0, entry[2] - self.clock)
+            queue = queue[1:]
+        exec_times = self._exec[tier]
+        for jid in queue:
+            total += exec_times[jid]
         return total
 
     # ------------------------------------------------------------------
@@ -200,7 +191,8 @@ class Simulator:
             self._handle_completion(job_id, tier)
         else:
             self._handle_arrival(job_id, tier)
-        self._maybe_reschedule()
+        if self.optimizer is not None:
+            self._maybe_reschedule()
         return True
 
     def run(self, *, until_external_arrivals: int | None = None) -> "Simulator":
@@ -213,18 +205,15 @@ class Simulator:
         return self
 
     def _trace(self, kind: str, job_id: int, tier: int, resource: int) -> None:
-        if self.keep_trace:
-            self.trace.append(TraceEvent(self.clock, kind, job_id, tier, resource))
+        self.trace.append(TraceEvent(self.clock, kind, job_id, tier, resource))
 
     def _handle_arrival(self, job_id: int, tier: int) -> None:
-        state = self._states.get(job_id)
-        if state is None:
-            state = self._states[job_id] = _JobState()
+        if tier == 0:
             self.external_arrivals += 1
         else:
             self._in_flight[tier - 1] -= 1
-        state.tier = tier
-        state.tier_arrivals.append(self.clock)
+        self._tier[job_id] = tier
+        self._arrive[job_id * self.env.num_tiers + tier] = self.clock
         self.arrived[tier] += 1
 
         k, pos = self.policy.assign(self, job_id, tier)
@@ -239,14 +228,14 @@ class Simulator:
                 f"policy returned invalid placement ({k}, {pos}) for job "
                 f"{job_id} at tier {tier}")
         queue.insert(pos, job_id)
-        state.resource = k
-        state.in_queue = True
-        self._trace("arrive", job_id, tier, k)
+        self._resource[job_id] = k
+        self._status[job_id] = _WAITING
+        if self.keep_trace:
+            self._trace("arrive", job_id, tier, k)
         self._try_start(tier, k)
 
     def _handle_completion(self, job_id: int, tier: int) -> None:
-        state = self._states[job_id]
-        k = state.resource
+        k = self._resource[job_id]
         entry = self._busy[tier][k]
         if entry is None or entry[0] != job_id:
             raise AssertionError("completion out of order")
@@ -255,17 +244,18 @@ class Simulator:
             raise AssertionError("completing job is not the queue head")
         queue.pop(0)
         self._busy[tier][k] = None
-        state.in_service = False
-        state.in_queue = False
-        state.departures.append(self.clock)
-        self._trace("finish", job_id, tier, k)
+        if self.keep_trace:
+            self._trace("finish", job_id, tier, k)
         if tier + 1 < self.env.num_tiers:
+            self._status[job_id] = _MOVING
             self._in_flight[tier] += 1
             heapq.heappush(self._events, (self.clock, _ARRIVAL, job_id, tier + 1))
         else:
-            state.done = True
+            self._status[job_id] = _DONE
+            self._completion[job_id] = self.clock
             self.departed += 1
-            self._trace("depart", job_id, tier, k)
+            if self.keep_trace:
+                self._trace("depart", job_id, tier, k)
         self._try_start(tier, k)
 
     def _try_start(self, tier: int, k: int) -> None:
@@ -275,18 +265,18 @@ class Simulator:
         if not queue:
             return
         head = queue[0]
-        state = self._states[head]
-        state.waits.append(self.clock - state.tier_arrivals[-1])
-        state.in_service = True
-        state.resource = k
-        end = self.clock + self.jobs.job(head).exec_times[tier]
-        self._busy[tier][k] = (head, self.clock, end)
+        clock = self.clock
+        slot = head * self.env.num_tiers + tier
+        self._wait[slot] = clock - self._arrive[slot]
+        self._status[head] = _SERVING
+        self._resource[head] = k
+        end = clock + self._exec[tier][head]
+        self._busy[tier][k] = (head, clock, end)
         heapq.heappush(self._events, (end, _COMPLETION, head, tier))
-        self._trace("start", head, tier, k)
+        if self.keep_trace:
+            self._trace("start", head, tier, k)
 
     def _maybe_reschedule(self) -> None:
-        if self.optimizer is None:
-            return
         self._since_reschedule += 1
         if self._since_reschedule < self.reschedule_every:
             return
@@ -313,7 +303,8 @@ class Simulator:
         report = validate_schedule(schedule, self.env, self.jobs,
                                    snapshot=snapshot)
         if not report.ok:
-            self._trace("reject", 0, -1, -1)
+            if self.keep_trace:
+                self._trace("reject", 0, -1, -1)
             return False
         for tier, k in self.env.iter_queues():
             entry = self._busy[tier][k]
@@ -321,7 +312,8 @@ class Simulator:
             self._queues[tier][k] = head + list(schedule.waiting(tier, k))
         for tier, k in self.env.iter_queues():
             self._try_start(tier, k)
-        self._trace("reschedule", 0, -1, -1)
+        if self.keep_trace:
+            self._trace("reschedule", 0, -1, -1)
         return True
 
     # ------------------------------------------------------------------
@@ -335,25 +327,28 @@ class Simulator:
             tuple(None if b is None else max(0.0, b[2] - self.clock)
                   for b in tier_busy)
             for tier_busy in self._busy)
+        tiers, arrive, wait = self.env.num_tiers, self._arrive, self._wait
         progress: dict[int, JobProgress] = {}
-        for jid, state in self._states.items():
-            if state.done or not state.in_queue:
-                continue
-            if state.in_service:
-                elapsed = state.waits[state.tier]
-                start = self._busy[state.tier][state.resource]
-                service_start = start[1] if start else None
+        for jid in sorted(jid for tier_queues in self._queues
+                          for queue in tier_queues for jid in queue):
+            tier = self._tier[jid]
+            first = jid * tiers
+            slot = first + tier
+            in_service = self._status[jid] == _SERVING
+            if in_service:
+                elapsed = wait[slot]
+                service_start = self._busy[tier][self._resource[jid]][1]
             else:
-                elapsed = self.clock - state.tier_arrivals[-1]
+                elapsed = self.clock - arrive[slot]
                 service_start = None
             progress[jid] = JobProgress(
                 job_id=jid,
-                tier=state.tier,
-                tier_arrivals=tuple(state.tier_arrivals),
-                completed_waits=tuple(state.waits[:state.tier]),
-                departures=tuple(state.departures),
+                tier=tier,
+                tier_arrivals=arrive[first:slot + 1],
+                completed_waits=wait[first:slot],
+                departures=arrive[first + 1:slot + 1],
                 elapsed_wait=elapsed,
-                in_service=state.in_service,
+                in_service=in_service,
                 service_start=service_start,
             )
         return Snapshot(env=self.env, jobs=self.jobs, clock=self.clock,
@@ -385,20 +380,18 @@ class Simulator:
     def report(self, model: PenaltyModel | None = None) -> SimReport:
         """Realized outcomes for every completed job."""
         model = model or PenaltyModel.from_env(self.env)
+        tiers = self.env.num_tiers
         outcomes: dict[int, JobOutcome] = {}
         for job in self.jobs:
-            state = self._states.get(job.id)
-            if state is None or not state.done:
+            jid = job.id
+            if self._status[jid] != _DONE:
                 continue
-            waits = tuple(state.waits)
+            waits = tuple(self._wait[jid * tiers:(jid + 1) * tiers])
             total_wait = sum(waits)
-            completion = state.departures[-1]
+            completion = self._completion[jid]
             alpha = total_wait - job.allowance
-            tier_alphas = tuple(
-                (j, waits[j] - differentiated_allowance(job, j))
-                for j in range(self.env.num_tiers))
-            outcomes[job.id] = JobOutcome(
-                job_id=job.id,
+            outcomes[jid] = JobOutcome(
+                job_id=jid,
                 arrival=job.arrival,
                 completion=completion,
                 total_exec=job.total_exec,
@@ -407,7 +400,6 @@ class Simulator:
                 response_time=completion - job.arrival,
                 alpha=alpha,
                 cost=penalty(alpha, model),
-                tier_alphas=tier_alphas,
             )
         return SimReport(outcomes=outcomes,
                          **violation_totals(outcomes.values()))

@@ -75,6 +75,9 @@ CONTRACT = {
     "run-negative-epoch": (
         ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "-5"), 2,
         "--epoch must be 0 or more, not -5"),
+    "run-epoch-beyond-events": (
+        ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "121"), 2,
+        "--epoch 121 exceeds the run's 120 events"),
     "run-negative-allowance": (
         ("run", *GEN, "--allowance", "-0.1"), 3,
         "allowance_fraction must be nonnegative"),
@@ -211,6 +214,25 @@ class TestRun:
         # The search budget is summed over every rescheduling decision.
         assert len(decisions) > 1
         assert summary["evaluations"] == len(decisions) * 10 * 20
+
+    def test_online_epoch_at_the_event_count_decides_once(self, tmp_path,
+                                                          monkeypatch):
+        decisions = []
+        plain = cli.evolve
+
+        def counted(snapshot, config):
+            decisions.append(snapshot.clock)
+            return plain(snapshot, config)
+
+        monkeypatch.setattr(cli, "evolve", counted)
+        out = tmp_path / "online"
+        # 30 jobs through 2 tiers: 120 events, the last one a departure.
+        assert run_cli("run", *GEN, "--policy", "ga-virtualized",
+                       "--generations", "5", "--epoch", "120",
+                       "--out-dir", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(decisions) == 1
+        assert summary["evaluations"] == 10 * 5
 
     def test_online_run_honours_seed(self, tmp_path):
         out = tmp_path / "online"

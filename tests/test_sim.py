@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -6,6 +7,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tiersched
 from tiersched import (
@@ -13,6 +16,7 @@ from tiersched import (
     EnvironmentConfig,
     GAConfig,
     InvalidScheduleError,
+    Job,
     JobSet,
     Schedule,
     WorkloadSpec,
@@ -300,3 +304,138 @@ class TestTrace:
         assert kinds == ["arrive", "start", "finish", "depart"]
         # time kind job tier resource
         assert all(len(line.split()) == 5 for line in lines[1:])
+
+
+def outcome_digest(report) -> str:
+    """sha256 over each outcome's field values in job-id order (values, not
+    the outcome object's repr, so the digest survives a change of type)."""
+    h = hashlib.sha256()
+    for jid in sorted(report.outcomes):
+        o = report.outcomes[jid]
+        h.update(repr((o.job_id, o.arrival, o.completion, o.total_exec,
+                       o.waits, o.total_wait, o.response_time, o.alpha,
+                       o.cost)).encode())
+    return h.hexdigest()
+
+
+def snapshot_digest(snaps) -> str:
+    """sha256 over clock, orders, busy and every JobProgress field."""
+    h = hashlib.sha256()
+    for snap in snaps:
+        h.update(repr((snap.clock, snap.schedule.orders,
+                       snap.schedule.busy)).encode())
+        for jid, p in snap.progress.items():
+            h.update(repr((jid, p.job_id, p.tier, p.tier_arrivals,
+                           p.completed_waits, p.departures, p.elapsed_wait,
+                           p.in_service, p.service_start)).encode())
+    return h.hexdigest()
+
+
+class TestPinnedDrain:
+    """Drain results recorded as literals before the simulator's per-job
+    state moved into flat id-indexed lists; any change in event order or
+    float arithmetic shows up here."""
+
+    PINNED = {
+        "fcfs": ("10318.289779208775", "10719.901065388925",
+                 "104.79962343630984", "11.75817490871545",
+                 "ee44d92a113d4bd9b0e939fb99142675"
+                 "f313961c0052a3cd4599d8f48953552f"),
+        "wlc": ("12789.739532009062", "13204.199106940318",
+                "128.30216942409427", "18.19472327163925",
+                "100d0b14cb5f45ed62f34932566b6af3"
+                "f52a18fa0faf4f3bc63c86f048e4a243"),
+        "wrr": ("23521.48604429939", "23728.452407294637",
+                "227.78074244224797", "22.04609289715343",
+                "ea146db7991f0ee71ea90ca9a2baa3c5"
+                "83be4cbc042f85c9bed58c4fa5a80f3a"),
+    }
+
+    @pytest.mark.parametrize("policy", ["fcfs", "wlc", "wrr"])
+    def test_drain_totals_and_outcomes(self, env_2x3, policy):
+        jobs = generate(WorkloadSpec(arrival_rate=2.5, num_jobs=5000, seed=5),
+                        env_2x3)
+        report = run_to_completion(jobs, env_2x3, make_policy(policy, env_2x3))
+        got = (repr(report.total_signed), repr(report.total_violation),
+               repr(report.total_cost), repr(report.max_violation),
+               outcome_digest(report))
+        assert got == self.PINNED[policy]
+
+    def test_identity_optimizer_snapshots(self, env_2x3):
+        jobs = generate(WorkloadSpec(arrival_rate=7.0, num_jobs=300, seed=5),
+                        env_2x3)
+        snaps = []
+
+        def identity(snap):
+            snaps.append(snap)
+            return snap.schedule
+
+        Simulator(jobs, env_2x3, optimizer=identity,
+                  reschedule_every=25).run()
+        assert len(snaps) == 2 * 2 * 300 // 25
+        assert snapshot_digest(snaps) == (
+            "27a6ee58e9037b19a16a6f3ecfd6f018"
+            "a21e0947da1f1bc39b6dbe97025448f9")
+
+
+class BacklogCheckingPolicy(AssignmentPolicy):
+    """Wraps a policy; at every arrival, holds ``backlog`` of each queue of
+    the tier to a from-scratch sum over the public schedule view."""
+
+    def __init__(self, inner: AssignmentPolicy):
+        self.inner = inner
+        self.arrivals = 0
+
+    def assign(self, sim, job_id, tier):
+        schedule = sim.snapshot().schedule
+        for k in range(sim.env.resources_per_tier[tier]):
+            expected = schedule.residual(tier, k)
+            for jid in schedule.waiting(tier, k):
+                expected += sim.jobs.job(jid).exec_times[tier]
+            assert sim.backlog(tier, k) == expected
+        self.arrivals += 1
+        return self.inner.assign(sim, job_id, tier)
+
+
+DURATIONS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                      st.floats(0.01, 5.0))
+
+
+@st.composite
+def small_streams(draw):
+    resources = tuple(draw(st.lists(st.integers(1, 3), min_size=1,
+                                    max_size=3)))
+    env = EnvironmentConfig(num_tiers=len(resources),
+                            resources_per_tier=resources)
+    arrival, jobs = 0.0, []
+    for jid in range(1, draw(st.integers(0, 40)) + 1):
+        # Gaps from a small grid give simultaneous arrivals and completions.
+        arrival += draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                  st.floats(0.0, 3.0)))
+        execs = draw(st.lists(DURATIONS, min_size=len(resources),
+                              max_size=len(resources)))
+        jobs.append(Job(id=jid, arrival=arrival, exec_times=tuple(execs),
+                        target_completion=arrival + 1.2 * sum(execs)))
+    policy = draw(st.sampled_from(["fcfs", "wrr", "wlc", "random"]))
+    cadence = draw(st.one_of(st.none(), st.integers(1, 7)))
+    return env, JobSet(tuple(jobs)), policy, cadence
+
+
+class TestStreamProperties:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_streams(), st.integers(0, 3))
+    def test_invariants_backlog_and_residents(self, stream, seed):
+        env, jobs, policy, cadence = stream
+        checking = BacklogCheckingPolicy(make_policy(policy, env, seed=seed))
+        optimizer = None if cadence is None else (lambda snap: snap.schedule)
+        sim = Simulator(jobs, env, checking, optimizer=optimizer,
+                        reschedule_every=cadence or 1)
+        while sim.step():
+            sim.assert_invariants()
+            queued = sorted(jid for t in range(env.num_tiers)
+                            for k in range(env.resources_per_tier[t])
+                            for jid in sim.queue(t, k))
+            assert list(sim.snapshot().progress) == queued
+        assert checking.arrivals == len(jobs) * env.num_tiers
+        assert sim.departed == len(jobs) == sim.report().job_count
