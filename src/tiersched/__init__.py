@@ -18,7 +18,6 @@ from .model import (
     SchedulingError,
     Snapshot,
     ValidationReport,
-    remaining_wait,
     validate_schedule,
 )
 from .oracle import InstanceTooLargeError, OracleResult, exhaustive_best
@@ -28,11 +27,8 @@ from .penalty import (
     ScheduleEvaluator,
     ViolationBreakdown,
     differentiated_allowance,
-    expected_wait_multitier,
-    expected_wait_tier,
     penalty,
     total_penalty,
-    violation_time,
 )
 from .sim import SimReport, Simulator, run_to_completion, simulate_to_snapshot
 from .workload import WorkloadFormatError, WorkloadSpec, generate, load, save
@@ -67,17 +63,13 @@ __all__ = [
     "evolve",
     "evolve_segmented",
     "exhaustive_best",
-    "expected_wait_multitier",
-    "expected_wait_tier",
     "generate",
     "load",
     "make_policy",
     "penalty",
-    "remaining_wait",
     "run_to_completion",
     "save",
     "simulate_to_snapshot",
     "total_penalty",
     "validate_schedule",
-    "violation_time",
 ]

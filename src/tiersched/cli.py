@@ -21,8 +21,7 @@ from pathlib import Path
 from .baselines import make_policy
 from .ga import GAConfig, QueueVariant, evolve
 from .model import EnvironmentConfig, InvalidScheduleError, Snapshot
-from .penalty import (AllowanceMode, ViolationBreakdown,
-                      expected_wait_multitier, total_penalty)
+from .penalty import AllowanceMode, ViolationBreakdown, total_penalty
 from .sim import Simulator, simulate_to_snapshot
 from .workload import WorkloadFormatError, WorkloadSpec, generate, load, save
 
@@ -219,13 +218,11 @@ def _ga_config(args, ga_spec, seed: int) -> GAConfig:
 
 
 def _job_records(breakdown: ViolationBreakdown, snapshot: Snapshot,
-                 schedule, phase: str) -> list[dict]:
+                 phase: str) -> list[dict]:
     records = []
     for jid in sorted(breakdown.per_job):
         v = breakdown.per_job[jid]
         prog = snapshot.progress[jid]
-        job = snapshot.jobs.job(jid)
-        expected_wait = expected_wait_multitier(prog, schedule, snapshot.jobs)
         records.append({
             "schema": "tiersched.job/1",
             "phase": phase,
@@ -235,7 +232,7 @@ def _job_records(breakdown: ViolationBreakdown, snapshot: Snapshot,
             "alpha": v.alpha,
             "cost": v.cost,
             "waits": list(prog.completed_waits) + [prog.elapsed_wait],
-            "expected_rt": job.total_exec + expected_wait,
+            "expected_rt": snapshot.jobs.job(jid).total_exec + v.wait,
         })
     return records
 
@@ -341,10 +338,9 @@ def cmd_run(args) -> int:
         {"snapshot_clock": snapshot.clock,
          "counts": _snapshot_counts(snapshot)},
         initial, enhanced, evaluations)
-    final_schedule = (result.best_schedule if config else snapshot.schedule)
     _write_jsonl(out_dir / "jobs.jsonl",
-                 _job_records(initial, snapshot, snapshot.schedule, "initial")
-                 + _job_records(enhanced, snapshot, final_schedule, "enhanced"))
+                 _job_records(initial, snapshot, "initial")
+                 + _job_records(enhanced, snapshot, "enhanced"))
     if history:
         _write_jsonl(out_dir / "history.jsonl", (
             {"schema": "tiersched.history/1", "generation": h.generation,

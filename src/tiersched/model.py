@@ -10,6 +10,7 @@ build new instances instead of mutating shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -53,10 +54,10 @@ class EnvironmentConfig:
             raise ValueError("resources_per_tier must give one count per tier")
         if any(m < 1 for m in self.resources_per_tier):
             raise ValueError("every tier needs at least one resource")
-        if self.chi <= 0:
-            raise ValueError("cost factor chi must be positive")
-        if self.nu <= 0:
-            raise ValueError("scaling factor nu must be positive")
+        if not 0 < self.chi < math.inf:
+            raise ValueError("cost factor chi must be positive and finite")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("scaling factor nu must be positive and finite")
 
     @property
     def num_queues(self) -> int:
@@ -96,8 +97,13 @@ class Job:
             raise ValueError("job ids start at 1")
         if not self.exec_times:
             raise ValueError(f"job {self.id}: needs at least one tier execution time")
-        if any(e <= 0 for e in self.exec_times):
-            raise ValueError(f"job {self.id}: execution times must be positive")
+        if not all(0 < e < math.inf for e in self.exec_times):
+            raise ValueError(
+                f"job {self.id}: execution times must be positive and finite")
+        if not (math.isfinite(self.arrival)
+                and math.isfinite(self.target_completion)):
+            raise ValueError(
+                f"job {self.id}: arrival and target completion must be finite")
         if self.deadline < self.total_exec - TIME_EPS:
             raise ValueError(
                 f"job {self.id}: deadline {self.deadline!r} below total "
@@ -170,41 +176,30 @@ class JobProgress:
     waits of tiers the job already passed; ``elapsed_wait`` is the wait accrued
     so far in the current tier (frozen at its final value once service
     starts).  Tier hand-offs are exact: the departure from tier j is the
-    arrival at tier j+1.
+    arrival at tier j+1, ``tier_arrivals[j + 1]``.
     """
 
     job_id: int
     tier: int
     tier_arrivals: tuple[float, ...]
     completed_waits: tuple[float, ...]
-    departures: tuple[float, ...]
     elapsed_wait: float
     in_service: bool = False
-    service_start: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tier_arrivals", tuple(self.tier_arrivals))
         object.__setattr__(self, "completed_waits", tuple(self.completed_waits))
-        object.__setattr__(self, "departures", tuple(self.departures))
         if self.tier < 0:
             raise ValueError("tier index must be nonnegative")
         if len(self.tier_arrivals) != self.tier + 1:
             raise ValueError(
                 f"job {self.job_id}: need one arrival per tier reached")
-        if len(self.completed_waits) != self.tier or len(self.departures) != self.tier:
-            raise ValueError(
-                f"job {self.job_id}: completed tiers need waits and departures")
+        if len(self.completed_waits) != self.tier:
+            raise ValueError(f"job {self.job_id}: completed tiers need waits")
         if any(w < -TIME_EPS for w in self.completed_waits):
             raise ValueError(f"job {self.job_id}: negative completed wait")
         if self.elapsed_wait < -TIME_EPS:
             raise ValueError(f"job {self.job_id}: negative elapsed wait")
-        for j, dep in enumerate(self.departures):
-            if dep != self.tier_arrivals[j + 1]:
-                raise ValueError(
-                    f"job {self.job_id}: departure from tier {j} must equal "
-                    f"arrival at tier {j + 1}")
-        if self.in_service and self.service_start is None:
-            raise ValueError(f"job {self.job_id}: in service without a start time")
 
 
 @dataclass(frozen=True)
@@ -242,12 +237,6 @@ class Schedule:
                     raise ValueError(
                         f"tier {tier} resource {k}: negative residual")
 
-    @staticmethod
-    def empty(env: EnvironmentConfig) -> "Schedule":
-        return Schedule(
-            orders=tuple(tuple(() for _ in range(m)) for m in env.resources_per_tier),
-            busy=tuple(tuple(None for _ in range(m)) for m in env.resources_per_tier))
-
     @property
     def num_tiers(self) -> int:
         return len(self.orders)
@@ -269,12 +258,6 @@ class Schedule:
         """Queue content excluding the pinned in-service head."""
         queue = self.orders[tier][k]
         return queue[1:] if self.busy[tier][k] is not None else queue
-
-    def tier_ids(self, tier: int) -> list[int]:
-        out: list[int] = []
-        for queue in self.orders[tier]:
-            out.extend(queue)
-        return out
 
     def flat_waiting(self) -> tuple[tuple[int, ...], ...]:
         """Waiting orders of every queue, tier-major (the genetic genome)."""
@@ -379,29 +362,6 @@ def validate_schedule(schedule: Schedule,
                     f"tier {tier} resource {k}: in-service residual changed")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def remaining_wait(schedule: Schedule, job_id: int, tier: int,
-                   jobs: JobSet) -> float:
-    """Queueing time still ahead of a job in its tier, under this schedule.
-
-    Sums the execution times of every job queued ahead of it, counting an
-    in-service head at its residual (a non-preemptive head physically delays
-    everyone behind it).  Zero for the in-service head itself.
-    """
-    for k in range(schedule.resources_in(tier)):
-        queue = schedule.queue(tier, k)
-        for pos, jid in enumerate(queue):
-            if jid != job_id:
-                continue
-            busy = schedule.busy[tier][k] is not None
-            if busy and pos == 0:
-                return 0.0
-            total = schedule.residual(tier, k)
-            for ahead in queue[1 if busy else 0:pos]:
-                total += jobs.job(ahead).exec_times[tier]
-            return total
-    raise LookupError(f"job {job_id} is not queued in tier {tier}")
 
 
 @dataclass(frozen=True)

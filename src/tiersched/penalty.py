@@ -13,16 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import (
     EnvironmentConfig,
     InvalidScheduleError,
     Job,
-    JobProgress,
-    JobSet,
     Schedule,
     Snapshot,
-    remaining_wait,
     validate_schedule,
 )
 
@@ -42,10 +40,10 @@ class PenaltyModel:
     nu: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.chi <= 0:
-            raise ValueError("cost factor chi must be positive")
-        if self.nu <= 0:
-            raise ValueError("scaling factor nu must be positive")
+        if not 0 < self.chi < math.inf:
+            raise ValueError("cost factor chi must be positive and finite")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("scaling factor nu must be positive and finite")
 
     @classmethod
     def from_env(cls, env: EnvironmentConfig) -> "PenaltyModel":
@@ -62,48 +60,6 @@ def differentiated_allowance(job: Job, tier: int) -> float:
     return job.allowance * job.exec_times[tier] / job.total_exec
 
 
-def expected_wait_tier(progress: JobProgress, schedule: Schedule, tier: int,
-                       jobs: JobSet) -> float:
-    """Expected queueing time of a job at one tier under a schedule.
-
-    For completed tiers the wait is already realized; for the current tier it
-    is elapsed wait plus the remaining wait implied by the queue order.  The
-    wait at tiers the job has not reached is undefined.
-    """
-    if tier < progress.tier:
-        return progress.completed_waits[tier]
-    if tier > progress.tier:
-        raise LookupError(
-            f"job {progress.job_id} has not reached tier {tier}")
-    if progress.in_service:
-        return progress.elapsed_wait
-    return progress.elapsed_wait + remaining_wait(
-        schedule, progress.job_id, tier, jobs)
-
-
-def expected_wait_multitier(progress: JobProgress, schedule: Schedule,
-                            jobs: JobSet) -> float:
-    """Expected total queueing time through the job's current tier."""
-    return sum(progress.completed_waits) + expected_wait_tier(
-        progress, schedule, progress.tier, jobs)
-
-
-def violation_time(progress: JobProgress, schedule: Schedule, jobs: JobSet,
-                   mode: AllowanceMode) -> float:
-    """Signed violation time of a resident job under the given mode.
-
-    Positive means the client will be dissatisfied if the schedule holds;
-    negative is slack.  TOTAL mode compares the multi-tier expected wait with
-    the full allowance; PER_TIER mode compares the current tier's expected
-    wait with that tier's allowance share.
-    """
-    job = jobs.job(progress.job_id)
-    if mode is AllowanceMode.TOTAL:
-        return expected_wait_multitier(progress, schedule, jobs) - job.allowance
-    return (expected_wait_tier(progress, schedule, progress.tier, jobs)
-            - differentiated_allowance(job, progress.tier))
-
-
 def penalty(alpha: float, model: PenaltyModel) -> float:
     """Provider cost for one job's violation time.
 
@@ -115,15 +71,17 @@ def penalty(alpha: float, model: PenaltyModel) -> float:
     return model.chi * (1.0 - math.exp(-model.nu * alpha))
 
 
-@dataclass(frozen=True)
-class JobViolation:
-    """Violation time and cost of one job for one schedule evaluation."""
+class JobViolation(NamedTuple):
+    """Violation time, cost and expected wait of one job for one schedule.
 
-    job_id: int
-    tier: int
+    ``wait`` is the job's expected queueing time through its current tier:
+    completed-tier waits plus the current tier's elapsed wait plus, for a
+    waiting job, the work queued ahead of it under the schedule.
+    """
+
     alpha: float
     cost: float
-    tier_alphas: tuple[tuple[int, float], ...] = ()
+    wait: float
 
 
 def violation_totals(records) -> dict[str, float]:
@@ -148,7 +106,6 @@ class ViolationBreakdown:
     ``total_cost`` is the summed penalty payable by the provider.
     """
 
-    mode: AllowanceMode
     per_job: dict[int, JobViolation]
     total_signed: float
     total_violation: float
@@ -163,12 +120,6 @@ class ViolationBreakdown:
     def mean_violation(self) -> float:
         return self.total_violation / len(self.per_job) if self.per_job else 0.0
 
-    @classmethod
-    def from_violations(cls, mode: AllowanceMode,
-                        violations: dict[int, JobViolation]) -> "ViolationBreakdown":
-        return cls(mode=mode, per_job=violations,
-                   **violation_totals(violations.values()))
-
 
 class ScheduleEvaluator:
     """Fast scorer for candidate schedules of one snapshot.
@@ -177,7 +128,8 @@ class ScheduleEvaluator:
     constants up front, so scoring a candidate is a single pass through each
     queue: a running predecessor-work counter (seeded with the in-service
     residual) is the job's remaining wait.  In-service jobs keep their
-    schedule-independent violation as a pinned constant.
+    schedule-independent violation as a pinned constant.  :meth:`breakdown`
+    is the package's one source of each resident's expected wait.
     """
 
     def __init__(self, snapshot: Snapshot, mode: AllowanceMode,
@@ -189,7 +141,6 @@ class ScheduleEvaluator:
         size = len(jobs) + 1
         self._const = [0.0] * size
         self._exec = [0.0] * size
-        self._tier = [0] * size
         self._delays = [
             snapshot.schedule.residual(t, k) for t, k in env.iter_queues()]
         pinned: dict[int, JobViolation] = {}
@@ -204,20 +155,15 @@ class ScheduleEvaluator:
                 base = prog.elapsed_wait
             if prog.in_service:
                 alpha = base - allow
-                pinned[jid] = self._job_violation(jid, prog.tier, alpha)
+                pinned[jid] = JobViolation(
+                    alpha, penalty(alpha, self.model),
+                    sum(prog.completed_waits) + prog.elapsed_wait)
             else:
                 self._const[jid] = base - allow
                 self._exec[jid] = job.exec_times[prog.tier]
-                self._tier[jid] = prog.tier
         self._pinned = pinned
         #: Signed violation of the in-service jobs, fixed for every candidate.
         self.pinned_total = sum(v.alpha for v in pinned.values())
-
-    def _job_violation(self, jid: int, tier: int, alpha: float) -> JobViolation:
-        tier_alphas = ((tier, alpha),) if self.mode is AllowanceMode.PER_TIER else ()
-        return JobViolation(job_id=jid, tier=tier, alpha=alpha,
-                            cost=penalty(alpha, self.model),
-                            tier_alphas=tier_alphas)
 
     def queue_score(self, queue_index: int, order) -> float:
         """Signed violation total of one queue's waiting order."""
@@ -243,14 +189,19 @@ class ScheduleEvaluator:
     def breakdown(self, schedule: Schedule | None = None) -> ViolationBreakdown:
         """Full per-job evaluation of a schedule (default: the snapshot's)."""
         sched = schedule if schedule is not None else self.snapshot.schedule
+        progress = self.snapshot.progress
         violations = dict(self._pinned)
         for qi, (tier, k) in enumerate(self.snapshot.env.iter_queues()):
             run = self._delays[qi]
             for jid in sched.waiting(tier, k):
+                prog = progress[jid]
                 alpha = self._const[jid] + run
-                violations[jid] = self._job_violation(jid, self._tier[jid], alpha)
+                violations[jid] = JobViolation(
+                    alpha, penalty(alpha, self.model),
+                    sum(prog.completed_waits) + (prog.elapsed_wait + run))
                 run += self._exec[jid]
-        return ViolationBreakdown.from_violations(self.mode, violations)
+        return ViolationBreakdown(violations,
+                                  **violation_totals(violations.values()))
 
 
 def total_penalty(snapshot: Snapshot, mode: AllowanceMode,

@@ -335,21 +335,14 @@ class Simulator:
             first = jid * tiers
             slot = first + tier
             in_service = self._status[jid] == _SERVING
-            if in_service:
-                elapsed = wait[slot]
-                service_start = self._busy[tier][self._resource[jid]][1]
-            else:
-                elapsed = self.clock - arrive[slot]
-                service_start = None
             progress[jid] = JobProgress(
                 job_id=jid,
                 tier=tier,
                 tier_arrivals=arrive[first:slot + 1],
                 completed_waits=wait[first:slot],
-                departures=arrive[first + 1:slot + 1],
-                elapsed_wait=elapsed,
+                elapsed_wait=(wait[slot] if in_service
+                              else self.clock - arrive[slot]),
                 in_service=in_service,
-                service_start=service_start,
             )
         return Snapshot(env=self.env, jobs=self.jobs, clock=self.clock,
                         schedule=Schedule(orders=orders, busy=busy),

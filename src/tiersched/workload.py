@@ -7,6 +7,7 @@ changing the tier count never perturbs the arrival sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,14 +34,14 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-        if self.service_rate <= 0:
-            raise ValueError("service_rate must be positive")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be positive and finite")
+        if not 0 < self.service_rate < math.inf:
+            raise ValueError("service_rate must be positive and finite")
         if self.num_jobs < 1:
             raise ValueError("need at least one job")
-        if self.allowance_fraction < 0:
-            raise ValueError("allowance_fraction must be nonnegative")
+        if not 0 <= self.allowance_fraction < math.inf:
+            raise ValueError("allowance_fraction must be nonnegative and finite")
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:

@@ -32,7 +32,7 @@ def fresh_snapshot(env, jobs, orders, busy=None, clock=0.0, elapsed=None,
 
     ``orders`` follows Schedule layout.  ``elapsed`` and ``completed`` map
     job ids to elapsed waits and completed-tier wait tuples; jobs in tiers
-    past the first get synthetic arrival/departure chains.
+    past the first get synthetic tier-arrival chains.
     """
     elapsed = elapsed or {}
     completed = completed or {}
@@ -53,10 +53,8 @@ def fresh_snapshot(env, jobs, orders, busy=None, clock=0.0, elapsed=None,
                     tier=tier,
                     tier_arrivals=tuple(arrivals),
                     completed_waits=waits,
-                    departures=tuple(arrivals[1:]),
                     elapsed_wait=elapsed.get(jid, 0.0),
                     in_service=in_service,
-                    service_start=clock if in_service else None,
                 )
     return Snapshot(env=env, jobs=jobs, clock=clock, schedule=schedule,
                     progress=progress)

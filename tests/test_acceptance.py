@@ -61,7 +61,8 @@ class TestCriterion1Equations:
         checks.append(abs(penalty(100.0, model) - 0.6321205588285577) <= 1e-12)
 
         # Violation-time fixtures: exactly met, violated, and slack.
-        from tiersched import JobSet, violation_time
+        from tiersched import JobSet
+        from expected_waits import violation_time
         snap1 = fresh_snapshot(env_1x1, JobSet((job(1, (1.0,), allowance=5.0),)),
                                (((1,),),), elapsed={1: 5.0})
         checks.append(abs(violation_time(snap1.progress[1], snap1.schedule,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -81,6 +82,30 @@ CONTRACT = {
     "run-negative-allowance": (
         ("run", *GEN, "--allowance", "-0.1"), 3,
         "allowance_fraction must be nonnegative"),
+    "run-nan-lambda": (
+        ("run", "--jobs", "20", "--lambda", "nan"), 3,
+        "input error: arrival_rate must be positive and finite"),
+    "run-inf-lambda": (
+        ("run", "--jobs", "20", "--lambda", "inf"), 3,
+        "input error: arrival_rate must be positive and finite"),
+    "run-nan-mu": (
+        ("run", *GEN, "--mu", "nan"), 3,
+        "input error: service_rate must be positive and finite"),
+    "run-nan-allowance": (
+        ("run", *GEN, "--allowance", "nan"), 3,
+        "input error: allowance_fraction must be nonnegative and finite"),
+    "run-inf-allowance": (
+        ("run", *GEN, "--allowance", "inf"), 3,
+        "input error: allowance_fraction must be nonnegative and finite"),
+    "run-nan-chi": (
+        ("run", *GEN, "--chi", "nan"), 3,
+        "input error: cost factor chi must be positive and finite"),
+    "run-inf-chi": (
+        ("run", *GEN, "--chi", "inf"), 3,
+        "input error: cost factor chi must be positive and finite"),
+    "run-nan-nu": (
+        ("run", *GEN, "--nu", "nan"), 3,
+        "input error: scaling factor nu must be positive and finite"),
 }
 
 
@@ -195,6 +220,25 @@ class TestRun:
         assert_exit(("run", "--workload", str(bad), "--policy", "fcfs",
                      "--out-dir", str(tmp_path / "x")), 3, capsys)
 
+    @pytest.mark.parametrize("row, message", [
+        ("2 nan 1.0 1.0 4.0", "arrival and target completion must be finite"),
+        ("2 1.0 nan 1.0 4.0", "execution times must be positive and finite"),
+    ])
+    def test_non_finite_workload_field_is_input_error(self, tmp_path, capsys,
+                                                      row, message):
+        from tiersched import WorkloadFormatError, load
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# tiersched-workload 1\n# tiers 2\n"
+                       "# columns id arrival exec_1 exec_2 target_completion\n"
+                       f"1 0.0 1.0 1.0 3.0\n{row}\n")
+        with pytest.raises(WorkloadFormatError, match=f"line 5: job 2: {message}"):
+            load(bad)
+        out = tmp_path / "x"
+        err = assert_exit(("run", "--workload", str(bad), "--policy", "fcfs",
+                           "--out-dir", str(out)), 3, capsys)
+        assert f"input error: line 5: job 2: {message}" in err
+        assert not out.exists()
+
     def test_online_mode(self, tmp_path, monkeypatch):
         decisions = []
         plain = cli.evolve
@@ -306,3 +350,23 @@ class TestCompare:
         assert_exit(("compare", "--jobs", "10", "--lambda", "2.0",
                      "--policies", "mystery", "--seeds", "1",
                      "--out-dir", str(tmp_path / "x")), 2, capsys)
+
+
+class TestPinnedJobRecords:
+    """``jobs.jsonl`` digests recorded while expected waits still came from a
+    per-job queue scan; the evaluator's breakdown must reproduce them byte
+    for byte."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--policy", "ga-virtualized"),
+         "8f65a807772b80ead5222bb1b87cc94d07d9687e3389580dc1ba53127730b19d"),
+        (("--policy", "ga-segmented", "--mode", "per-tier"),
+         "6a48f098df608d27f781befd98b7326b58c15e90b9bd20d025be3d4635ef461f"),
+    ])
+    def test_job_records_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "run"
+        assert run_cli("run", "--jobs", "110", "--lambda", "7", "--seed", "3",
+                       "--generations", "50", *argv,
+                       "--out-dir", str(out)) == 0
+        data = (out / "jobs.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest

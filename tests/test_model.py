@@ -12,13 +12,13 @@ from tiersched import (
     Snapshot,
     WorkloadSpec,
     generate,
-    remaining_wait,
     simulate_to_snapshot,
     validate_schedule,
 )
 from tiersched.sim import Simulator
 
 from conftest import fresh_snapshot, job, loaded_snapshot
+from expected_waits import remaining_wait
 
 
 class TestEnvironmentConfig:
@@ -96,7 +96,10 @@ class TestValidateSchedule:
         assert not validate_schedule(sched, env_2x2, jobs).ok
 
     def test_empty_schedule_passes(self, env_2x3):
-        report = validate_schedule(Schedule.empty(env_2x3), env_2x3, JobSet())
+        empty = Schedule(
+            orders=tuple(((),) * m for m in env_2x3.resources_per_tier),
+            busy=tuple((None,) * m for m in env_2x3.resources_per_tier))
+        report = validate_schedule(empty, env_2x3, JobSet())
         assert report.ok and report.violations == ()
 
     def test_simulator_snapshot_is_valid(self, env_2x3):
@@ -146,8 +149,7 @@ class TestSnapshotChecks:
 
     def test_job_in_the_wrong_tier(self, snap):
         second_tier = JobProgress(job_id=3, tier=1, tier_arrivals=(0.6, 1.6),
-                                  completed_waits=(0.0,), departures=(1.6,),
-                                  elapsed_wait=0.0)
+                                  completed_waits=(0.0,), elapsed_wait=0.0)
         with pytest.raises(ValueError, match="scheduled in tier 0 but "
                                              "resides in tier 1"):
             self.rebuilt(snap, {**snap.progress, 3: second_tier})
@@ -155,8 +157,7 @@ class TestSnapshotChecks:
     @pytest.mark.parametrize("jid, in_service", [(1, False), (2, True),
                                                  (3, True)])
     def test_in_service_flag_mismatch(self, snap, jid, in_service):
-        flipped = replace(snap.progress[jid], in_service=in_service,
-                          service_start=0.0)
+        flipped = replace(snap.progress[jid], in_service=in_service)
         with pytest.raises(ValueError, match=f"job {jid}: in-service flag"):
             self.rebuilt(snap, {**snap.progress, jid: flipped})
 
@@ -230,8 +231,15 @@ class TestTierChaining:
         sim = Simulator(jobs, env_2x3)
         sim.run(until_external_arrivals=len(jobs))
         snap = sim.snapshot()
-        for prog in snap.progress.values():
-            assert prog.departures == prog.tier_arrivals[1:]
+        handoffs = 0
+        for jid, prog in snap.progress.items():
+            execs = jobs.job(jid).exec_times
+            for j in range(prog.tier):
+                start = prog.tier_arrivals[j] + prog.completed_waits[j]
+                assert abs(prog.tier_arrivals[j + 1]
+                           - (start + execs[j])) <= 1e-9
+                handoffs += 1
+        assert handoffs > 0
         sim.run()
         for jid, outcome in sim.report().outcomes.items():
             assert len(outcome.waits) == env_2x3.num_tiers

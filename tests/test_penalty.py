@@ -12,18 +12,23 @@ from tiersched import (
     PenaltyModel,
     Schedule,
     ScheduleEvaluator,
+    GAConfig,
+    QueueVariant,
     WorkloadSpec,
     differentiated_allowance,
-    expected_wait_multitier,
-    expected_wait_tier,
+    evolve,
     generate,
     penalty,
     total_penalty,
-    violation_time,
 )
 from tiersched.sim import Simulator
 
 from conftest import fresh_snapshot, job, loaded_snapshot
+from expected_waits import (
+    expected_wait_multitier,
+    expected_wait_tier,
+    violation_time,
+)
 
 
 class TestDifferentiatedAllowance:
@@ -147,12 +152,14 @@ class TestTotalPenalty:
         assert sum(v.cost for v in items) == pytest.approx(
             breakdown.total_cost, abs=1e-9)
 
-    def test_per_tier_alpha_decomposes(self, env_2x3):
+    def test_per_tier_alpha_matches_reference(self, env_2x3):
         snap = loaded_snapshot(5.0, 40, seed=12)
         breakdown = total_penalty(snap, AllowanceMode.PER_TIER)
-        for violation in breakdown.per_job.values():
-            assert violation.alpha == pytest.approx(
-                sum(a for _, a in violation.tier_alphas), abs=1e-9)
+        assert breakdown.per_job.keys() == snap.progress.keys()
+        for jid, violation in breakdown.per_job.items():
+            assert violation.alpha == pytest.approx(violation_time(
+                snap.progress[jid], snap.schedule, snap.jobs,
+                AllowanceMode.PER_TIER), abs=1e-9)
 
     def test_invalid_candidate_rejected(self, env_1x1):
         jobs = JobSet((job(1, (2.0,)), job(2, (5.0,))))
@@ -206,3 +213,33 @@ class TestScheduleEvaluator:
         total = evaluator.pinned_total + sum(
             evaluator.queue_score(qi, order) for qi, order in enumerate(orders))
         assert total == pytest.approx(evaluator.fitness(orders), abs=1e-12)
+
+
+class TestOneScoringPath:
+    """``breakdown`` is the package's only source of expected waits; each
+    one must equal the per-job reference bit for bit, which holds only if
+    both add the same terms in the same association."""
+
+    @pytest.mark.parametrize("mode", list(AllowanceMode))
+    def test_breakdown_waits_equal_reference(self, env_2x3, mode):
+        checked = reordered = 0
+        for rate, num_jobs in ((7.0, 110), (2.5, 200), (5.0, 60)):
+            for seed in range(1, 11):
+                snap = loaded_snapshot(rate, num_jobs, seed=seed)
+                best = evolve(snap, GAConfig(
+                    generations=20, variant=QueueVariant.VIRTUALIZED,
+                    mode=mode, seed=seed)).best_schedule
+                reordered += best.orders != snap.schedule.orders
+                evaluator = ScheduleEvaluator(snap, mode)
+                for schedule in (snap.schedule, best):
+                    breakdown = evaluator.breakdown(schedule)
+                    assert breakdown.per_job.keys() == snap.progress.keys()
+                    for jid, violation in breakdown.per_job.items():
+                        prog = snap.progress[jid]
+                        assert violation.wait == expected_wait_multitier(
+                            prog, schedule, snap.jobs)
+                        assert violation.alpha == pytest.approx(
+                            violation_time(prog, schedule, snap.jobs, mode),
+                            abs=1e-9)
+                        checked += 1
+        assert checked == 2332 and reordered > 0
