@@ -7,7 +7,7 @@ and a brute-force oracle for desk-scale ground truth.
 """
 
 from .baselines import PolicyKind, make_policy
-from .ga import EvolveResult, GAConfig, QueueVariant, evolve, evolve_segmented
+from .ga import EvolveResult, GAConfig, QueueVariant, evolve
 from .model import (
     EnvironmentConfig,
     InvalidScheduleError,
@@ -23,7 +23,6 @@ from .model import (
 from .oracle import InstanceTooLargeError, OracleResult, exhaustive_best
 from .penalty import (
     AllowanceMode,
-    PenaltyModel,
     ScheduleEvaluator,
     ViolationBreakdown,
     differentiated_allowance,
@@ -46,7 +45,6 @@ __all__ = [
     "JobProgress",
     "JobSet",
     "OracleResult",
-    "PenaltyModel",
     "PolicyKind",
     "QueueVariant",
     "Schedule",
@@ -61,7 +59,6 @@ __all__ = [
     "WorkloadSpec",
     "differentiated_allowance",
     "evolve",
-    "evolve_segmented",
     "exhaustive_best",
     "generate",
     "load",

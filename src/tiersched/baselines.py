@@ -8,7 +8,6 @@ touch jobs that are already queued; any reordering is left to an optimizer.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -20,25 +19,6 @@ class PolicyKind(Enum):
     WRR = "wrr"
     WLC = "wlc"
     RANDOM = "random"
-
-
-def _tier_weights(env: EnvironmentConfig,
-                  weights: Sequence[Sequence[float]] | None) -> list[tuple[float, ...]]:
-    if weights is None:
-        return [(1.0,) * m for m in env.resources_per_tier]
-    out = []
-    for tier, row in enumerate(weights):
-        row = tuple(float(w) for w in row)
-        if len(row) != env.resources_per_tier[tier]:
-            raise ValueError(f"tier {tier}: one weight per resource required")
-        if any(w < 0 for w in row):
-            raise ValueError(f"tier {tier}: weights must be nonnegative")
-        if not any(w > 0 for w in row):
-            raise ValueError(f"tier {tier}: at least one positive weight required")
-        out.append(row)
-    if len(out) != env.num_tiers:
-        raise ValueError("one weight row per tier required")
-    return out
 
 
 class AssignmentPolicy:
@@ -72,55 +52,31 @@ class LeastBacklogPolicy(AssignmentPolicy):
 
 
 class WeightedRoundRobinPolicy(AssignmentPolicy):
-    """Cycle through resources, granting each ``weight`` consecutive slots."""
+    """Cycle through a tier's resources, one slot each (unit weights)."""
 
     kind = PolicyKind.WRR
 
-    def __init__(self, env: EnvironmentConfig,
-                 weights: Sequence[Sequence[float]] | None = None):
+    def __init__(self, env: EnvironmentConfig):
         self.env = env
-        self.weights = _tier_weights(env, weights)
-        # per tier: [current resource, assignments used in its slot]
-        self._cursor = [[self._first_eligible(t), 0] for t in range(env.num_tiers)]
-
-    def _first_eligible(self, tier: int) -> int:
-        return next(k for k, w in enumerate(self.weights[tier]) if w > 0)
+        self._cursor = [0] * env.num_tiers
 
     def pick(self, sim, job_id: int, tier: int) -> int:
-        cursor = self._cursor[tier]
-        k = cursor[0]
-        cursor[1] += 1
-        if cursor[1] >= self.weights[tier][k]:
-            m = self.env.resources_per_tier[tier]
-            nxt = (k + 1) % m
-            while self.weights[tier][nxt] <= 0:
-                nxt = (nxt + 1) % m
-            cursor[0], cursor[1] = nxt, 0
+        k = self._cursor[tier]
+        self._cursor[tier] = (k + 1) % self.env.resources_per_tier[tier]
         return k
 
 
 class WeightedLeastConnectionPolicy(AssignmentPolicy):
-    """Fewest resident jobs per unit weight; ties go to the lowest index."""
+    """Fewest resident jobs (unit weights); ties go to the lowest index."""
 
     kind = PolicyKind.WLC
 
-    def __init__(self, env: EnvironmentConfig,
-                 weights: Sequence[Sequence[float]] | None = None):
+    def __init__(self, env: EnvironmentConfig):
         self.env = env
-        self.weights = _tier_weights(env, weights)
 
     def pick(self, sim, job_id: int, tier: int) -> int:
-        best, best_ratio = None, None
-        for k, w in enumerate(self.weights[tier]):
-            if w <= 0:
-                continue
-            ratio = sim.queue_count(tier, k) / w
-            if best_ratio is None or ratio < best_ratio - 1e-12:
-                best, best_ratio = k, ratio
-        if best is None:
-            raise AssertionError(
-                f"tier {tier}: no resource with a positive weight")
-        return best
+        return min(range(self.env.resources_per_tier[tier]),
+                   key=lambda k: sim.queue_count(tier, k))
 
 
 class RandomAssignPolicy(AssignmentPolicy):
@@ -137,13 +93,12 @@ class RandomAssignPolicy(AssignmentPolicy):
 
 
 def make_policy(kind: PolicyKind | str, env: EnvironmentConfig,
-                weights: Sequence[Sequence[float]] | None = None,
                 seed: int = 0) -> AssignmentPolicy:
     kind = PolicyKind(kind) if not isinstance(kind, PolicyKind) else kind
     if kind is PolicyKind.FCFS:
         return LeastBacklogPolicy(env)
     if kind is PolicyKind.WRR:
-        return WeightedRoundRobinPolicy(env, weights)
+        return WeightedRoundRobinPolicy(env)
     if kind is PolicyKind.WLC:
-        return WeightedLeastConnectionPolicy(env, weights)
+        return WeightedLeastConnectionPolicy(env)
     return RandomAssignPolicy(env, seed=seed)

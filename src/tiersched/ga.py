@@ -38,16 +38,14 @@ class QueueVariant:
 class GAConfig:
     """Search parameters.
 
-    Operator counts default to one tenth of the population, rounded; with the
-    default population of 10 that is one crossover pair and one insert
-    mutation per generation.  The rest of the next population is the
-    best-so-far genome (elitism) plus roulette-selected copies.
+    Each generation makes :attr:`operator_count` crossover pairs and as many
+    insert mutations: one tenth of the population, rounded, so the default
+    population of 10 gets one of each.  The rest of the next population is
+    the best-so-far genome (elitism) plus roulette-selected copies.
     """
 
     population: int = 10
     generations: int = 1000
-    crossovers: int | None = None
-    mutations: int | None = None
     variant: str = QueueVariant.VIRTUALIZED
     mode: AllowanceMode = AllowanceMode.TOTAL
     seed: int = 0
@@ -57,43 +55,23 @@ class GAConfig:
             raise ValueError("population must hold at least two chromosomes")
         if self.generations < 1:
             raise ValueError("need at least one generation")
-        if (self.crossovers or 0) < 0 or (self.mutations or 0) < 0:
-            raise ValueError("counts must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"GA seed must be nonnegative, got {self.seed}")
         if self.variant not in (QueueVariant.VIRTUALIZED, QueueVariant.SEGMENTED):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if 1 + 2 * self.crossover_count + self.mutation_count > self.population:
-            raise ValueError("the elite and the operator offspring exceed "
-                             "the population")
-        if self.crossover_count + self.mutation_count == 0:
+        if self.operator_count == 0:
             raise ValueError(
                 f"population {self.population} gets no crossover and no "
                 f"mutation; every generation would only copy the incumbent")
 
     @property
-    def crossover_count(self) -> int:
-        if self.crossovers is not None:
-            return self.crossovers
+    def operator_count(self) -> int:
+        """Crossover pairs, and also insert mutations, per generation.
+
+        The elite plus ``3 * operator_count`` offspring never exceed the
+        population, whatever its size.
+        """
         return round(0.1 * self.population)
-
-    @property
-    def mutation_count(self) -> int:
-        if self.mutations is not None:
-            return self.mutations
-        return round(0.1 * self.population)
-
-
-def chromosome_valid(genome: Genome, snapshot: Snapshot) -> bool:
-    """True when ``genome`` holds one order per queue and each tier's queues
-    hold exactly the snapshot's waiting jobs of that tier, once each."""
-    env = snapshot.env
-    if len(genome) != env.num_queues:
-        return False
-    for tier, count in enumerate(env.resources_per_tier):
-        start = env.queue_offset(tier)
-        genes = [g for seg in genome[start:start + count] for g in seg]
-        if sorted(genes) != snapshot.waiting_ids(tier):
-            return False
-    return True
 
 
 def roulette_wheel(raws) -> list[float]:
@@ -249,10 +227,10 @@ def _run_ga(seeded: Genome, tiers: tuple[int, ...], sample_random, score,
             break
         wheel = roulette_wheel(fits)
         nxt = [best_c]
-        for _ in range(config.crossover_count):
+        for _ in range(config.operator_count):
             pa, pb = select(population, wheel, rng, 2)
             nxt.extend(crossover(pa, pb, rng))
-        for _ in range(config.mutation_count):
+        for _ in range(config.operator_count):
             nxt.append(mutate(select(population, wheel, rng, 1)[0], tiers, rng))
         nxt_fits = [best_f] + [score(c) for c in nxt[1:]]
         # Roulette copies are drawn as indices so they carry their scores.
@@ -272,7 +250,7 @@ def evolve(snapshot: Snapshot, config: GAConfig | None = None) -> EvolveResult:
     """
     config = config or GAConfig()
     if config.variant == QueueVariant.SEGMENTED:
-        return evolve_segmented(snapshot, config)
+        return _evolve_segmented(snapshot, config)
     evaluator = ScheduleEvaluator(snapshot, config.mode)
     seeded = snapshot.schedule.flat_waiting()
     initial = evaluator.fitness(seeded)
@@ -293,8 +271,7 @@ def evolve(snapshot: Snapshot, config: GAConfig | None = None) -> EvolveResult:
     )
 
 
-def evolve_segmented(snapshot: Snapshot,
-                     config: GAConfig | None = None) -> EvolveResult:
+def _evolve_segmented(snapshot: Snapshot, config: GAConfig) -> EvolveResult:
     """Independent genetic search per resource queue (reorder only).
 
     Each queue with at least two waiting jobs gets its own full run over the
@@ -302,7 +279,6 @@ def evolve_segmented(snapshot: Snapshot,
     scores are independent, so the concatenation of per-queue winners is the
     variant's best schedule and the per-generation histories add up.
     """
-    config = config or GAConfig()
     evaluator = ScheduleEvaluator(snapshot, config.mode)
     initial_orders = snapshot.schedule.flat_waiting()
     initial = evaluator.fitness(initial_orders)

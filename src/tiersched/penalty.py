@@ -16,7 +16,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .model import (
-    EnvironmentConfig,
     InvalidScheduleError,
     Job,
     Schedule,
@@ -32,43 +31,23 @@ class AllowanceMode(Enum):
     PER_TIER = "per-tier"
 
 
-@dataclass(frozen=True)
-class PenaltyModel:
-    """Exponential penalty curve: cost approaches ``chi``, curvature ``nu``."""
-
-    chi: float = 1.0
-    nu: float = 0.01
-
-    def __post_init__(self) -> None:
-        if not 0 < self.chi < math.inf:
-            raise ValueError("cost factor chi must be positive and finite")
-        if not 0 < self.nu < math.inf:
-            raise ValueError("scaling factor nu must be positive and finite")
-
-    @classmethod
-    def from_env(cls, env: EnvironmentConfig) -> "PenaltyModel":
-        return cls(chi=env.chi, nu=env.nu)
-
-
 def differentiated_allowance(job: Job, tier: int) -> float:
     """Tier share of the job's allowance, proportional to execution share.
 
     The shares sum back to the job's total allowance across all tiers.
     """
-    if job.total_exec <= 0:
-        raise ValueError(f"job {job.id} has no execution time to apportion")
     return job.allowance * job.exec_times[tier] / job.total_exec
 
 
-def penalty(alpha: float, model: PenaltyModel) -> float:
+def penalty(alpha: float, chi: float, nu: float) -> float:
     """Provider cost for one job's violation time.
 
-    Zero for satisfied clients (alpha <= 0), strictly increasing in alpha,
-    and bounded above by the ceiling ``chi``.
+    Zero for satisfied clients (alpha <= 0), strictly increasing in alpha
+    with curvature ``nu``, and bounded above by the ceiling ``chi``.
     """
     if alpha <= 0:
         return 0.0
-    return model.chi * (1.0 - math.exp(-model.nu * alpha))
+    return chi * (1.0 - math.exp(-nu * alpha))
 
 
 class JobViolation(NamedTuple):
@@ -132,11 +111,8 @@ class ScheduleEvaluator:
     is the package's one source of each resident's expected wait.
     """
 
-    def __init__(self, snapshot: Snapshot, mode: AllowanceMode,
-                 model: PenaltyModel | None = None):
+    def __init__(self, snapshot: Snapshot, mode: AllowanceMode):
         self.snapshot = snapshot
-        self.mode = mode
-        self.model = model or PenaltyModel.from_env(snapshot.env)
         env, jobs = snapshot.env, snapshot.jobs
         size = len(jobs) + 1
         self._const = [0.0] * size
@@ -156,7 +132,7 @@ class ScheduleEvaluator:
             if prog.in_service:
                 alpha = base - allow
                 pinned[jid] = JobViolation(
-                    alpha, penalty(alpha, self.model),
+                    alpha, penalty(alpha, env.chi, env.nu),
                     sum(prog.completed_waits) + prog.elapsed_wait)
             else:
                 self._const[jid] = base - allow
@@ -189,15 +165,15 @@ class ScheduleEvaluator:
     def breakdown(self, schedule: Schedule | None = None) -> ViolationBreakdown:
         """Full per-job evaluation of a schedule (default: the snapshot's)."""
         sched = schedule if schedule is not None else self.snapshot.schedule
-        progress = self.snapshot.progress
+        progress, env = self.snapshot.progress, self.snapshot.env
         violations = dict(self._pinned)
-        for qi, (tier, k) in enumerate(self.snapshot.env.iter_queues()):
+        for qi, (tier, k) in enumerate(env.iter_queues()):
             run = self._delays[qi]
             for jid in sched.waiting(tier, k):
                 prog = progress[jid]
                 alpha = self._const[jid] + run
                 violations[jid] = JobViolation(
-                    alpha, penalty(alpha, self.model),
+                    alpha, penalty(alpha, env.chi, env.nu),
                     sum(prog.completed_waits) + (prog.elapsed_wait + run))
                 run += self._exec[jid]
         return ViolationBreakdown(violations,
@@ -205,8 +181,7 @@ class ScheduleEvaluator:
 
 
 def total_penalty(snapshot: Snapshot, mode: AllowanceMode,
-                  schedule: Schedule | None = None,
-                  model: PenaltyModel | None = None) -> ViolationBreakdown:
+                  schedule: Schedule | None = None) -> ViolationBreakdown:
     """Evaluate a schedule over a snapshot's resident jobs.
 
     The candidate schedule (default: the snapshot's own) is validated against
@@ -217,4 +192,4 @@ def total_penalty(snapshot: Snapshot, mode: AllowanceMode,
                                    snapshot=snapshot)
         if not report.ok:
             raise InvalidScheduleError("; ".join(report.violations))
-    return ScheduleEvaluator(snapshot, mode, model=model).breakdown(schedule)
+    return ScheduleEvaluator(snapshot, mode).breakdown(schedule)

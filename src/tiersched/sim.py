@@ -25,7 +25,7 @@ from .model import (
     Snapshot,
     validate_schedule,
 )
-from .penalty import PenaltyModel, penalty, violation_totals
+from .penalty import penalty, violation_totals
 
 _COMPLETION = 0  # processed before arrivals at equal timestamps
 _ARRIVAL = 1
@@ -370,9 +370,9 @@ class Simulator:
                         f"tier {tier} resource {k}: in-service job is not "
                         f"the queue head")
 
-    def report(self, model: PenaltyModel | None = None) -> SimReport:
+    def report(self) -> SimReport:
         """Realized outcomes for every completed job."""
-        model = model or PenaltyModel.from_env(self.env)
+        chi, nu = self.env.chi, self.env.nu
         tiers = self.env.num_tiers
         outcomes: dict[int, JobOutcome] = {}
         for job in self.jobs:
@@ -392,7 +392,7 @@ class Simulator:
                 total_wait=total_wait,
                 response_time=completion - job.arrival,
                 alpha=alpha,
-                cost=penalty(alpha, model),
+                cost=penalty(alpha, chi, nu),
             )
         return SimReport(outcomes=outcomes,
                          **violation_totals(outcomes.values()))

@@ -42,6 +42,8 @@ class WorkloadSpec:
             raise ValueError("need at least one job")
         if not 0 <= self.allowance_fraction < math.inf:
             raise ValueError("allowance_fraction must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError(f"workload seed must be nonnegative, got {self.seed}")
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:

@@ -15,6 +15,7 @@ from tiersched import (
     generate,
     make_policy,
     simulate_to_snapshot,
+    validate_schedule,
 )
 
 
@@ -58,6 +59,17 @@ def fresh_snapshot(env, jobs, orders, busy=None, clock=0.0, elapsed=None,
                 )
     return Snapshot(env=env, jobs=jobs, clock=clock, schedule=schedule,
                     progress=progress)
+
+
+def genome_valid(genome, snap):
+    """Whether ``genome`` installed over ``snap`` passes the snapshot-aware
+    ``validate_schedule``; ``with_waiting`` refuses a genome whose segment
+    count differs from the queue count."""
+    try:
+        schedule = snap.schedule.with_waiting(genome)
+    except ValueError:
+        return False
+    return validate_schedule(schedule, snap.env, snap.jobs, snapshot=snap).ok
 
 
 def loaded_snapshot(arrival_rate, num_jobs, seed, env=None, policy="fcfs"):

@@ -21,7 +21,6 @@ from tiersched import (
     WorkloadSpec,
     differentiated_allowance,
     evolve,
-    evolve_segmented,
     exhaustive_best,
     generate,
     make_policy,
@@ -31,15 +30,13 @@ from tiersched import (
     total_penalty,
 )
 from tiersched.ga import (
-    chromosome_valid,
     crossover,
     mutate,
     random_chromosome,
 )
-from tiersched.penalty import PenaltyModel
 from tiersched.cli import main as cli_main
 
-from conftest import fresh_snapshot, job, loaded_snapshot
+from conftest import fresh_snapshot, genome_valid, job, loaded_snapshot
 
 
 def report(criterion, ok, detail):
@@ -55,10 +52,10 @@ class TestCriterion1Equations:
         j = job(1, (2.0, 3.0), allowance=10.0)
         checks.append(abs(differentiated_allowance(j, 0) - 4.0) <= 1e-12)
 
-        model = PenaltyModel(chi=1.0, nu=0.01)
-        checks.append(penalty(0.0, model) == 0.0)
-        checks.append(penalty(-7.0, model) == 0.0)
-        checks.append(abs(penalty(100.0, model) - 0.6321205588285577) <= 1e-12)
+        checks.append(penalty(0.0, 1.0, 0.01) == 0.0)
+        checks.append(penalty(-7.0, 1.0, 0.01) == 0.0)
+        checks.append(abs(penalty(100.0, 1.0, 0.01) - 0.6321205588285577)
+                      <= 1e-12)
 
         # Violation-time fixtures: exactly met, violated, and slack.
         from tiersched import JobSet
@@ -244,14 +241,14 @@ class TestCriterion6Structure:
         bad = 0
         for i in range(10_000):
             ca, cb = crossover(pool[i % 6], pool[(i * 5 + 2) % 6], rng)
-            bad += not chromosome_valid(ca, snap)
-            bad += not chromosome_valid(cb, snap)
+            bad += not genome_valid(ca, snap)
+            bad += not genome_valid(cb, snap)
             pool[i % 6] = ca
         mutant = base
         tiers = tuple(t for t, _ in snap.env.iter_queues())
         for _ in range(10_000):
             mutant = mutate(mutant, tiers, rng)
-            bad += not chromosome_valid(mutant, snap)
+            bad += not genome_valid(mutant, snap)
 
         config = GAConfig(population=10, generations=300, seed=7)
         result = evolve(snap, config)

@@ -26,24 +26,12 @@ class TestWeightedRoundRobin:
         queues = assign_all(env, make_policy("wrr", env), burst_jobs(6))
         assert queues == [[1, 4], [2, 5], [3, 6]]
 
-    def test_weighted_window_fairness(self):
-        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(3,))
-        weights = [(2.0, 1.0, 1.0)]
-        policy = make_policy("wrr", env, weights=weights)
-        queues = assign_all(env, policy, burst_jobs(16))
-        # Every full cycle of sum(weights)=4 slots grants 2/1/1.
-        counts = [len(q) for q in queues]
-        assert counts == [8, 4, 4]
-        assert queues[0][:2] == [1, 2]
-        assert queues[1][0] == 3
-        assert queues[2][0] == 4
-
-    def test_zero_weight_resource_skipped(self):
-        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(3,))
-        policy = make_policy("wrr", env, weights=[(1.0, 0.0, 1.0)])
-        queues = assign_all(env, policy, burst_jobs(6))
-        assert queues[1] == []
-        assert len(queues[0]) == 3 and len(queues[2]) == 3
+    def test_each_tier_keeps_its_own_cursor(self):
+        env = EnvironmentConfig(num_tiers=2, resources_per_tier=(3, 2))
+        policy = make_policy("wrr", env)
+        picks = [(t, policy.pick(None, 1, t)) for t in (0, 1, 0, 1, 0, 1, 0)]
+        assert picks == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 0),
+                         (0, 0)]
 
 
 class TestWeightedLeastConnection:
@@ -67,17 +55,6 @@ class TestWeightedLeastConnection:
         assert policy.pick(FakeSim([2, 0, 1]), 1, 0) == 1
         assert policy.pick(FakeSim([1, 1, 1]), 1, 0) == 0
         assert policy.pick(FakeSim([3, 2, 2]), 1, 0) == 1
-
-    def test_weights_divide_counts(self):
-        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
-        policy = make_policy("wlc", env, weights=[(2.0, 1.0)])
-
-        class FakeSim:
-            def queue_count(self, tier, k):
-                return (3, 2)[k]
-
-        # 3/2 = 1.5 < 2/1 = 2.0, so the heavier-weighted resource wins.
-        assert policy.pick(FakeSim(), 1, 0) == 0
 
 
 class TestRandomAssign:
@@ -116,10 +93,3 @@ class TestPolicyFactory:
         for kind in PolicyKind:
             assert make_policy(kind, env_2x3).kind is kind
             assert make_policy(kind.value, env_2x3).kind is kind
-
-    def test_bad_weights_rejected(self, env_2x3):
-        with pytest.raises(ValueError):
-            make_policy("wrr", env_2x3, weights=[(1.0,), (1.0, 1.0, 1.0)])
-        with pytest.raises(ValueError):
-            make_policy("wlc", env_2x3, weights=[(0.0, 0.0, 0.0),
-                                                 (1.0, 1.0, 1.0)])

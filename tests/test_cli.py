@@ -56,6 +56,14 @@ CONTRACT = {
     "compare-ga-without-operators": (
         ("compare", *GEN, "--policies", "wlc", "ga-virtualized",
          "--population", "4"), 3, "no crossover and no mutation"),
+    "compare-negative-ga-seed": (
+        ("compare", "--jobs", "20", "--lambda", "4", "--policies",
+         "ga-virtualized", "--generations", "2", "--ga-seed", "-2"), 3,
+        "input error: GA seed must be nonnegative, got -2"),
+    "compare-negative-workload-seed": (
+        ("compare", "--jobs", "20", "--lambda", "4", "--policies", "wlc",
+         "--seeds", "1", "-1"), 3,
+        "input error: workload seed must be nonnegative, got -1"),
     "compare-negative-allowance": (
         ("compare", *GEN, "--allowance", "-0.1", "--policies", "fcfs"), 3,
         "allowance_fraction must be nonnegative"),
@@ -79,6 +87,10 @@ CONTRACT = {
     "run-epoch-beyond-events": (
         ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "121"), 2,
         "--epoch 121 exceeds the run's 120 events"),
+    "run-negative-ga-seed": (
+        ("run", "--jobs", "20", "--lambda", "4", "--policy", "ga-virtualized",
+         "--generations", "2", "--ga-seed", "-3"), 3,
+        "input error: GA seed must be nonnegative, got -3"),
     "run-negative-allowance": (
         ("run", *GEN, "--allowance", "-0.1"), 3,
         "allowance_fraction must be nonnegative"),

@@ -11,13 +11,10 @@ from tiersched import (
     QueueVariant,
     ScheduleEvaluator,
     evolve,
-    evolve_segmented,
     exhaustive_best,
     total_penalty,
-    validate_schedule,
 )
 from tiersched.ga import (
-    chromosome_valid,
     crossover,
     mutate,
     random_chromosome,
@@ -27,7 +24,7 @@ from tiersched.ga import (
 from tiersched import ga
 from tiersched.ga import _crossover_child
 
-from conftest import fresh_snapshot, job, loaded_snapshot
+from conftest import fresh_snapshot, genome_valid, job, loaded_snapshot
 
 
 def tier_genes(genome, env):
@@ -47,7 +44,7 @@ class TestEncodeDecode:
         snap = loaded_snapshot(5.0, 25, seed=3)
         chrom = snap.schedule.flat_waiting()
         assert snap.schedule.with_waiting(chrom) == snap.schedule
-        assert chromosome_valid(chrom, snap)
+        assert genome_valid(chrom, snap)
 
     def test_empty_segments_preserved(self, env_2x3):
         jobs = JobSet((job(1, (1.0, 1.0)),))
@@ -61,12 +58,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(7)
         for seed in range(100):
             snap = loaded_snapshot(5.0, 14, seed=seed)
-            chrom = random_chromosome(snap, rng)
-            assert chromosome_valid(chrom, snap)
-            schedule = snap.schedule.with_waiting(chrom)
-            report = validate_schedule(schedule, snap.env, snap.jobs,
-                                       snapshot=snap)
-            assert report.ok, report.violations
+            assert genome_valid(random_chromosome(snap, rng), snap)
 
 
 def _swap_across_tiers(segs):
@@ -94,7 +86,7 @@ class TestChromosomeValid:
 
     def test_snapshot_order_is_valid(self, env_2x3):
         snap = self.snapshot(env_2x3)
-        assert chromosome_valid(snap.schedule.flat_waiting(), snap)
+        assert genome_valid(snap.schedule.flat_waiting(), snap)
 
     @pytest.mark.parametrize("breaks", [
         _swap_across_tiers, _duplicate_gene, _drop_gene, _add_segment],
@@ -104,7 +96,7 @@ class TestChromosomeValid:
         snap = self.snapshot(env_2x3)
         segs = [list(s) for s in snap.schedule.flat_waiting()]
         breaks(segs)
-        assert not chromosome_valid(tuple(tuple(s) for s in segs), snap)
+        assert not genome_valid(tuple(tuple(s) for s in segs), snap)
 
 
 class TestFitness:
@@ -169,7 +161,7 @@ class TestCrossover:
             pa, pb = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]
             ca, cb = crossover(pa, pb, rng)
             for child in (ca, cb):
-                assert chromosome_valid(child, snap)
+                assert genome_valid(child, snap)
             pool[i % len(pool)] = ca
 
 
@@ -190,7 +182,7 @@ class TestMutate:
         tiers = queue_tiers(snap)
         for _ in range(10_000):
             chrom = mutate(chrom, tiers, rng)
-            assert chromosome_valid(chrom, snap)
+            assert genome_valid(chrom, snap)
 
     def test_cross_segment_moves_roughly_match_uniform_slots(self):
         # Three same-tier queues: around 1 - 1/3 of insertions land in a
@@ -247,22 +239,18 @@ class TestGAConfig:
         with pytest.raises(ValueError, match="no crossover and no mutation"):
             GAConfig(population=population)
 
-    def test_explicit_zero_counts_rejected(self):
-        with pytest.raises(ValueError, match="no crossover and no mutation"):
-            GAConfig(crossovers=0, mutations=0)
-
     def test_smallest_default_population_with_operators(self):
-        config = GAConfig(population=6)
-        assert (config.crossover_count, config.mutation_count) == (1, 1)
+        assert GAConfig(population=6).operator_count == 1
 
-    def test_explicit_count_rescues_a_small_population(self):
-        config = GAConfig(population=4, mutations=1)
-        assert (config.crossover_count, config.mutation_count) == (0, 1)
+    def test_elite_and_offspring_fit_every_population(self):
+        # 1 elite + 2 crossover children and 1 mutant per operator count.
+        for population in range(6, 2001):
+            config = GAConfig(population=population)
+            assert 1 + 3 * config.operator_count <= population
 
-    def test_elite_and_offspring_beyond_population_rejected(self):
-        # 1 elite + 2 x 2 crossover children + 2 mutants = 7 > 6
-        with pytest.raises(ValueError, match="exceed the population"):
-            GAConfig(population=6, crossovers=2, mutations=2)
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="GA seed must be nonnegative"):
+            GAConfig(seed=-1)
 
     def test_elite_is_not_a_setting(self):
         with pytest.raises(TypeError):
@@ -325,34 +313,38 @@ class TestEvolve:
 
 
 class TestEvolveSegmented:
+    @staticmethod
+    def segmented(snap, **settings):
+        return evolve(snap, GAConfig(variant=QueueVariant.SEGMENTED,
+                                     **settings))
+
     def test_single_queue_matches_virtualized_space(self, env_1x1):
         jobs = JobSet(tuple(job(i + 1, (float(e),))
                             for i, e in enumerate((3.0, 1.0, 2.0, 0.5))))
         snap = fresh_snapshot(env_1x1, jobs, ((tuple(range(1, 5)),),))
         oracle = exhaustive_best(snap, AllowanceMode.TOTAL)
         virt = evolve(snap, GAConfig(generations=300, seed=1))
-        seg = evolve_segmented(snap, GAConfig(generations=300, seed=1))
+        seg = self.segmented(snap, generations=300, seed=1)
         assert virt.best_fitness == pytest.approx(oracle.fitness, abs=1e-9)
         assert seg.best_fitness == pytest.approx(oracle.fitness, abs=1e-9)
 
     def test_reorder_only_never_migrates(self):
         snap = loaded_snapshot(6.0, 30, seed=16)
-        result = evolve_segmented(snap, GAConfig(generations=100, seed=3))
+        result = self.segmented(snap, generations=100, seed=3)
         for tier, k in snap.env.iter_queues():
             assert (sorted(result.best_schedule.waiting(tier, k))
                     == sorted(snap.schedule.waiting(tier, k)))
 
     def test_budget_counts_evolved_queues_only(self):
         snap = loaded_snapshot(6.0, 30, seed=16)
-        config = GAConfig(population=10, generations=100, seed=3)
-        result = evolve_segmented(snap, config)
+        result = self.segmented(snap, population=10, generations=100, seed=3)
         evolved = sum(1 for order in snap.schedule.flat_waiting()
                       if len(order) >= 2)
         assert result.evaluations == evolved * 10 * 100
 
     def test_combined_history_matches_final_fitness(self):
         snap = loaded_snapshot(6.0, 30, seed=18)
-        result = evolve_segmented(snap, GAConfig(generations=120, seed=4))
+        result = self.segmented(snap, generations=120, seed=4)
         assert result.history[-1].best == pytest.approx(result.best_fitness,
                                                         abs=1e-9)
         evaluator = ScheduleEvaluator(snap, AllowanceMode.TOTAL)
@@ -362,20 +354,12 @@ class TestEvolveSegmented:
     def test_per_queue_improvement_nonnegative(self):
         snap = loaded_snapshot(6.0, 30, seed=19)
         evaluator = ScheduleEvaluator(snap, AllowanceMode.TOTAL)
-        result = evolve_segmented(snap, GAConfig(generations=100, seed=5))
+        result = self.segmented(snap, generations=100, seed=5)
         for qi, (before, after) in enumerate(zip(
                 snap.schedule.flat_waiting(),
                 result.best_schedule.flat_waiting())):
             assert (evaluator.queue_score(qi, after)
                     <= evaluator.queue_score(qi, before) + 1e-9)
-
-    def test_variant_dispatch(self):
-        snap = loaded_snapshot(6.0, 30, seed=20)
-        config = GAConfig(generations=80, seed=6,
-                          variant=QueueVariant.SEGMENTED)
-        via_dispatch = evolve(snap, config)
-        direct = evolve_segmented(snap, config)
-        assert via_dispatch.best_schedule == direct.best_schedule
 
 
 class TestScoringWork:
@@ -386,7 +370,7 @@ class TestScoringWork:
     @staticmethod
     def scored(config):
         return (config.population + (config.generations - 1)
-                * (2 * config.crossover_count + config.mutation_count))
+                * 3 * config.operator_count)
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -414,7 +398,7 @@ class TestScoringWork:
         monkeypatch.setattr(ScheduleEvaluator, "fitness", fitness_counted)
         return runs, fitness_calls
 
-    CONFIGS = [dict(), dict(population=14, crossovers=2, mutations=3)]
+    CONFIGS = [dict(), dict(population=30)]
 
     @pytest.mark.parametrize("extra", CONFIGS)
     def test_virtualized_scores_only_offspring(self, counted, extra):

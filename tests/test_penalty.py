@@ -9,7 +9,6 @@ from tiersched import (
     EnvironmentConfig,
     InvalidScheduleError,
     JobSet,
-    PenaltyModel,
     Schedule,
     ScheduleEvaluator,
     GAConfig,
@@ -101,20 +100,30 @@ class TestViolationTime:
 
 class TestPenaltyCurve:
     def test_zero_at_boundary(self):
-        model = PenaltyModel(chi=1.0, nu=0.01)
-        assert penalty(0.0, model) == 0.0
-        assert penalty(-7.0, model) == 0.0
+        assert penalty(0.0, 1.0, 0.01) == 0.0
+        assert penalty(-7.0, 1.0, 0.01) == 0.0
 
     def test_closed_form_value(self):
-        model = PenaltyModel(chi=1.0, nu=0.01)
-        assert penalty(100.0, model) == pytest.approx(0.6321205588285577,
-                                                      abs=1e-12)
+        assert penalty(100.0, 1.0, 0.01) == pytest.approx(0.6321205588285577,
+                                                          abs=1e-12)
 
     def test_monotone_and_bounded(self):
-        model = PenaltyModel(chi=2.5, nu=0.05)
-        values = [penalty(a, model) for a in np.linspace(-5, 200, 400)]
+        values = [penalty(a, 2.5, 0.05) for a in np.linspace(-5, 200, 400)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert all(0.0 <= v < 2.5 for v in values)
+
+    def test_costs_follow_the_environment_curve(self):
+        env = EnvironmentConfig(chi=2.5, nu=0.05)
+        jobs = generate(WorkloadSpec(arrival_rate=6.0, num_jobs=40, seed=4),
+                        env)
+        sim = Simulator(jobs, env)
+        sim.run(until_external_arrivals=len(jobs))
+        expected = total_penalty(sim.snapshot(), AllowanceMode.TOTAL)
+        realized = sim.run().report()
+        for records in (expected.per_job, realized.outcomes):
+            assert any(r.alpha > 0 for r in records.values())
+            for r in records.values():
+                assert r.cost == penalty(r.alpha, 2.5, 0.05)
 
 
 class TestTotalPenalty:

@@ -65,6 +65,7 @@ class TestGenerate:
         dict(arrival_rate=1.0, num_jobs=0),
         dict(arrival_rate=1.0, num_jobs=1, service_rate=-1.0),
         dict(arrival_rate=1.0, num_jobs=1, allowance_fraction=-0.1),
+        dict(arrival_rate=1.0, num_jobs=1, seed=-1),
     ])
     def test_rejects_bad_spec(self, kwargs):
         with pytest.raises(ValueError):
