@@ -295,6 +295,10 @@ def _snapshot_counts(snapshot: Snapshot) -> dict:
 
 
 def cmd_run(args) -> int:
+    # A loaded workload never reaches WorkloadSpec's seed check, and the
+    # random policy and the GA seed default still read --seed.
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.epoch < 0:
         raise SystemExit2(f"--epoch must be 0 or more, not {args.epoch}")
     if args.epoch > 0 and args.policy in BASELINES:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 #: Absolute tolerance for time comparisons throughout the package.
@@ -404,6 +405,16 @@ class Snapshot:
         return sorted(self.progress)
 
     def waiting_ids(self, tier: int | None = None) -> list[int]:
-        return sorted(
-            jid for jid, prog in self.progress.items()
-            if not prog.in_service and (tier is None or prog.tier == tier))
+        if tier is None:
+            return sorted(jid for ids in self._waiting_by_tier for jid in ids)
+        return list(self._waiting_by_tier[tier])
+
+    @cached_property
+    def _waiting_by_tier(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted waiting ids of each tier, gathered once per snapshot."""
+        by_tier: list[list[int]] = [[] for _ in self.schedule.orders]
+        for jid in sorted(self.progress):
+            prog = self.progress[jid]
+            if not prog.in_service:
+                by_tier[prog.tier].append(jid)
+        return tuple(tuple(ids) for ids in by_tier)

@@ -6,12 +6,18 @@ timestamps completions are processed before arrivals, and lower job ids
 first, which makes every run a deterministic function of its inputs.  An
 assignment policy places each arriving job; an optional optimizer callback
 may reorder the waiting jobs between events via frozen snapshots.
+
+External arrivals are read from the arrival-ordered job set as they fall
+due; the event heap holds only what is in progress, one completion per busy
+resource and one hand-off per job moving between tiers, so an event's cost
+does not grow with the length of the stream.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import NamedTuple
 
 from .baselines import AssignmentPolicy, PolicyKind, make_policy
@@ -138,22 +144,27 @@ class Simulator:
         # exec[tier][jid]: execution time of a job at a tier
         self._exec = [[0.0] + [job.exec_times[t] for job in jobs]
                       for t in range(tiers)]
+        # Completions and hand-offs; every event is (time, rank, job, tier).
         self._events: list[tuple[float, int, int, int]] = []
+        # External arrivals in the heap's order, (arrival, id).  Ids follow
+        # arrivals except where the job set lets one run back by TIME_EPS.
+        ordered = jobs.jobs
+        if any(b.arrival < a.arrival for a, b in pairwise(ordered)):
+            ordered = sorted(ordered, key=lambda job: (job.arrival, job.id))
+        self._arrivals = ((job.arrival, _ARRIVAL, job.id, 0) for job in ordered)
+        self._next_arrival = next(self._arrivals, None)
         self.arrived = [0] * env.num_tiers
         self.departed = 0
         self.external_arrivals = 0
         self._in_flight = [0] * env.num_tiers
         self._since_reschedule = 0
 
-        for job in jobs:
-            heapq.heappush(self._events, (job.arrival, _ARRIVAL, job.id, 0))
-
     # ------------------------------------------------------------------
     # read API (used by policies, reports, and tests)
 
     @property
     def done(self) -> bool:
-        return not self._events
+        return not self._events and self._next_arrival is None
 
     def queue(self, tier: int, k: int) -> tuple[int, ...]:
         return tuple(self._queues[tier][k])
@@ -181,9 +192,14 @@ class Simulator:
 
     def step(self) -> bool:
         """Process the next pending event; False when none remain."""
-        if not self._events:
+        events, arrival = self._events, self._next_arrival
+        if events and (arrival is None or events[0] < arrival):
+            time, rank, job_id, tier = heapq.heappop(events)
+        elif arrival is not None:
+            time, rank, job_id, tier = arrival
+            self._next_arrival = next(self._arrivals, None)
+        else:
             return False
-        time, rank, job_id, tier = heapq.heappop(self._events)
         if time < self.clock - TIME_EPS:
             raise AssertionError("event times must not decrease")
         self.clock = time
@@ -197,7 +213,7 @@ class Simulator:
 
     def run(self, *, until_external_arrivals: int | None = None) -> "Simulator":
         """Process events until drained or a stopping condition is met."""
-        while self._events:
+        while self._events or self._next_arrival is not None:
             self.step()
             if (until_external_arrivals is not None
                     and self.external_arrivals >= until_external_arrivals):
@@ -349,7 +365,21 @@ class Simulator:
                         progress=progress)
 
     def assert_invariants(self) -> None:
-        """Raise if conservation or work-conservation is broken."""
+        """Raise if conservation or work-conservation is broken, or if the
+        pending events are not exactly one completion per busy resource plus
+        one hand-off per job moving between tiers."""
+        busy = sum(entry is not None
+                   for tier_busy in self._busy for entry in tier_busy)
+        moving = sum(self._in_flight)
+        if len(self._events) != busy + moving:
+            raise AssertionError(
+                f"{len(self._events)} pending events for {busy} busy "
+                f"resources + {moving} hand-offs")
+        if (self._next_arrival is None) != (
+                self.external_arrivals == len(self.jobs)):
+            raise AssertionError(
+                f"{self.external_arrivals} of {len(self.jobs)} external "
+                f"arrivals processed, next {self._next_arrival}")
         for tier in range(self.env.num_tiers):
             resident = sum(len(q) for q in self._queues[tier])
             in_flight = self._in_flight[tier]
@@ -374,26 +404,23 @@ class Simulator:
         """Realized outcomes for every completed job."""
         chi, nu = self.env.chi, self.env.nu
         tiers = self.env.num_tiers
+        status, wait, completions = self._status, self._wait, self._completion
         outcomes: dict[int, JobOutcome] = {}
-        for job in self.jobs:
+        for job in self.jobs.jobs:
             jid = job.id
-            if self._status[jid] != _DONE:
+            if status[jid] != _DONE:
                 continue
-            waits = tuple(self._wait[jid * tiers:(jid + 1) * tiers])
+            first = jid * tiers
+            waits = tuple(wait[first:first + tiers])
             total_wait = sum(waits)
-            completion = self._completion[jid]
-            alpha = total_wait - job.allowance
+            completion = completions[jid]
+            arrival = job.arrival
+            # Job.total_exec and Job.allowance, with one sum between them.
+            total_exec = sum(job.exec_times)
+            alpha = total_wait - ((job.target_completion - arrival) - total_exec)
             outcomes[jid] = JobOutcome(
-                job_id=jid,
-                arrival=job.arrival,
-                completion=completion,
-                total_exec=job.total_exec,
-                waits=waits,
-                total_wait=total_wait,
-                response_time=completion - job.arrival,
-                alpha=alpha,
-                cost=penalty(alpha, chi, nu),
-            )
+                jid, arrival, completion, total_exec, waits, total_wait,
+                completion - arrival, alpha, penalty(alpha, chi, nu))
         return SimReport(outcomes=outcomes,
                          **violation_totals(outcomes.values()))
 

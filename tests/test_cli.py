@@ -32,6 +32,8 @@ def assert_exit(argv, code, capsys) -> str:
 
 
 GEN = ("--jobs", "30", "--lambda", "2.5")
+# Stands for a workload file the contract test generates first.
+WORKLOAD = "{workload}"
 
 # argv -> exit code, and a fragment of the message on stderr.
 CONTRACT = {
@@ -91,6 +93,9 @@ CONTRACT = {
         ("run", "--jobs", "20", "--lambda", "4", "--policy", "ga-virtualized",
          "--generations", "2", "--ga-seed", "-3"), 3,
         "input error: GA seed must be nonnegative, got -3"),
+    "run-loaded-workload-random-negative-seed": (
+        ("run", "--workload", WORKLOAD, "--seed", "-1", "--policy", "random"),
+        3, "input error: --seed must be nonnegative, got -1"),
     "run-negative-allowance": (
         ("run", *GEN, "--allowance", "-0.1"), 3,
         "allowance_fraction must be nonnegative"),
@@ -124,6 +129,10 @@ CONTRACT = {
 @pytest.mark.parametrize("case", sorted(CONTRACT))
 def test_exit_code_contract(case, tmp_path, capsys):
     argv, code, message = CONTRACT[case]
+    if WORKLOAD in argv:
+        path = tmp_path / "w.txt"
+        assert run_cli("generate", *GEN, "--out", str(path)) == 0
+        argv = tuple(str(path) if a == WORKLOAD else a for a in argv)
     out = tmp_path / "out"
     err = assert_exit((*argv, "--out-dir", str(out)), code, capsys)
     assert message in err

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 import os
 import subprocess
@@ -86,6 +87,22 @@ class TestInvariants:
         while sim.step():
             sim.assert_invariants()
         assert sim.departed == len(jobs)
+
+    @pytest.mark.parametrize("tamper", ["lost", "duplicated", "external"])
+    def test_pending_events_match_busy_and_moving(self, env_2x3, tamper):
+        jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=25, seed=13),
+                        env_2x3)
+        sim = Simulator(jobs, env_2x3)
+        sim.run(until_external_arrivals=10)
+        sim.assert_invariants()
+        if tamper == "lost":
+            heapq.heappop(sim._events)
+        elif tamper == "duplicated":
+            heapq.heappush(sim._events, sim._events[0])
+        else:
+            heapq.heappush(sim._events, sim._next_arrival)
+        with pytest.raises(AssertionError, match="pending events"):
+            sim.assert_invariants()
 
     def test_determinism_identical_traces(self, env_2x3):
         jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=30, seed=4),
@@ -378,6 +395,114 @@ class TestPinnedDrain:
         assert snapshot_digest(snaps) == (
             "b6cfcf77749f36b2dbc697aa08d669e2"
             "dddd715db65433abdd1c8f98a791a930")
+
+
+EDGE_EXECS = ((1.0, 0.5), (0.5, 1.0), (0.25, 0.25), (1.5, 0.5), (0.5, 0.5),
+              (1.0, 1.5), (0.75, 0.25))
+
+# Hand-built arrival streams with dyadic execution times, so completions,
+# hand-offs and external arrivals land on exactly the same instants.
+EDGE_ARRIVALS = {
+    "tied": (0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0, 2.0,
+             2.0, 2.0, 3.0, 3.0, 3.5, 3.5, 3.5, 4.0),
+    # Ids may run backwards in time by less than TIME_EPS.
+    "reversed": (0.0, 0.5, 1.0, 1.0 - 5e-10, 1.0 - 8e-10, 1.25, 2.0,
+                 2.0 - 3e-10, 2.0, 2.0 - 7e-10, 2.5, 3.0, 3.0 - 9e-10,
+                 3.0 - 9e-10, 3.5, 4.0, 4.0 - 1e-10, 4.5),
+    # Job 1 finishes tier 1 at 1.0 and hands off as jobs 3 and 4 arrive.
+    "coincident": (0.0, 0.0, 1.0, 1.0, 1.5, 1.75, 2.0, 2.0, 2.5, 3.0, 3.0,
+                   3.25, 3.5, 4.0, 4.5, 4.5),
+}
+
+
+def edge_jobs(name: str) -> JobSet:
+    return JobSet(tuple(
+        job(jid, EDGE_EXECS[(jid - 1) % len(EDGE_EXECS)], arrival=arrival)
+        for jid, arrival in enumerate(EDGE_ARRIVALS[name], start=1)))
+
+
+def edge_run(name: str, run: str) -> Simulator:
+    env = EnvironmentConfig(num_tiers=2, resources_per_tier=(2, 1))
+    if run == "ga-every-7":
+        config = GAConfig(population=10, generations=5, seed=3)
+        sim = Simulator(edge_jobs(name), env,
+                        optimizer=lambda snap: evolve(snap, config).best_schedule,
+                        reschedule_every=7, keep_trace=True)
+    else:
+        sim = Simulator(edge_jobs(name), env, make_policy(run, env),
+                        keep_trace=True)
+    return sim.run()
+
+
+class TestPinnedEventOrder:
+    """Trace and outcome digests recorded while every external arrival was
+    pre-loaded into the event heap; they pin the order of tied, slightly
+    reversed and coincident events."""
+
+    PINNED = {
+        ("coincident", "fcfs"): (
+            "12d12f93b7a253a08974a554103ead10"
+            "42abbeba1cbddbdad057961c0dfe5b28",
+            "6ec44c33642b1ffca87618c5f20844d8"
+            "7f01b558adba6228e57407fc556174a9"),
+        ("coincident", "wrr"): (
+            "85bf4b53c6a0f9bacbb5201da1bc9c73"
+            "e4e1b99050fe5a445f4b43a8aa04492a",
+            "b503a11a45073b89ed41ccb04a8bc5ca"
+            "b064cc94c2b2d2c99a8920d90b379832"),
+        ("coincident", "ga-every-7"): (
+            "6162be77c045f3908f53a3e020a7b4be"
+            "3d914460fc399f8792734408fbcb5c5a",
+            "13de1f88c29cb9ebca4b42b734996ff6"
+            "4291ec09202000249e54ee9e2756da42"),
+        ("reversed", "fcfs"): (
+            "4d2789467882ffc8037f290268c3d505"
+            "f6e78cef0c47e22744573f104b7e7b6f",
+            "878fb3d560bbfc2feec8ebc52de889bc"
+            "cb61f381ead78abb4f63b9c208891f49"),
+        ("reversed", "wrr"): (
+            "742bb4ab6001d68a43cba5c54f2e8568"
+            "06767cb9af931c2e6ca0b58d64732d35",
+            "14019a58b45ccba1ec27eca12185933d"
+            "28f0e43568cafab79d7387435c375040"),
+        ("reversed", "ga-every-7"): (
+            "80ae40894f388d3a55bbc71a9dffe63f"
+            "0d6495d30776588a0d2757288c081120",
+            "263f0f4efc15580f98bf5106adf24831"
+            "9ba943c082ed2beeac6c8e27168cc27c"),
+        ("tied", "fcfs"): (
+            "6c3ab92cf465b41ac518c6d114ad8160"
+            "3f812aec1c8e5cb1976912de2f4d1294",
+            "f150ad565ec79c42f0607644768d404e"
+            "d8f8afbc374680947b6a876c05d09aa0"),
+        ("tied", "wrr"): (
+            "4f8af5826811d884aa60ab28b685f9f6"
+            "43e007deeb084d1f3c64de8ccd593f56",
+            "301fca1b89287009c32925b915905f4f"
+            "f6a78a992a2765ab25926224afa146f4"),
+        ("tied", "ga-every-7"): (
+            "cdf5f5d0f717b9fa3ac6dadcc6e0d623"
+            "1a3d9ceb7db535ecefe9212b4d7cb8db",
+            "a1e5b521444595b73ff3128c8877aba0"
+            "4c346c4c2bbd1bdfef4ebf112e06259d"),
+    }
+
+    @pytest.mark.parametrize("run", ["fcfs", "wrr", "ga-every-7"])
+    @pytest.mark.parametrize("name", sorted(EDGE_ARRIVALS))
+    def test_trace_and_outcomes(self, name, run):
+        sim = edge_run(name, run)
+        trace = hashlib.sha256(
+            "\n".join(sim.trace_lines()).encode()).hexdigest()
+        assert (trace, outcome_digest(sim.report())) == self.PINNED[name, run]
+
+    def test_coincident_stream_meets_its_edge(self):
+        # A completion, the hand-off it causes and an external arrival share
+        # the instant 1.0, in that order.
+        lines = [line.split() for line in edge_run("coincident", "fcfs")
+                 .trace_lines()[1:] if line.startswith("1.0 ")]
+        kinds = [(kind, job_id, tier) for _, kind, job_id, tier, _ in lines]
+        assert kinds[:3] == [("finish", "1", "1"), ("arrive", "1", "2"),
+                             ("arrive", "3", "1")]
 
 
 class BacklogCheckingPolicy(AssignmentPolicy):
