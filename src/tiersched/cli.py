@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -33,18 +32,9 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-ENV_PREFIX = "TIERSCHED_"
 
-
-def _env_default(flag: str, fallback):
-    value = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
-    return value if value is not None else fallback
-
-
-def _parse_resources(text: str | int, tiers: int) -> tuple[int, ...]:
-    if isinstance(text, int):
-        return (text,) * tiers
-    parts = [p for p in str(text).replace(",", " ").split() if p]
+def _parse_resources(text: str, tiers: int) -> tuple[int, ...]:
+    parts = [p for p in text.replace(",", " ").split() if p]
     counts = tuple(int(p) for p in parts)
     if len(counts) == 1:
         return counts * tiers
@@ -52,34 +42,29 @@ def _parse_resources(text: str | int, tiers: int) -> tuple[int, ...]:
 
 
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=_env_default("jobs", None),
-                   help="number of jobs to draw")
+    p.add_argument("--jobs", type=int, help="number of jobs to draw")
     p.add_argument("--lambda", dest="arrival_rate", type=float,
-                   default=_env_default("lambda", None),
                    help="Poisson arrival rate (jobs per time unit)")
-    p.add_argument("--mu", type=float, default=_env_default("mu", 1.0),
+    p.add_argument("--mu", type=float, default=1.0,
                    help="exponential service rate per resource")
-    p.add_argument("--allowance", type=float,
-                   default=_env_default("allowance", 0.20),
+    p.add_argument("--allowance", type=float, default=0.20,
                    help="waiting allowance as a fraction of total execution time")
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0),
-                   help="workload seed")
+    p.add_argument("--seed", type=int, default=0, help="workload seed")
 
 
 def _add_env_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tiers", type=int, default=_env_default("tiers", 2))
-    p.add_argument("--resources", default=_env_default("resources", "3"),
+    p.add_argument("--tiers", type=int, default=2)
+    p.add_argument("--resources", default="3",
                    help="resources per tier: one count or a comma list")
-    p.add_argument("--nu", type=float, default=_env_default("nu", 0.01),
+    p.add_argument("--nu", type=float, default=0.01,
                    help="penalty curve scaling factor")
-    p.add_argument("--chi", type=float, default=_env_default("chi", 1.0),
+    p.add_argument("--chi", type=float, default=1.0,
                    help="penalty curve monetary ceiling")
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--population", type=int, default=_env_default("population", 10))
-    p.add_argument("--generations", type=int,
-                   default=_env_default("generations", 1000))
+    p.add_argument("--population", type=int, default=10)
+    p.add_argument("--generations", type=int, default=1000)
     p.add_argument("--ga-seed", type=int, default=None,
                    help="genetic search seed (defaults to the workload seed)")
     p.add_argument("--epoch", type=int, default=0,
@@ -96,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic workload file")
     _add_workload_flags(p_gen)
-    p_gen.add_argument("--tiers", type=int, default=_env_default("tiers", 2))
+    p_gen.add_argument("--tiers", type=int, default=2)
     p_gen.add_argument("--out", default="workload.txt")
     p_gen.set_defaults(func=cmd_generate)
 
@@ -411,6 +396,10 @@ def cmd_compare(args) -> int:
     env = _environment(args)
     seeds = args.seeds if args.seeds else [int(args.seed)]
     # Every input is checked before the first row runs or a file is written.
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"{'--seeds' if args.seeds else '--seed'} must "
+                             f"be nonnegative, got {seed}")
     specs = [_workload_spec(args, seed) for seed in seeds]
     for flag, values in (("policies", args.policies), ("seeds", seeds)):
         repeated = sorted({v for v in values if values.count(v) > 1})

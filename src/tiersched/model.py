@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 #: Absolute tolerance for time comparisons throughout the package.
 TIME_EPS = 1e-9
@@ -169,38 +169,27 @@ class JobSet:
         return self.jobs[job_id - 1]
 
 
-@dataclass(frozen=True)
-class JobProgress:
+class JobProgress(NamedTuple):
     """Where a resident job currently stands.
 
     Tier indices are 0-based.  ``completed_waits`` holds the finalized queue
-    waits of tiers the job already passed; ``elapsed_wait`` is the wait accrued
-    so far in the current tier (frozen at its final value once service
-    starts).  Tier hand-offs are exact: the departure from tier j is the
-    arrival at tier j+1, ``tier_arrivals[j + 1]``.
+    waits of tiers the job already passed, so their count is the job's
+    current tier; ``elapsed_wait`` is the wait accrued so far in the current
+    tier (frozen at its final value once service starts).  Tier hand-offs
+    are exact: the departure from tier j is the arrival at tier j+1,
+    ``tier_arrivals[j + 1]``.  ``Snapshot`` checks a record against its
+    queues.
     """
 
     job_id: int
-    tier: int
     tier_arrivals: tuple[float, ...]
     completed_waits: tuple[float, ...]
     elapsed_wait: float
     in_service: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tier_arrivals", tuple(self.tier_arrivals))
-        object.__setattr__(self, "completed_waits", tuple(self.completed_waits))
-        if self.tier < 0:
-            raise ValueError("tier index must be nonnegative")
-        if len(self.tier_arrivals) != self.tier + 1:
-            raise ValueError(
-                f"job {self.job_id}: need one arrival per tier reached")
-        if len(self.completed_waits) != self.tier:
-            raise ValueError(f"job {self.job_id}: completed tiers need waits")
-        if any(w < -TIME_EPS for w in self.completed_waits):
-            raise ValueError(f"job {self.job_id}: negative completed wait")
-        if self.elapsed_wait < -TIME_EPS:
-            raise ValueError(f"job {self.job_id}: negative elapsed wait")
+    @property
+    def tier(self) -> int:
+        return len(self.completed_waits)
 
 
 @dataclass(frozen=True)
@@ -393,10 +382,20 @@ class Snapshot:
             raise ValueError("schedule and progress must cover the same jobs")
         for jid, prog in self.progress.items():
             tier, head_in_service = located[jid]
+            if prog.job_id != jid:
+                raise ValueError(
+                    f"job {jid}: progress record of job {prog.job_id}")
             if tier != prog.tier:
                 raise ValueError(
                     f"job {jid} scheduled in tier {tier} but resides in "
                     f"tier {prog.tier}")
+            if len(prog.tier_arrivals) != tier + 1:
+                raise ValueError(
+                    f"job {jid}: need one arrival per tier reached")
+            if any(w < -TIME_EPS for w in prog.completed_waits):
+                raise ValueError(f"job {jid}: negative completed wait")
+            if prog.elapsed_wait < -TIME_EPS:
+                raise ValueError(f"job {jid}: negative elapsed wait")
             if head_in_service != prog.in_service:
                 raise ValueError(
                     f"job {jid}: in-service flag disagrees with the schedule")

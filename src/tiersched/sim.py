@@ -36,10 +36,6 @@ from .penalty import penalty, violation_totals
 _COMPLETION = 0  # processed before arrivals at equal timestamps
 _ARRIVAL = 1
 
-# Per-job status codes.  A moving job has completed one tier and its arrival
-# at the next has not been processed yet.
-_PENDING, _WAITING, _SERVING, _MOVING, _DONE = range(5)
-
 TRACE_VERSION = 1
 
 
@@ -129,29 +125,30 @@ class Simulator:
         self.clock = 0.0
         self._queues: list[list[list[int]]] = [
             [[] for _ in range(m)] for m in env.resources_per_tier]
-        # (job_id, start, end) per resource while mid-service
-        self._busy: list[list[tuple[int, float, float] | None]] = [
+        # (job_id, end) per resource while mid-service
+        self._busy: list[list[tuple[int, float] | None]] = [
             [None] * m for m in env.resources_per_tier]
-        # Per-job state in flat lists indexed by job id (slot 0 unused);
-        # arrivals and waits are job-major: entry ``jid * tiers + tier``.
+        # The queues are the only record of where a job is.  Its timings
+        # sit in flat lists indexed by job id (slot 0 unused); arrivals and
+        # waits are job-major: entry ``jid * tiers + tier``.
         n, tiers = len(jobs) + 1, env.num_tiers
-        self._tier = [-1] * n
-        self._resource = [-1] * n
-        self._status = [_PENDING] * n
-        self._completion = [0.0] * n
+        self._completion: list[float | None] = [None] * n
         self._arrive = [0.0] * (n * tiers)
         self._wait = [0.0] * (n * tiers)
         # exec[tier][jid]: execution time of a job at a tier
         self._exec = [[0.0] + [job.exec_times[t] for job in jobs]
                       for t in range(tiers)]
-        # Completions and hand-offs; every event is (time, rank, job, tier).
-        self._events: list[tuple[float, int, int, int]] = []
+        # Completions and hand-offs; every event is (time, rank, job, tier,
+        # resource), the resource -1 for an arrival, which the policy places.
+        # No two pending events share their first four fields.
+        self._events: list[tuple[float, int, int, int, int]] = []
         # External arrivals in the heap's order, (arrival, id).  Ids follow
         # arrivals except where the job set lets one run back by TIME_EPS.
         ordered = jobs.jobs
         if any(b.arrival < a.arrival for a, b in pairwise(ordered)):
             ordered = sorted(ordered, key=lambda job: (job.arrival, job.id))
-        self._arrivals = ((job.arrival, _ARRIVAL, job.id, 0) for job in ordered)
+        self._arrivals = ((job.arrival, _ARRIVAL, job.id, 0, -1)
+                          for job in ordered)
         self._next_arrival = next(self._arrivals, None)
         self.arrived = [0] * env.num_tiers
         self.departed = 0
@@ -180,7 +177,7 @@ class Simulator:
         if entry is None:
             total = 0.0
         else:
-            total = max(0.0, entry[2] - self.clock)
+            total = max(0.0, entry[1] - self.clock)
             queue = queue[1:]
         exec_times = self._exec[tier]
         for jid in queue:
@@ -194,9 +191,9 @@ class Simulator:
         """Process the next pending event; False when none remain."""
         events, arrival = self._events, self._next_arrival
         if events and (arrival is None or events[0] < arrival):
-            time, rank, job_id, tier = heapq.heappop(events)
+            time, rank, job_id, tier, k = heapq.heappop(events)
         elif arrival is not None:
-            time, rank, job_id, tier = arrival
+            time, rank, job_id, tier, k = arrival
             self._next_arrival = next(self._arrivals, None)
         else:
             return False
@@ -204,7 +201,7 @@ class Simulator:
             raise AssertionError("event times must not decrease")
         self.clock = time
         if rank == _COMPLETION:
-            self._handle_completion(job_id, tier)
+            self._handle_completion(job_id, tier, k)
         else:
             self._handle_arrival(job_id, tier)
         if self.optimizer is not None:
@@ -228,7 +225,6 @@ class Simulator:
             self.external_arrivals += 1
         else:
             self._in_flight[tier - 1] -= 1
-        self._tier[job_id] = tier
         self._arrive[job_id * self.env.num_tiers + tier] = self.clock
         self.arrived[tier] += 1
 
@@ -244,14 +240,11 @@ class Simulator:
                 f"policy returned invalid placement ({k}, {pos}) for job "
                 f"{job_id} at tier {tier}")
         queue.insert(pos, job_id)
-        self._resource[job_id] = k
-        self._status[job_id] = _WAITING
         if self.keep_trace:
             self._trace("arrive", job_id, tier, k)
         self._try_start(tier, k)
 
-    def _handle_completion(self, job_id: int, tier: int) -> None:
-        k = self._resource[job_id]
+    def _handle_completion(self, job_id: int, tier: int, k: int) -> None:
         entry = self._busy[tier][k]
         if entry is None or entry[0] != job_id:
             raise AssertionError("completion out of order")
@@ -263,11 +256,10 @@ class Simulator:
         if self.keep_trace:
             self._trace("finish", job_id, tier, k)
         if tier + 1 < self.env.num_tiers:
-            self._status[job_id] = _MOVING
             self._in_flight[tier] += 1
-            heapq.heappush(self._events, (self.clock, _ARRIVAL, job_id, tier + 1))
+            heapq.heappush(self._events,
+                           (self.clock, _ARRIVAL, job_id, tier + 1, -1))
         else:
-            self._status[job_id] = _DONE
             self._completion[job_id] = self.clock
             self.departed += 1
             if self.keep_trace:
@@ -284,11 +276,9 @@ class Simulator:
         clock = self.clock
         slot = head * self.env.num_tiers + tier
         self._wait[slot] = clock - self._arrive[slot]
-        self._status[head] = _SERVING
-        self._resource[head] = k
         end = clock + self._exec[tier][head]
-        self._busy[tier][k] = (head, clock, end)
-        heapq.heappush(self._events, (end, _COMPLETION, head, tier))
+        self._busy[tier][k] = (head, end)
+        heapq.heappush(self._events, (end, _COMPLETION, head, tier, k))
         if self.keep_trace:
             self._trace("start", head, tier, k)
 
@@ -339,28 +329,28 @@ class Simulator:
         """Immutable view of the current queues and per-job progress."""
         orders = tuple(
             tuple(tuple(q) for q in tier_queues) for tier_queues in self._queues)
+        clock = self.clock
         busy = tuple(
-            tuple(None if b is None else max(0.0, b[2] - self.clock)
+            tuple(None if b is None else max(0.0, b[1] - clock)
                   for b in tier_busy)
             for tier_busy in self._busy)
+        # (job, tier, in service) from the queue walk, in id order.
+        located = sorted(
+            (jid, tier, pos == 0 and b is not None)
+            for tier, (tier_queues, tier_busy) in enumerate(
+                zip(self._queues, self._busy))
+            for queue, b in zip(tier_queues, tier_busy)
+            for pos, jid in enumerate(queue))
         tiers, arrive, wait = self.env.num_tiers, self._arrive, self._wait
         progress: dict[int, JobProgress] = {}
-        for jid in sorted(jid for tier_queues in self._queues
-                          for queue in tier_queues for jid in queue):
-            tier = self._tier[jid]
+        for jid, tier, in_service in located:
             first = jid * tiers
             slot = first + tier
-            in_service = self._status[jid] == _SERVING
             progress[jid] = JobProgress(
-                job_id=jid,
-                tier=tier,
-                tier_arrivals=arrive[first:slot + 1],
-                completed_waits=wait[first:slot],
-                elapsed_wait=(wait[slot] if in_service
-                              else self.clock - arrive[slot]),
-                in_service=in_service,
-            )
-        return Snapshot(env=self.env, jobs=self.jobs, clock=self.clock,
+                jid, tuple(arrive[first:slot + 1]), tuple(wait[first:slot]),
+                wait[slot] if in_service else clock - arrive[slot],
+                in_service)
+        return Snapshot(env=self.env, jobs=self.jobs, clock=clock,
                         schedule=Schedule(orders=orders, busy=busy),
                         progress=progress)
 
@@ -404,16 +394,16 @@ class Simulator:
         """Realized outcomes for every completed job."""
         chi, nu = self.env.chi, self.env.nu
         tiers = self.env.num_tiers
-        status, wait, completions = self._status, self._wait, self._completion
+        wait, completions = self._wait, self._completion
         outcomes: dict[int, JobOutcome] = {}
         for job in self.jobs.jobs:
             jid = job.id
-            if status[jid] != _DONE:
+            completion = completions[jid]
+            if completion is None:
                 continue
             first = jid * tiers
             waits = tuple(wait[first:first + tiers])
             total_wait = sum(waits)
-            completion = completions[jid]
             arrival = job.arrival
             # Job.total_exec and Job.allowance, with one sum between them.
             total_exec = sum(job.exec_times)

@@ -51,7 +51,6 @@ def fresh_snapshot(env, jobs, orders, busy=None, clock=0.0, elapsed=None,
                 in_service = pos == 0 and busy[tier][k] is not None
                 progress[jid] = JobProgress(
                     job_id=jid,
-                    tier=tier,
                     tier_arrivals=tuple(arrivals),
                     completed_waits=waits,
                     elapsed_wait=elapsed.get(jid, 0.0),

@@ -65,7 +65,10 @@ CONTRACT = {
     "compare-negative-workload-seed": (
         ("compare", "--jobs", "20", "--lambda", "4", "--policies", "wlc",
          "--seeds", "1", "-1"), 3,
-        "input error: workload seed must be nonnegative, got -1"),
+        "input error: --seeds must be nonnegative, got -1"),
+    "compare-negative-seed": (
+        ("compare", "--jobs", "20", "--lambda", "4", "--policies", "wlc",
+         "--seed", "-1"), 3, "input error: --seed must be nonnegative, got -1"),
     "compare-negative-allowance": (
         ("compare", *GEN, "--allowance", "-0.1", "--policies", "fcfs"), 3,
         "allowance_fraction must be nonnegative"),
@@ -138,6 +141,14 @@ def test_exit_code_contract(case, tmp_path, capsys):
     assert message in err
     # Inputs are checked before anything runs or is written.
     assert not out.exists()
+
+
+def test_environment_does_not_stand_in_for_flags(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setenv("TIERSCHED_JOBS", "30")
+    err = assert_exit(("run", "--lambda", "2.5",
+                       "--out-dir", str(tmp_path / "out")), 2, capsys)
+    assert "missing required flags: --jobs" in err
 
 
 def read_jsonl(path):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -143,12 +141,12 @@ class TestSnapshotChecks:
             self.rebuilt(snap, progress)
 
     def test_progress_for_an_unscheduled_job(self, snap):
-        extra = replace(snap.progress[3], job_id=4)
+        extra = snap.progress[3]._replace(job_id=4)
         with pytest.raises(ValueError, match="cover the same jobs"):
             self.rebuilt(snap, {**snap.progress, 4: extra})
 
     def test_job_in_the_wrong_tier(self, snap):
-        second_tier = JobProgress(job_id=3, tier=1, tier_arrivals=(0.6, 1.6),
+        second_tier = JobProgress(job_id=3, tier_arrivals=(0.6, 1.6),
                                   completed_waits=(0.0,), elapsed_wait=0.0)
         with pytest.raises(ValueError, match="scheduled in tier 0 but "
                                              "resides in tier 1"):
@@ -157,9 +155,28 @@ class TestSnapshotChecks:
     @pytest.mark.parametrize("jid, in_service", [(1, False), (2, True),
                                                  (3, True)])
     def test_in_service_flag_mismatch(self, snap, jid, in_service):
-        flipped = replace(snap.progress[jid], in_service=in_service)
+        flipped = snap.progress[jid]._replace(in_service=in_service)
         with pytest.raises(ValueError, match=f"job {jid}: in-service flag"):
             self.rebuilt(snap, {**snap.progress, jid: flipped})
+
+    @pytest.mark.parametrize("jid, broken, message", [
+        (3, lambda p: p[2], "job 3: progress record of job 2"),
+        (3, lambda p: p[3]._replace(tier_arrivals=(0.6, 1.6)),
+         "job 3: need one arrival per tier reached"),
+        (4, lambda p: p[4]._replace(completed_waits=(-0.5,)),
+         "job 4: negative completed wait"),
+        (2, lambda p: p[2]._replace(elapsed_wait=-0.5),
+         "job 2: negative elapsed wait"),
+    ], ids=["another-job", "arrival-count", "negative-completed-wait",
+            "negative-elapsed-wait"])
+    def test_broken_progress_record(self, env_2x2, jid, broken, message):
+        jobs = JobSet((job(1, (2.0, 1.0)), job(2, (1.0, 1.0), arrival=0.5),
+                       job(3, (1.0, 2.0), arrival=0.6),
+                       job(4, (1.0, 1.0), arrival=0.7)))
+        snap = fresh_snapshot(env_2x2, jobs, (((1, 2), (3,)), ((4,), ())),
+                              busy=((1.5, None), (None, None)))
+        with pytest.raises(ValueError, match=message):
+            self.rebuilt(snap, {**snap.progress, jid: broken(snap.progress)})
 
 
 class TestRemainingWait:
