@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +75,61 @@ class GAConfig:
         return round(0.1 * self.population)
 
 
+class _Draws:
+    """Draw-for-draw stand-in for a PCG64 ``Generator``'s ``random()`` and
+    ``integers(n)``, read from blocks of raw 64-bit words as Python ints.
+
+    ``random()`` is numpy's ``(w >> 11) * 2**-53``.  ``integers(n)`` is its
+    Lemire bounded draw over 32-bit halves, low half first, with the
+    generator's buffered half carried in; only ``n < 2**32`` is emulated.
+    The words are read ahead, so the wrapped generator must not be drawn
+    from again.
+    """
+
+    _BLOCK = 256
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        state = rng.bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise TypeError(
+                f"_Draws emulates PCG64, not {state['bit_generator']}")
+        self._raw = rng.bit_generator.random_raw
+        self._words = iter(())
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _word(self) -> int:
+        word = next(self._words, None)
+        if word is None:
+            self._words = iter(self._raw(self._BLOCK).tolist())
+            word = next(self._words)
+        return word
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, n: int) -> int:
+        if not 0 < n < 2 ** 32:
+            raise ValueError(
+                f"_Draws draws integers(n) for 0 < n < 2**32 only, got {n}")
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2 ** 32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+
 def roulette_wheel(raws) -> list[float]:
     """Cumulative roulette shares of a generation's raw scores.
 
@@ -83,33 +139,42 @@ def roulette_wheel(raws) -> list[float]:
     pinned to 1 so rounding never leaves a draw past the end.
     """
     worst = max(raws)
-    eps = 1e-12 * max(1.0, max(abs(r) for r in raws))
+    # max(1, worst, -min) is max(1, max |r|) without a pass over abs().
+    eps = 1e-12 * max(1.0, worst, -min(raws))
     weights = [(worst - r) + eps for r in raws]
     total = sum(weights)
-    wheel = list(accumulate(w / total for w in weights))
+    wheel = list(accumulate([w / total for w in weights]))
     wheel[-1] = 1.0
     return wheel
 
 
-def select(population, wheel, rng: np.random.Generator, count: int = 1) -> list:
-    """Roulette-wheel draw of ``count`` members (with replacement)."""
+def select(population, wheel, rng: np.random.Generator | _Draws,
+           count: int = 1) -> list:
+    """Roulette-wheel draw of ``count`` members (with replacement).
+
+    Like the other operators, it draws from a ``Generator`` or from
+    ``_run_ga``'s :class:`_Draws`.
+    """
     return [population[bisect_right(wheel, rng.random())]
             for _ in range(count)]
 
 
 def crossover(parent_a: Genome, parent_b: Genome,
-              rng: np.random.Generator) -> tuple[Genome, Genome]:
+              rng: np.random.Generator | _Draws) -> tuple[Genome, Genome]:
     """Single-point crossover with order-preserving repair.
 
     One cut point is drawn over the gene positions.  A child keeps its
     template parent's segment sizes, copies that parent's genes before the
     cut, and fills the rest in the other parent's relative order, skipping
-    ids already placed.
+    ids already placed.  Equal parents have children equal to themselves,
+    so the parent objects are returned (the cut is still drawn).
     """
-    total = sum(len(seg) for seg in parent_a)
+    total = sum(map(len, parent_a))
     if total == 0:
         return parent_a, parent_b
     cut = int(rng.integers(total))
+    if parent_a == parent_b:
+        return parent_a, parent_b
     return (_crossover_child(parent_a, parent_b, cut),
             _crossover_child(parent_b, parent_a, cut))
 
@@ -119,9 +184,9 @@ def _crossover_child(template: Genome, donor: Genome, cut: int) -> Genome:
     # positions in both parents.  So the donor genes left after the skip are
     # the rest of the cut's tier followed by every later tier, in place: the
     # repair never moves a gene across tiers.
-    own = [g for seg in template for g in seg]
-    kept = set(own[:cut])
-    flat = own[:cut] + [g for seg in donor for g in seg if g not in kept]
+    head = list(chain.from_iterable(template))[:cut]
+    kept = set(head)
+    flat = head + [g for g in chain.from_iterable(donor) if g not in kept]
     # Re-split the child's order into the template's segment sizes.
     child: list[tuple[int, ...]] = []
     start = 0
@@ -132,34 +197,39 @@ def _crossover_child(template: Genome, donor: Genome, cut: int) -> Genome:
 
 
 def mutate(genome: Genome, tiers: tuple[int, ...],
-           rng: np.random.Generator) -> Genome:
+           rng: np.random.Generator | _Draws) -> Genome:
     """Insert mutation: pull one gene and reinsert it within its tier.
 
     ``tiers[s]`` is the tier owning segment ``s``.  Reinsertion into the same
     segment reorders that queue; reinsertion into a sibling segment migrates
-    the job to another resource of the tier.
+    the job to another resource of the tier.  Only the one or two segments
+    touched are copied.
     """
-    total = sum(len(seg) for seg in genome)
+    total = sum(map(len, genome))
     if total == 0:
         return genome
     gene_idx = int(rng.integers(total))
-    segments = [list(s) for s in genome]
-    seg_idx = 0
-    while gene_idx >= len(segments[seg_idx]):
-        gene_idx -= len(segments[seg_idx])
-        seg_idx += 1
-    gene = segments[seg_idx].pop(gene_idx)
-    tier = tiers[seg_idx]
+    src = 0
+    while gene_idx >= len(genome[src]):
+        gene_idx -= len(genome[src])
+        src += 1
+    segments = list(genome)
+    source = list(genome[src])
+    gene = source.pop(gene_idx)
+    segments[src] = source
 
-    tier_segs = [i for i, t in enumerate(tiers) if t == tier]
+    tier_segs = [i for i, t in enumerate(tiers) if t == tiers[src]]
     slots = sum(len(segments[i]) + 1 for i in tier_segs)
     slot = int(rng.integers(slots))
-    for i in tier_segs:
-        if slot <= len(segments[i]):
-            segments[i].insert(slot, gene)
+    for dst in tier_segs:
+        if slot <= len(segments[dst]):
             break
-        slot -= len(segments[i]) + 1
-    return tuple(tuple(s) for s in segments)
+        slot -= len(segments[dst]) + 1
+    target = source if dst == src else list(segments[dst])
+    target.insert(slot, gene)
+    segments[src] = tuple(source)
+    segments[dst] = tuple(target)
+    return tuple(segments)
 
 
 def random_chromosome(snapshot: Snapshot, rng: np.random.Generator) -> Genome:
@@ -179,8 +249,7 @@ def random_chromosome(snapshot: Snapshot, rng: np.random.Generator) -> Genome:
     return tuple(tuple(per_queue[(t, k)]) for t, k in env.iter_queues())
 
 
-@dataclass(frozen=True)
-class GenerationStats:
+class GenerationStats(NamedTuple):
     """History record: best-so-far and population mean of one generation."""
 
     generation: int
@@ -205,15 +274,23 @@ def _run_ga(seeded: Genome, tiers: tuple[int, ...], sample_random, score,
 
     ``tiers`` is the owning tier of each of the genomes' segments.  ``evals``
     is the logical budget, population x generations: every member of every
-    generation has a score.  Scores are pure, so the elite and the roulette
-    copies carry their parent's score and only crossover children and mutants
-    are scored afresh.  The best-ever genome is carried unmodified into each
-    next generation (elitism), which makes the best-so-far history
-    nonincreasing.
+    generation has a score.  Scores are pure, so a genome that is a member
+    of the population carries that member's score: the elite, the roulette
+    copies and a crossover child of equal parents (which is its parent).
+    Only the other crossover children and the mutants are scored afresh.
+    The best-ever genome is carried unmodified into each next generation
+    (elitism), which makes the best-so-far history nonincreasing.
+
+    ``rng`` builds the initial population; the operators then draw the same
+    stream through :class:`_Draws`.
     """
     n = config.population
+    ops = config.operator_count
     population = [seeded] + [sample_random(rng) for _ in range(n - 1)]
     fits = [score(c) for c in population]
+    draws = _Draws(rng)
+    # Parents and copies are drawn as indices so they carry their scores.
+    members = range(n)
     best_c = None
     best_f = float("inf")
     history: list[GenerationStats] = []
@@ -221,20 +298,25 @@ def _run_ga(seeded: Genome, tiers: tuple[int, ...], sample_random, score,
         for c, f in zip(population, fits):
             if f < best_f:
                 best_c, best_f = c, f
-        history.append(GenerationStats(
-            generation=gen, best=best_f, mean=sum(fits) / n))
+        history.append(GenerationStats(gen, best_f, sum(fits) / n))
         if gen == config.generations - 1:
             break
         wheel = roulette_wheel(fits)
         nxt = [best_c]
-        for _ in range(config.operator_count):
-            pa, pb = select(population, wheel, rng, 2)
-            nxt.extend(crossover(pa, pb, rng))
-        for _ in range(config.operator_count):
-            nxt.append(mutate(select(population, wheel, rng, 1)[0], tiers, rng))
-        nxt_fits = [best_f] + [score(c) for c in nxt[1:]]
-        # Roulette copies are drawn as indices so they carry their scores.
-        for i in select(range(n), wheel, rng, n - len(nxt)):
+        nxt_fits = [best_f]
+        for _ in range(ops):
+            ia, ib = select(members, wheel, draws, 2)
+            pa, pb = population[ia], population[ib]
+            ca, cb = crossover(pa, pb, draws)
+            nxt += (ca, cb)
+            nxt_fits += (fits[ia] if ca is pa else score(ca),
+                         fits[ib] if cb is pb else score(cb))
+        for _ in range(ops):
+            mutant = mutate(population[select(members, wheel, draws)[0]],
+                            tiers, draws)
+            nxt.append(mutant)
+            nxt_fits.append(score(mutant))
+        for i in select(members, wheel, draws, n - len(nxt)):
             nxt.append(population[i])
             nxt_fits.append(fits[i])
         population, fits = nxt, nxt_fits
@@ -313,7 +395,7 @@ def _evolve_segmented(snapshot: Snapshot, config: GAConfig) -> EvolveResult:
     for gen in range(generations):
         best = fixed_total + sum(h[gen].best for h in histories)
         mean = fixed_total + sum(h[gen].mean for h in histories)
-        combined.append(GenerationStats(generation=gen, best=best, mean=mean))
+        combined.append(GenerationStats(gen, best, mean))
 
     return EvolveResult(
         best_schedule=snapshot.schedule.with_waiting(best_orders),

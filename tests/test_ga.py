@@ -1,7 +1,13 @@
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiersched import (
     AllowanceMode,
@@ -363,25 +369,32 @@ class TestEvolveSegmented:
 
 
 class TestScoringWork:
-    """Only crossover children and mutants are scored after the first
-    generation; the elite and the roulette copies carry their parent's
-    score, while ``evaluations`` keeps the logical budget."""
+    """After the first generation only the mutants and the children of
+    unequal crossover parents are scored.  The elite, the roulette copies and
+    a child of equal parents (the parent itself) carry their parent's score,
+    while ``evaluations`` keeps the logical budget."""
 
     @staticmethod
-    def scored(config):
-        return (config.population + (config.generations - 1)
-                * 3 * config.operator_count)
+    def scored(config, fresh_children):
+        return (config.population
+                + (config.generations - 1) * config.operator_count
+                + fresh_children)
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Scorings per ``_run_ga`` call, and ``ScheduleEvaluator.fitness``
-        calls overall."""
+        """Per ``_run_ga`` call: scorings, and crossover children of unequal
+        and of equal parents; plus ``ScheduleEvaluator.fitness`` calls."""
         runs: list[int] = []
+        unequal: list[int] = []
+        equal: list[int] = []
         fitness_calls = [0]
         plain_run, plain_fitness = ga._run_ga, ScheduleEvaluator.fitness
+        plain_crossover = ga.crossover
 
         def run(seeded, tiers, sample_random, score, config, rng):
             runs.append(0)
+            unequal.append(0)
+            equal.append(0)
 
             def counting(c):
                 runs[-1] += 1
@@ -390,45 +403,129 @@ class TestScoringWork:
             return plain_run(seeded, tiers, sample_random, counting, config,
                              rng)
 
+        def crossover(parent_a, parent_b, rng):
+            if parent_a == parent_b:
+                equal[-1] += 2
+            else:
+                unequal[-1] += 2
+            return plain_crossover(parent_a, parent_b, rng)
+
         def fitness_counted(self, flat_orders):
             fitness_calls[0] += 1
             return plain_fitness(self, flat_orders)
 
         monkeypatch.setattr(ga, "_run_ga", run)
+        monkeypatch.setattr(ga, "crossover", crossover)
         monkeypatch.setattr(ScheduleEvaluator, "fitness", fitness_counted)
-        return runs, fitness_calls
+        return runs, unequal, equal, fitness_calls
 
     CONFIGS = [dict(), dict(population=30)]
 
     @pytest.mark.parametrize("extra", CONFIGS)
     def test_virtualized_scores_only_offspring(self, counted, extra):
-        runs, fitness_calls = counted
+        runs, unequal, equal, fitness_calls = counted
         snap = loaded_snapshot(6.0, 30, seed=16)
         config = GAConfig(generations=60, seed=3, **extra)
         result = evolve(snap, config)
-        assert runs == [self.scored(config)]
+        # Both kinds of crossover occur, so the count tells them apart.
+        assert unequal[0] > 0 and equal[0] > 0
+        assert unequal[0] + equal[0] == (
+            2 * (config.generations - 1) * config.operator_count)
+        assert runs == [self.scored(config, unequal[0])]
         # Plus one scoring of the incumbent for ``initial_fitness``.
-        assert fitness_calls[0] == self.scored(config) + 1
+        assert fitness_calls[0] == runs[0] + 1
         assert result.evaluations == config.population * config.generations
 
     @pytest.mark.parametrize("extra", CONFIGS)
-    def test_segmented_scores_only_offspring_per_queue(self, counted, extra):
-        runs, _ = counted
+    def test_segmented_scores_only_offspring_per_queue(self, counted,
+                                                         extra):
+        runs, unequal, equal, _ = counted
         snap = loaded_snapshot(6.0, 30, seed=16)
         config = GAConfig(generations=60, seed=3,
                           variant=QueueVariant.SEGMENTED, **extra)
         result = evolve(snap, config)
         evolved = sum(len(q) >= 2 for q in snap.schedule.flat_waiting())
         assert evolved >= 2
-        assert runs == [self.scored(config)] * evolved
+        assert sum(unequal) > 0 and sum(equal) > 0
+        assert runs == [self.scored(config, fresh) for fresh in unequal]
+        assert len(runs) == evolved
         assert result.evaluations == (evolved * config.population
                                       * config.generations)
 
 
+class TestDraws:
+    """``_Draws`` gives a PCG64 Generator's ``random()`` and ``integers(n)``
+    draw for draw, from the state a population's construction leaves,
+    buffered 32-bit half included."""
+
+    # n = 2**31 + 1 rejects about half of its candidates.
+    BOUNDS = st.one_of(
+        st.sampled_from([1, 2, 3, 7, 61, 2**31 - 1, 2**31 + 1, 2**32 - 1]),
+        st.integers(1, 2**32 - 1))
+
+    @staticmethod
+    def pair(seed, perm, k, size):
+        """Two generators in the same state: the one ``_Draws`` wraps and a
+        twin to check it against."""
+        twins = []
+        for _ in range(2):
+            rng = np.random.default_rng(seed)
+            rng.permutation(perm)
+            rng.integers(k, size=size)
+            twins.append(rng)
+        return ga._Draws(twins[0]), twins[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), perm=st.integers(0, 30),
+           k=st.integers(1, 9), size=st.integers(0, 7),
+           calls=st.lists(st.one_of(st.none(), BOUNDS), max_size=80))
+    def test_interleaved_draws_match_generator(self, seed, perm, k, size,
+                                               calls):
+        draws, real = self.pair(seed, perm, k, size)
+        for n in calls:
+            if n is None:
+                assert draws.random() == real.random()
+            else:
+                assert draws.integers(n) == real.integers(n)
+
+    def test_long_stream_crosses_word_blocks(self):
+        draws, real = self.pair(11, 17, 3, 5)
+        pick = np.random.default_rng(0)
+        for n in pick.integers(1, 2**32, size=3000).tolist():
+            if n % 3 == 0:
+                assert draws.random() == real.random()
+            else:
+                assert draws.integers(n) == real.integers(n)
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**40])
+    def test_unemulated_range_raises(self, n):
+        draws = ga._Draws(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"0 < n < 2\*\*32"):
+            draws.integers(n)
+
+    def test_range_check_holds_without_asserts(self):
+        # ``python -O`` strips assert statements; the check must survive.
+        code = ("import numpy as np; from tiersched import ga\n"
+                "try:\n"
+                "    ga._Draws(np.random.default_rng(0)).integers(2**32)\n"
+                "except ValueError:\n"
+                "    print('raised')\n")
+        src = str(Path(ga.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "raised"
+
+    def test_other_bit_generators_rejected(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            ga._Draws(np.random.Generator(np.random.MT19937(0)))
+
+
 class TestPinnedStream:
-    """Full-size runs (lambda 7, 110 jobs, default config) pinned to the
-    values the search has always produced, so a change to the order of
-    random draws or to the operators shows up here."""
+    """Full-size runs (lambda 7, 110 jobs, default config unless a test says
+    otherwise) pinned to the values the search has always produced, so a
+    change to the order of random draws or to the operators shows up
+    here."""
 
     def test_virtualized_seed_3(self):
         snap = loaded_snapshot(7.0, 110, seed=3)
@@ -461,3 +558,78 @@ class TestPinnedStream:
             (82, 98, 99, 61, 101, 40, 62, 63, 79, 96, 102, 69, 80, 56, 92,
              53, 65, 57, 59, 51, 93, 103, 83, 71, 41),
             (), (), ())
+
+    def test_virtualized_population_30(self):
+        # Three crossover pairs and three mutants per generation.
+        snap = loaded_snapshot(7.0, 110, seed=5)
+        assert len(snap.waiting_ids()) == 74
+        config = GAConfig(seed=5, population=30)
+        assert config.operator_count == 3
+        result = evolve(snap, config)
+        assert result.initial_fitness == 1048.7273893624133
+        assert result.best_fitness == 821.3174692025884
+        assert result.evaluations == 30_000
+        assert result.history[500] == ga.GenerationStats(
+            generation=500, best=831.4062273743821, mean=835.1358212140705)
+        assert result.history[-1] == ga.GenerationStats(
+            generation=999, best=821.3174692025884, mean=821.9344479579557)
+        assert result.best_schedule.flat_waiting() == (
+            (102, 76, 59, 58, 80, 77, 89, 99, 105, 86, 78, 65, 94, 87, 109,
+             69, 62),
+            (88, 51, 71, 64, 61, 96, 93, 54, 91, 68, 57, 81, 84, 108, 82, 70,
+             66, 75, 72, 98),
+            (104, 90, 53, 74, 63, 56, 79, 60, 95, 103, 85, 100, 67, 106, 92,
+             52, 83, 107, 110, 73, 55, 97, 101),
+            (45, 42, 44, 36, 40, 39), (33, 41, 37, 48), (47, 38, 43, 35))
+
+    def test_segmented_population_20(self):
+        snap = loaded_snapshot(7.0, 110, seed=6)
+        assert len(snap.waiting_ids()) == 64
+        result = evolve(snap, GAConfig(seed=6, population=20,
+                                       variant=QueueVariant.SEGMENTED))
+        assert result.initial_fitness == 1016.8082391577911
+        assert result.best_fitness == 695.3570565057518
+        assert result.evaluations == 60_000
+        assert result.history[500] == ga.GenerationStats(
+            generation=500, best=695.3831171235448, mean=696.0095851686685)
+        assert result.history[-1] == ga.GenerationStats(
+            generation=999, best=695.3570565057518, mean=695.6950601552566)
+        assert result.best_schedule.flat_waiting() == (
+            (88, 87, 62, 71, 51, 67, 63, 60, 77, 100, 86, 84, 89, 72, 79, 101,
+             52, 92),
+            (75, 68, 110, 65, 102, 73, 103, 66, 64, 81, 56, 96, 106, 74, 78,
+             93, 76, 49, 58, 107, 69, 53, 97, 83),
+            (104, 94, 57, 105, 90, 98, 80, 108, 95, 55, 59, 109, 82, 61, 50,
+             54, 48, 91, 85, 99, 70),
+            (), (), (44,))
+
+    def test_virtualized_per_tier_seed_7(self):
+        snap = loaded_snapshot(7.0, 110, seed=7)
+        assert len(snap.waiting_ids()) == 48
+        result = evolve(snap, GAConfig(seed=7, mode=AllowanceMode.PER_TIER))
+        assert result.initial_fitness == 337.87203441158846
+        assert result.best_fitness == 270.63397904498316
+        assert result.history[500] == ga.GenerationStats(
+            generation=500, best=275.4354967030822, mean=275.8512841477699)
+        assert result.history[-1] == ga.GenerationStats(
+            generation=999, best=270.63397904498316, mean=270.97990427490737)
+        assert result.best_schedule.flat_waiting() == (
+            (90, 82, 100, 75, 87, 105, 91, 98, 103, 109, 110),
+            (83, 94, 104, 77, 70, 102, 107, 76, 72, 95, 74, 73, 79, 108, 78,
+             99, 92, 93, 80, 84, 97, 106),
+            (81, 88, 86, 71, 85, 89, 96, 101),
+            (63,), (), (65, 62, 64, 59, 67, 60))
+
+    def test_virtualized_policy_comparison_instance(self):
+        # lambda 2.5, 200 jobs: the acceptance suite's small snapshots.
+        snap = loaded_snapshot(2.5, 200, seed=2)
+        assert len(snap.waiting_ids()) == 9
+        result = evolve(snap, GAConfig(seed=2))
+        assert result.initial_fitness == 11.820063744548202
+        assert result.best_fitness == 9.94210449955833
+        assert result.history[500] == ga.GenerationStats(
+            generation=500, best=9.94210449955833, mean=10.010390262982169)
+        assert result.history[-1] == ga.GenerationStats(
+            generation=999, best=9.94210449955833, mean=10.031803073544294)
+        assert result.best_schedule.flat_waiting() == (
+            (197, 199), (198, 200, 196), (), (194, 191), (), (192, 190))
