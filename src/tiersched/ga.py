@@ -234,19 +234,23 @@ def mutate(genome: Genome, tiers: tuple[int, ...],
 
 def random_chromosome(snapshot: Snapshot, rng: np.random.Generator) -> Genome:
     """Uniformly random valid genome: per tier, a random permutation of the
-    waiting jobs dealt to uniformly random queues."""
-    env = snapshot.env
-    per_queue: dict[tuple[int, int], list[int]] = {
-        (t, k): [] for t, k in env.iter_queues()}
-    for tier in range(env.num_tiers):
+    waiting jobs dealt to uniformly random queues.
+
+    A tier with ``n`` waiting jobs draws ``rng.permutation(n)`` and then
+    ``rng.integers(count, size=n)`` for its ``count`` queues; a tier with
+    none draws nothing.  Each queue gets the permuted ids dealt to it, in
+    permutation order, as Python ints.
+    """
+    genome: list[tuple[int, ...]] = []
+    for tier, count in enumerate(snapshot.env.resources_per_tier):
         ids = snapshot.waiting_ids(tier)
         if not ids:
+            genome += [()] * count
             continue
-        order = [ids[int(i)] for i in rng.permutation(len(ids))]
-        picks = rng.integers(env.resources_per_tier[tier], size=len(order))
-        for jid, k in zip(order, picks):
-            per_queue[(tier, int(k))].append(jid)
-    return tuple(tuple(per_queue[(t, k)]) for t, k in env.iter_queues())
+        order = np.array(ids)[rng.permutation(len(ids))]
+        picks = rng.integers(count, size=len(ids))
+        genome += [tuple(order[picks == k].tolist()) for k in range(count)]
+    return tuple(genome)
 
 
 class GenerationStats(NamedTuple):
@@ -268,59 +272,77 @@ class EvolveResult:
     evaluations: int
 
 
-def _run_ga(seeded: Genome, tiers: tuple[int, ...], sample_random, score,
-            config: GAConfig, rng: np.random.Generator):
+def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
+            evaluator: ScheduleEvaluator, base: float, config: GAConfig,
+            rng: np.random.Generator):
     """Shared evolution loop; returns (best, best_score, history, evals).
 
-    ``tiers`` is the owning tier of each of the genomes' segments.  ``evals``
-    is the logical budget, population x generations: every member of every
-    generation has a score.  Scores are pure, so a genome that is a member
-    of the population carries that member's score: the elite, the roulette
-    copies and a crossover child of equal parents (which is its parent).
-    Only the other crossover children and the mutants are scored afresh.
-    The best-ever genome is carried unmodified into each next generation
-    (elitism), which makes the best-so-far history nonincreasing.
+    Segment ``s`` of the genomes is the evaluator's queue ``queues[s]``.  A
+    member of the population is a genome, its score and its per-segment
+    queue scores; the score is ``base`` plus those queue scores summed in
+    segment order, the arithmetic of :meth:`ScheduleEvaluator.fitness`.
+    ``evals`` is the logical budget, population x generations: every member
+    of every generation has a score.  Scores are pure, so the elite, the
+    roulette copies and a crossover child of equal parents (which is its
+    parent) carry their member's scores.  A mutant rescores only the
+    segments that are not its parent's own objects (compared by identity),
+    and the other crossover children are scored in full.  The best-ever
+    member is carried unmodified into each next generation (elitism), which
+    makes the best-so-far history nonincreasing.
 
     ``rng`` builds the initial population; the operators then draw the same
     stream through :class:`_Draws`.
     """
     n = config.population
     ops = config.operator_count
-    population = [seeded] + [sample_random(rng) for _ in range(n - 1)]
-    fits = [score(c) for c in population]
+    score = evaluator.queue_score
+    queue_tiers = [t for t, _ in evaluator.snapshot.env.iter_queues()]
+    tiers = tuple(queue_tiers[q] for q in queues)
+
+    def member(genome: Genome, parent: Genome | None = None, own=None):
+        # ``own`` holds the queue scores of ``parent``, whose segments keep
+        # them where the genome still holds the very same object.
+        if parent is None:
+            parts = [score(q, seg) for q, seg in zip(queues, genome)]
+        else:
+            parts = own.copy()
+            for s, seg in enumerate(genome):
+                if seg is not parent[s]:
+                    parts[s] = score(queues[s], seg)
+        total = base
+        for part in parts:
+            total += part
+        return genome, total, parts
+
+    genomes = [seeded] + [sample_random(rng) for _ in range(n - 1)]
+    population = [member(c) for c in genomes]
     draws = _Draws(rng)
-    # Parents and copies are drawn as indices so they carry their scores.
-    members = range(n)
-    best_c = None
+    # Parents and copies are drawn as members, so they carry their scores.
+    best = None
     best_f = float("inf")
     history: list[GenerationStats] = []
     for gen in range(config.generations):
-        for c, f in zip(population, fits):
-            if f < best_f:
-                best_c, best_f = c, f
+        fits = [m[1] for m in population]
+        # The first member with the lowest score, as a scan would find it.
+        low = min(fits)
+        if low < best_f:
+            best, best_f = population[fits.index(low)], low
         history.append(GenerationStats(gen, best_f, sum(fits) / n))
         if gen == config.generations - 1:
             break
         wheel = roulette_wheel(fits)
-        nxt = [best_c]
-        nxt_fits = [best_f]
+        nxt = [best]
         for _ in range(ops):
-            ia, ib = select(members, wheel, draws, 2)
-            pa, pb = population[ia], population[ib]
-            ca, cb = crossover(pa, pb, draws)
-            nxt += (ca, cb)
-            nxt_fits += (fits[ia] if ca is pa else score(ca),
-                         fits[ib] if cb is pb else score(cb))
+            a, b = select(population, wheel, draws, 2)
+            ca, cb = crossover(a[0], b[0], draws)
+            nxt += (a if ca is a[0] else member(ca),
+                    b if cb is b[0] else member(cb))
         for _ in range(ops):
-            mutant = mutate(population[select(members, wheel, draws)[0]],
-                            tiers, draws)
-            nxt.append(mutant)
-            nxt_fits.append(score(mutant))
-        for i in select(members, wheel, draws, n - len(nxt)):
-            nxt.append(population[i])
-            nxt_fits.append(fits[i])
-        population, fits = nxt, nxt_fits
-    return best_c, best_f, history, n * config.generations
+            parent, _, own = select(population, wheel, draws)[0]
+            nxt.append(member(mutate(parent, tiers, draws), parent, own))
+        nxt += select(population, wheel, draws, n - len(nxt))
+        population = nxt
+    return best[0], best_f, history, n * config.generations
 
 
 def evolve(snapshot: Snapshot, config: GAConfig | None = None) -> EvolveResult:
@@ -338,9 +360,10 @@ def evolve(snapshot: Snapshot, config: GAConfig | None = None) -> EvolveResult:
     initial = evaluator.fitness(seeded)
     best_c, best_f, history, evaluations = _run_ga(
         seeded=seeded,
-        tiers=tuple(t for t, _ in snapshot.env.iter_queues()),
+        queues=tuple(range(snapshot.env.num_queues)),
         sample_random=lambda r: random_chromosome(snapshot, r),
-        score=evaluator.fitness,
+        evaluator=evaluator,
+        base=evaluator.pinned_total,
         config=config,
         rng=np.random.default_rng(config.seed),
     )
@@ -380,9 +403,10 @@ def _evolve_segmented(snapshot: Snapshot, config: GAConfig) -> EvolveResult:
 
         best_c, best_f, history, evals = _run_ga(
             seeded=(order,),
-            tiers=(0,),
+            queues=(qi,),
             sample_random=sample,
-            score=lambda g, qi=qi: evaluator.queue_score(qi, g[0]),
+            evaluator=evaluator,
+            base=0.0,
             config=config,
             rng=np.random.default_rng((config.seed, qi)),
         )

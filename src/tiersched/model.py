@@ -168,6 +168,12 @@ class JobSet:
             raise KeyError(f"unknown job id {job_id}")
         return self.jobs[job_id - 1]
 
+    @cached_property
+    def _allowances(self) -> tuple[float, ...]:
+        """Every job's ``Job.allowance``, at the position of ``jobs``; built
+        once per job set for the schedule evaluators of its snapshots."""
+        return tuple(job.allowance for job in self.jobs)
+
 
 class JobProgress(NamedTuple):
     """Where a resident job currently stands.

@@ -107,36 +107,45 @@ class ScheduleEvaluator:
     constants up front, so scoring a candidate is a single pass through each
     queue: a running predecessor-work counter (seeded with the in-service
     residual) is the job's remaining wait.  In-service jobs keep their
-    schedule-independent violation as a pinned constant.  :meth:`breakdown`
-    is the package's one source of each resident's expected wait.
+    schedule-independent violation as a pinned constant.  The constants read
+    each resident's ``Job.allowance`` from its job set's table, built once
+    per ``JobSet`` rather than once per snapshot.  :meth:`fitness` is
+    ``pinned_total`` plus the :meth:`queue_score` of every queue, added in
+    queue order.  :meth:`breakdown` is the package's one source of each
+    resident's expected wait.
     """
 
     def __init__(self, snapshot: Snapshot, mode: AllowanceMode):
         self.snapshot = snapshot
         env, jobs = snapshot.env, snapshot.jobs
         size = len(jobs) + 1
-        self._const = [0.0] * size
-        self._exec = [0.0] * size
+        self._const = const = [0.0] * size
+        self._exec = execs = [0.0] * size
         self._delays = [
             snapshot.schedule.residual(t, k) for t, k in env.iter_queues()]
+        by_position, allowances = jobs.jobs, jobs._allowances
+        progress = snapshot.progress
+        total_mode = mode is AllowanceMode.TOTAL
         pinned: dict[int, JobViolation] = {}
         for jid in snapshot.resident_ids():
-            prog = snapshot.progress[jid]
-            job = jobs.job(jid)
-            if mode is AllowanceMode.TOTAL:
-                allow = job.allowance
-                base = sum(prog.completed_waits) + prog.elapsed_wait
+            prog = progress[jid]
+            waits = prog.completed_waits
+            tier = len(waits)
+            job = by_position[jid - 1]
+            if total_mode:
+                allow = allowances[jid - 1]
+                base = sum(waits) + prog.elapsed_wait
             else:
-                allow = differentiated_allowance(job, prog.tier)
+                allow = differentiated_allowance(job, tier)
                 base = prog.elapsed_wait
             if prog.in_service:
                 alpha = base - allow
                 pinned[jid] = JobViolation(
                     alpha, penalty(alpha, env.chi, env.nu),
-                    sum(prog.completed_waits) + prog.elapsed_wait)
+                    sum(waits) + prog.elapsed_wait)
             else:
-                self._const[jid] = base - allow
-                self._exec[jid] = job.exec_times[prog.tier]
+                const[jid] = base - allow
+                execs[jid] = job.exec_times[tier]
         self._pinned = pinned
         #: Signed violation of the in-service jobs, fixed for every candidate.
         self.pinned_total = sum(v.alpha for v in pinned.values())

@@ -31,6 +31,7 @@ from tiersched import ga
 from tiersched.ga import _crossover_child
 
 from conftest import fresh_snapshot, genome_valid, job, loaded_snapshot
+from reference_dealer import reference_chromosome
 
 
 def tier_genes(genome, env):
@@ -65,6 +66,52 @@ class TestEncodeDecode:
         for seed in range(100):
             snap = loaded_snapshot(5.0, 14, seed=seed)
             assert genome_valid(random_chromosome(snap, rng), snap)
+
+
+@st.composite
+def dealt_snapshots(draw):
+    """Snapshots whose waiting jobs sit in a random subset of the tiers,
+    some of them behind in-service heads; one-resource tiers and the
+    3-tier (2, 3, 1) environment included."""
+    resources = draw(st.one_of(
+        st.just((2, 3, 1)),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)))
+    env = EnvironmentConfig(num_tiers=len(resources),
+                            resources_per_tier=resources)
+    used = sorted(draw(st.sets(st.integers(0, len(resources) - 1))))
+    count = draw(st.integers(0, 40)) if used else 0
+    orders = [[[] for _ in range(m)] for m in resources]
+    for jid in range(1, count + 1):
+        tier = draw(st.sampled_from(used))
+        orders[tier][draw(st.integers(0, resources[tier] - 1))].append(jid)
+    busy = tuple(tuple(0.5 if queue and draw(st.booleans()) else None
+                       for queue in row) for row in orders)
+    jobs = JobSet(tuple(job(jid, (1.0,) * len(resources))
+                        for jid in range(1, count + 1)))
+    return fresh_snapshot(env, jobs,
+                          tuple(tuple(map(tuple, row)) for row in orders),
+                          busy)
+
+
+class TestDealer:
+    """``random_chromosome`` deals with array operations exactly what the
+    gene-by-gene reference deals, from the same draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(snap=dealt_snapshots(), seed=st.integers(0, 2**64 - 1),
+           before=st.integers(0, 5))
+    def test_matches_reference_genome_and_generator_state(self, snap, seed,
+                                                          before):
+        dealt, reference = (np.random.default_rng(seed) for _ in range(2))
+        for rng in (dealt, reference):
+            # An odd count of small draws leaves a buffered 32-bit half.
+            rng.integers(7, size=before)
+        for _ in range(3):
+            genome = random_chromosome(snap, dealt)
+            assert genome == reference_chromosome(snap, reference)
+            assert all(type(gene) is int for seg in genome for gene in seg)
+            assert genome_valid(genome, snap)
+            assert dealt.bit_generator.state == reference.bit_generator.state
 
 
 def _swap_across_tiers(segs):
@@ -369,88 +416,109 @@ class TestEvolveSegmented:
 
 
 class TestScoringWork:
-    """After the first generation only the mutants and the children of
-    unequal crossover parents are scored.  The elite, the roulette copies and
-    a child of equal parents (the parent itself) carry their parent's score,
-    while ``evaluations`` keeps the logical budget."""
-
-    @staticmethod
-    def scored(config, fresh_children):
-        return (config.population
-                + (config.generations - 1) * config.operator_count
-                + fresh_children)
+    """Queue scorings inside the GA loop, counted exactly.  Every member
+    carries its per-queue scores: the elite, the roulette copies and a
+    crossover child of equal parents (the parent itself) are not rescored, a
+    mutant rescores only the segments that are not its parent's own objects,
+    and a child of unequal parents is scored in full.  ``evaluations`` keeps
+    the logical budget."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Per ``_run_ga`` call: scorings, and crossover children of unequal
-        and of equal parents; plus ``ScheduleEvaluator.fitness`` calls."""
-        runs: list[int] = []
-        unequal: list[int] = []
-        equal: list[int] = []
+        """Per ``_run_ga`` call: ``queue_score`` calls, crossover children of
+        unequal and of equal parents, and the segments each mutant does not
+        share with its parent; plus ``ScheduleEvaluator.fitness`` calls."""
+        runs: list[dict] = []
         fitness_calls = [0]
-        plain_run, plain_fitness = ga._run_ga, ScheduleEvaluator.fitness
-        plain_crossover = ga.crossover
+        plain_run, plain_score = ga._run_ga, ScheduleEvaluator.queue_score
+        plain_fitness = ScheduleEvaluator.fitness
+        plain_crossover, plain_mutate = ga.crossover, ga.mutate
 
-        def run(seeded, tiers, sample_random, score, config, rng):
-            runs.append(0)
-            unequal.append(0)
-            equal.append(0)
+        def run(*args, **kwargs):
+            runs.append(dict(scorings=0, unequal=0, equal=0, fresh=[]))
+            try:
+                return plain_run(*args, **kwargs)
+            finally:
+                runs[-1]["done"] = True
 
-            def counting(c):
-                runs[-1] += 1
-                return score(c)
-
-            return plain_run(seeded, tiers, sample_random, counting, config,
-                             rng)
+        def queue_score(self, queue_index, order):
+            if runs and "done" not in runs[-1]:
+                runs[-1]["scorings"] += 1
+            return plain_score(self, queue_index, order)
 
         def crossover(parent_a, parent_b, rng):
-            if parent_a == parent_b:
-                equal[-1] += 2
-            else:
-                unequal[-1] += 2
+            runs[-1]["equal" if parent_a == parent_b else "unequal"] += 2
             return plain_crossover(parent_a, parent_b, rng)
 
-        def fitness_counted(self, flat_orders):
+        def mutate(genome, tiers, rng):
+            mutant = plain_mutate(genome, tiers, rng)
+            runs[-1]["fresh"].append(
+                sum(seg is not old for seg, old in zip(mutant, genome)))
+            return mutant
+
+        def fitness(self, flat_orders):
             fitness_calls[0] += 1
             return plain_fitness(self, flat_orders)
 
         monkeypatch.setattr(ga, "_run_ga", run)
+        monkeypatch.setattr(ScheduleEvaluator, "queue_score", queue_score)
+        monkeypatch.setattr(ScheduleEvaluator, "fitness", fitness)
         monkeypatch.setattr(ga, "crossover", crossover)
-        monkeypatch.setattr(ScheduleEvaluator, "fitness", fitness_counted)
-        return runs, unequal, equal, fitness_calls
+        monkeypatch.setattr(ga, "mutate", mutate)
+        return runs, fitness_calls
 
     CONFIGS = [dict(), dict(population=30)]
 
+    @staticmethod
+    def check_operators(runs, config):
+        # Both kinds of crossover occur, so the count tells them apart.
+        assert sum(run["unequal"] for run in runs) > 0
+        assert sum(run["equal"] for run in runs) > 0
+        for run in runs:
+            assert run["unequal"] + run["equal"] == (
+                2 * (config.generations - 1) * config.operator_count)
+            assert len(run["fresh"]) == (
+                (config.generations - 1) * config.operator_count)
+
     @pytest.mark.parametrize("extra", CONFIGS)
     def test_virtualized_scores_only_offspring(self, counted, extra):
-        runs, unequal, equal, fitness_calls = counted
+        runs, fitness_calls = counted
         snap = loaded_snapshot(6.0, 30, seed=16)
+        queues = snap.env.num_queues
         config = GAConfig(generations=60, seed=3, **extra)
         result = evolve(snap, config)
-        # Both kinds of crossover occur, so the count tells them apart.
-        assert unequal[0] > 0 and equal[0] > 0
-        assert unequal[0] + equal[0] == (
-            2 * (config.generations - 1) * config.operator_count)
-        assert runs == [self.scored(config, unequal[0])]
-        # Plus one scoring of the incumbent for ``initial_fitness``.
-        assert fitness_calls[0] == runs[0] + 1
+        self.check_operators(runs, config)
+        (run,) = runs
+        # A mutant reorders one queue or migrates a job between two.
+        assert set(run["fresh"]) == {1, 2}
+        assert run["scorings"] == (config.population * queues
+                                   + sum(run["fresh"])
+                                   + run["unequal"] * queues)
+        # Only the incumbent's ``initial_fitness`` goes through ``fitness``.
+        assert fitness_calls[0] == 1
         assert result.evaluations == config.population * config.generations
 
     @pytest.mark.parametrize("extra", CONFIGS)
     def test_segmented_scores_only_offspring_per_queue(self, counted,
                                                          extra):
-        runs, unequal, equal, _ = counted
+        runs, _ = counted
         snap = loaded_snapshot(6.0, 30, seed=16)
         config = GAConfig(generations=60, seed=3,
                           variant=QueueVariant.SEGMENTED, **extra)
         result = evolve(snap, config)
         evolved = sum(len(q) >= 2 for q in snap.schedule.flat_waiting())
         assert evolved >= 2
-        assert sum(unequal) > 0 and sum(equal) > 0
-        assert runs == [self.scored(config, fresh) for fresh in unequal]
         assert len(runs) == evolved
-        assert result.evaluations == (evolved * config.population
-                                      * config.generations)
+        self.check_operators(runs, config)
+        for run in runs:
+            # The one queue of a mutant is always new.
+            assert set(run["fresh"]) == {1}
+            assert run["scorings"] == (
+                config.population
+                + (config.generations - 1) * config.operator_count
+                + run["unequal"])
+        assert result.evaluations == (
+            config.population * config.generations * evolved)
 
 
 class TestDraws:

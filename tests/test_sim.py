@@ -397,6 +397,62 @@ class TestPinnedDrain:
             "dddd715db65433abdd1c8f98a791a930")
 
 
+class TestPinnedOnline:
+    """Online GA runs shaped like the benchmark's overloaded stream
+    (lambda 4, a virtualized 20-generation GA every 50 events), shortened
+    to 1,000 jobs.  Every decision's fitness, history and installed orders,
+    the trace and the drained totals were recorded before the GA's initial
+    population, allowances and offspring scoring were reworked."""
+
+    PINNED = {
+        1: (80,
+            "4b6aea5c7d33c008fbcde7083aa49b0f"
+            "47e1d4f48f1a57dca25a4d9213298b2a",
+            "(44320.02845684461, 44321.0424246499, 314.10175957180223, "
+            "255.71381518128558)",
+            "0e16fd3703db10d3711c9debf979ae86"
+            "88f01c7484b604911ce43430dbf97983"),
+        2: (80,
+            "7f99ed49006066cdec3c8c7b66072afa"
+            "f80cbd536e0df9e9da65812239fa9be1",
+            "(41217.70342688399, 41220.62196881381, 296.8015568377865, "
+            "243.02505789668714)",
+            "50087a82a29041a22103139189f41c15"
+            "ba0d6183bb5197c7aa931d132fc38655"),
+    }
+
+    @staticmethod
+    def online_run(seed):
+        env = EnvironmentConfig()
+        jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=1000,
+                                     seed=seed), env)
+        config = GAConfig(generations=20, mode=AllowanceMode.TOTAL, seed=seed)
+        h = hashlib.sha256()
+        decisions = 0
+
+        def optimizer(snap):
+            nonlocal decisions
+            decisions += 1
+            result = evolve(snap, config)
+            h.update(repr((result.best_fitness, result.initial_fitness,
+                           result.evaluations, tuple(result.history),
+                           result.best_schedule.orders)).encode())
+            return result.best_schedule
+
+        sim = Simulator(jobs, env, make_policy("fcfs", env),
+                        optimizer=optimizer, reschedule_every=50,
+                        keep_trace=True).run()
+        h.update("\n".join(sim.trace_lines()).encode())
+        report = sim.report()
+        totals = repr((report.total_signed, report.total_violation,
+                       report.total_cost, report.max_violation))
+        return decisions, h.hexdigest(), totals, outcome_digest(report)
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_decisions_trace_and_totals(self, seed):
+        assert self.online_run(seed) == self.PINNED[seed]
+
+
 EDGE_EXECS = ((1.0, 0.5), (0.5, 1.0), (0.25, 0.25), (1.5, 0.5), (0.5, 0.5),
               (1.0, 1.5), (0.75, 0.25))
 
