@@ -67,9 +67,6 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generations", type=int, default=1000)
     p.add_argument("--ga-seed", type=int, default=None,
                    help="genetic search seed (defaults to the workload seed)")
-    p.add_argument("--epoch", type=int, default=0,
-                   help="online rescheduling cadence in events; 0 optimizes "
-                        "one frozen snapshot")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,6 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_flags(p_run)
     _add_env_flags(p_run)
     _add_ga_flags(p_run)
+    p_run.add_argument("--epoch", type=int, default=0,
+                       help="online rescheduling cadence in events; 0 "
+                            "optimizes one frozen snapshot")
     p_run.add_argument("--workload", help="workload file (overrides generation flags)")
     p_run.add_argument("--policy", default="fcfs",
                        choices=BASELINES + GA_POLICIES)

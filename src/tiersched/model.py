@@ -290,72 +290,44 @@ class ValidationReport:
 def validate_schedule(schedule: Schedule,
                       env: EnvironmentConfig,
                       jobs: JobSet,
-                      snapshot: "Snapshot | None" = None) -> ValidationReport:
-    """Check a schedule's structural invariants, report-style.
+                      snapshot: Snapshot) -> ValidationReport:
+    """Check a candidate schedule against the snapshot it was computed from.
 
-    Always checked: layout matches the environment, ids are known, no id
-    appears twice within a tier, and no job occupies queues of two tiers at
-    once.  Given a reference snapshot, additionally checks that per-tier
-    waiting sets are preserved and that in-service jobs stay pinned at their
-    original heads with their original residuals.
+    Reported as violations: ``env`` or ``jobs`` is not the snapshot's, the
+    layout differs from the environment, a tier's waiting set changed, or an
+    in-service head moved or had its residual changed (beyond ``TIME_EPS``).
+    A ``Snapshot`` is structurally valid by construction: it holds each
+    resident once under a known id, with no residual above its head's
+    execution time.  So a candidate that passes holds the snapshot's jobs in
+    their tiers, each once; no unknown id, duplicate or job in two tiers
+    needs a walk of its own.
     """
+    if env != snapshot.env or jobs != snapshot.jobs:
+        return ValidationReport(ok=False, violations=(
+            "environment or job set differs from the snapshot's",))
+    if tuple(len(tier) for tier in schedule.orders) != env.resources_per_tier:
+        return ValidationReport(ok=False, violations=(
+            "layout does not match the environment",))
+
     violations: list[str] = []
-
-    if schedule.num_tiers != env.num_tiers or any(
-            schedule.resources_in(t) != env.resources_per_tier[t]
-            for t in range(schedule.num_tiers)):
-        violations.append("layout does not match the environment")
-        return ValidationReport(ok=False, violations=tuple(violations))
-
-    seen_tier: dict[int, int] = {}
-    for tier in range(schedule.num_tiers):
-        counted: dict[int, int] = {}
-        for k in range(schedule.resources_in(tier)):
-            for jid in schedule.queue(tier, k):
-                if not 1 <= jid <= len(jobs):
-                    violations.append(f"unknown job id {jid} in tier {tier}")
-                    continue
-                counted[jid] = counted.get(jid, 0) + 1
-        for jid, n in counted.items():
-            if n > 1:
-                violations.append(f"duplicate within tier {tier}: job {jid}")
-            if jid in seen_tier:
-                violations.append(
-                    f"job {jid} appears in tiers {seen_tier[jid]} and {tier}")
-            else:
-                seen_tier[jid] = tier
-
+    for tier, want in enumerate(snapshot._waiting_by_tier):
+        have = sorted(
+            jid for k in range(schedule.resources_in(tier))
+            for jid in schedule.waiting(tier, k))
+        if tuple(have) != want:
+            violations.append(f"tier {tier}: waiting job set changed")
+    reference = snapshot.schedule
     for tier, k in env.iter_queues():
-        head = schedule.in_service_id(tier, k)
-        if head is None:
-            continue
-        residual = schedule.residual(tier, k)
-        if 1 <= head <= len(jobs):
-            if residual > jobs.job(head).exec_times[tier] + TIME_EPS:
-                violations.append(
-                    f"tier {tier} resource {k}: residual exceeds the head's "
-                    f"execution time")
-
-    if snapshot is not None:
-        for tier in range(env.num_tiers):
-            want = sorted(snapshot.waiting_ids(tier))
-            have = sorted(
-                jid for k in range(schedule.resources_in(tier))
-                for jid in schedule.waiting(tier, k))
-            if want != have:
-                violations.append(f"tier {tier}: waiting job set changed")
-        for tier, k in env.iter_queues():
-            ref_head = snapshot.schedule.in_service_id(tier, k)
-            got_head = schedule.in_service_id(tier, k)
-            if ref_head != got_head:
-                violations.append(
-                    f"tier {tier} resource {k}: in-service job "
-                    f"{ref_head} reordered or migrated")
-            elif ref_head is not None and abs(
-                    schedule.residual(tier, k)
-                    - snapshot.schedule.residual(tier, k)) > TIME_EPS:
-                violations.append(
-                    f"tier {tier} resource {k}: in-service residual changed")
+        ref_head = reference.in_service_id(tier, k)
+        if ref_head != schedule.in_service_id(tier, k):
+            violations.append(
+                f"tier {tier} resource {k}: in-service job "
+                f"{ref_head} reordered or migrated")
+        elif ref_head is not None and abs(
+                schedule.residual(tier, k)
+                - reference.residual(tier, k)) > TIME_EPS:
+            violations.append(
+                f"tier {tier} resource {k}: in-service residual changed")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -366,6 +338,13 @@ class Snapshot:
 
     Bundles the live schedule with per-job progress so violation times of
     candidate schedules can be evaluated without touching the simulator.
+    It is structurally valid by construction; ``ValueError`` refuses a
+    schedule laid out unlike ``env``, jobs with another tier count, an id
+    outside ``1..len(jobs)``, a job scheduled twice (in one tier or two), an
+    in-service residual above the head's execution time, and progress
+    records that disagree with the queues (coverage, id, tier, arrivals,
+    negative waits, in-service flag).  ``validate_schedule`` checks
+    candidates against a snapshot.
     """
 
     env: EnvironmentConfig
@@ -375,15 +354,31 @@ class Snapshot:
     progress: dict[int, JobProgress] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # One pass over the schedule: each job's first (tier, in-service
-        # head) location, checked against its progress record below.
+        schedule, jobs = self.schedule, self.jobs.jobs
+        num_jobs = len(jobs)
+        layout = tuple(len(tier) for tier in schedule.orders)
+        if layout != self.env.resources_per_tier:
+            raise ValueError("schedule layout does not match the environment")
+        if self.jobs.num_tiers not in (0, self.env.num_tiers):
+            raise ValueError("job tier count does not match the environment")
+        # One pass over the schedule: each job's (tier, in-service head)
+        # location, checked against its progress record below.
         located: dict[int, tuple[int, bool]] = {}
         for tier, (tier_queues, tier_busy) in enumerate(
-                zip(self.schedule.orders, self.schedule.busy)):
+                zip(schedule.orders, schedule.busy)):
             for queue, residual in zip(tier_queues, tier_busy):
                 for pos, jid in enumerate(queue):
-                    located.setdefault(
-                        jid, (tier, pos == 0 and residual is not None))
+                    if not 1 <= jid <= num_jobs:
+                        raise ValueError(f"unknown job id {jid} in tier {tier}")
+                    if jid in located:
+                        raise ValueError(f"job {jid} scheduled twice")
+                    head = pos == 0 and residual is not None
+                    if head and (residual > jobs[jid - 1].exec_times[tier]
+                                 + TIME_EPS):
+                        raise ValueError(
+                            f"job {jid}: residual exceeds its tier {tier} "
+                            f"execution time")
+                    located[jid] = (tier, head)
         if located.keys() != self.progress.keys():
             raise ValueError("schedule and progress must cover the same jobs")
         for jid, prog in self.progress.items():

@@ -297,10 +297,12 @@ class Simulator:
                          snapshot: Snapshot | None = None) -> bool:
         """Replace the waiting orders with those of a candidate schedule.
 
-        The candidate is validated against the live state first; in-service
-        jobs must stay pinned and per-tier waiting sets must be preserved.
-        ``snapshot`` must be a snapshot of the current state (the one the
-        candidate was computed from); a fresh one is taken when omitted.
+        ``validate_schedule`` checks the candidate against ``snapshot``, a
+        snapshot of the current state (the one the candidate was computed
+        from; a fresh one is taken when omitted): the layout, each tier's
+        waiting set, and the pinned in-service heads with their residuals.
+        The snapshot is structurally valid by construction, so these checks
+        also rule out unknown, duplicated and cross-tier ids.
         Invalid candidates are rejected (logged, previous schedule kept).
         Newly non-empty queues on idle resources begin service immediately.
         """

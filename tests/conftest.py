@@ -61,9 +61,9 @@ def fresh_snapshot(env, jobs, orders, busy=None, clock=0.0, elapsed=None,
 
 
 def genome_valid(genome, snap):
-    """Whether ``genome`` installed over ``snap`` passes the snapshot-aware
-    ``validate_schedule``; ``with_waiting`` refuses a genome whose segment
-    count differs from the queue count."""
+    """Whether ``genome`` installed over ``snap`` passes ``validate_schedule``
+    against ``snap``; ``with_waiting`` refuses a genome whose segment count
+    differs from the queue count."""
     try:
         schedule = snap.schedule.with_waiting(genome)
     except ValueError:

@@ -69,6 +69,9 @@ CONTRACT = {
     "compare-negative-seed": (
         ("compare", "--jobs", "20", "--lambda", "4", "--policies", "wlc",
          "--seed", "-1"), 3, "input error: --seed must be nonnegative, got -1"),
+    "compare-epoch": (
+        ("compare", *GEN, "--policies", "fcfs", "ga-virtualized", "--epoch",
+         "50"), 2, "unrecognized arguments: --epoch 50"),
     "compare-negative-allowance": (
         ("compare", *GEN, "--allowance", "-0.1", "--policies", "fcfs"), 3,
         "allowance_fraction must be nonnegative"),

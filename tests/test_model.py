@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tiersched
 from tiersched import (
     EnvironmentConfig,
     Job,
@@ -17,6 +26,7 @@ from tiersched.sim import Simulator
 
 from conftest import fresh_snapshot, job, loaded_snapshot
 from expected_waits import remaining_wait
+from reference_validate import reference_validate
 
 
 class TestEnvironmentConfig:
@@ -72,33 +82,20 @@ class TestJobSet:
 
 
 class TestValidateSchedule:
-    def test_duplicate_within_tier(self, env_2x2):
-        jobs = JobSet(tuple(job(i, (1.0, 1.0)) for i in (1, 2, 3)))
-        sched = Schedule(orders=(((3, 1), (3,)), ((), ())),
-                         busy=((None, None), (None, None)))
-        report = validate_schedule(sched, env_2x2, jobs)
-        assert not report.ok
-        assert any("duplicate within tier 0" in v for v in report.violations)
-
-    def test_cross_tier_duplicate(self, env_2x2):
-        jobs = JobSet(tuple(job(i, (1.0, 1.0)) for i in (1, 2)))
-        sched = Schedule(orders=(((1,), ()), ((1,), (2,))),
-                         busy=((None, None), (None, None)))
-        report = validate_schedule(sched, env_2x2, jobs)
-        assert any("tiers 0 and 1" in v for v in report.violations)
-
-    def test_unknown_id(self, env_2x2):
-        jobs = JobSet((job(1, (1.0, 1.0)),))
-        sched = Schedule(orders=(((9,), ()), ((), ())),
-                         busy=((None, None), (None, None)))
-        assert not validate_schedule(sched, env_2x2, jobs).ok
-
-    def test_empty_schedule_passes(self, env_2x3):
-        empty = Schedule(
-            orders=tuple(((),) * m for m in env_2x3.resources_per_tier),
-            busy=tuple((None,) * m for m in env_2x3.resources_per_tier))
-        report = validate_schedule(empty, env_2x3, JobSet())
+    def test_empty_snapshot_passes(self, env_2x3):
+        snap = fresh_snapshot(
+            env_2x3, JobSet(),
+            tuple(((),) * m for m in env_2x3.resources_per_tier))
+        report = validate_schedule(snap.schedule, env_2x3, snap.jobs,
+                                   snapshot=snap)
         assert report.ok and report.violations == ()
+
+    def test_foreign_environment_or_jobs_reported(self, env_2x2):
+        snap = loaded_snapshot(4.0, 30, seed=7)
+        for env, jobs in ((env_2x2, snap.jobs), (snap.env, JobSet())):
+            report = validate_schedule(snap.schedule, env, jobs, snapshot=snap)
+            assert report.violations == (
+                "environment or job set differs from the snapshot's",)
 
     def test_simulator_snapshot_is_valid(self, env_2x3):
         snap = loaded_snapshot(4.0, 30, seed=7)
@@ -159,6 +156,75 @@ class TestSnapshotChecks:
         with pytest.raises(ValueError, match=f"job {jid}: in-service flag"):
             self.rebuilt(snap, {**snap.progress, jid: flipped})
 
+    @staticmethod
+    def with_schedule(snap, orders, busy=None, progress=None):
+        schedule = Schedule(orders=orders, busy=busy or snap.schedule.busy)
+        return Snapshot(env=snap.env, jobs=snap.jobs, clock=snap.clock,
+                        schedule=schedule, progress=progress or snap.progress)
+
+    def test_job_twice_in_a_tier(self, snap):
+        with pytest.raises(ValueError, match="job 2 scheduled twice"):
+            self.with_schedule(snap, (((1, 2), (3, 2)), ((), ())))
+
+    def test_job_in_two_tiers(self, snap):
+        with pytest.raises(ValueError, match="job 2 scheduled twice"):
+            self.with_schedule(snap, (((1, 2), (3,)), ((2,), ())))
+
+    @pytest.mark.parametrize("jid", [0, 4])
+    def test_unknown_id(self, snap, jid):
+        # Its progress record agrees with the queues; only the id is wrong.
+        progress = {**snap.progress, jid: snap.progress[3]._replace(job_id=jid)}
+        with pytest.raises(ValueError, match=f"unknown job id {jid} in tier 0"):
+            self.with_schedule(snap, (((1, 2), (3, jid)), ((), ())),
+                               progress=progress)
+
+    def test_layout_wider_than_the_environment(self, snap):
+        with pytest.raises(ValueError, match="layout"):
+            self.with_schedule(snap, (((1, 2), (), (3,)), ((), ())),
+                               busy=((1.5, None, None), (None, None)))
+
+    def test_jobs_with_another_tier_count(self, snap):
+        one_tier = JobSet(tuple(job(j.id, j.exec_times[:1], arrival=j.arrival)
+                                for j in snap.jobs))
+        with pytest.raises(ValueError, match="job tier count"):
+            Snapshot(env=snap.env, jobs=one_tier, clock=snap.clock,
+                     schedule=snap.schedule, progress=snap.progress)
+
+    def test_residual_above_the_execution_time(self, snap):
+        # Job 1 runs 2.0 in tier 0.
+        self.with_schedule(snap, snap.schedule.orders,
+                           busy=((2.0, None), (None, None)))
+        with pytest.raises(ValueError, match="job 1: residual exceeds"):
+            self.with_schedule(snap, snap.schedule.orders,
+                               busy=((2.1, None), (None, None)))
+
+    def test_duplicate_id_raises_under_python_O(self):
+        # The checks are raise statements, not asserts that -O strips.
+        script = textwrap.dedent("""
+            from tiersched import (EnvironmentConfig, Job, JobProgress,
+                                   JobSet, Schedule, Snapshot)
+            env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
+            jobs = JobSet((Job(id=1, arrival=0.0, exec_times=(1.0,),
+                               target_completion=2.0),))
+            print("debug", __debug__)
+            try:
+                Snapshot(env=env, jobs=jobs, clock=0.0,
+                         schedule=Schedule(orders=(((1,), (1,)),),
+                                           busy=((None, None),)),
+                         progress={1: JobProgress(1, (0.0,), (), 0.0)})
+            except ValueError as err:
+                print("raised", err)
+            else:
+                print("built silently")
+        """)
+        src = Path(tiersched.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.splitlines() == [
+            "debug False", "raised job 1 scheduled twice"]
+
     @pytest.mark.parametrize("jid, broken, message", [
         (3, lambda p: p[2], "job 3: progress record of job 2"),
         (3, lambda p: p[3]._replace(tier_arrivals=(0.6, 1.6)),
@@ -177,6 +243,84 @@ class TestSnapshotChecks:
                               busy=((1.5, None), (None, None)))
         with pytest.raises(ValueError, match=message):
             self.rebuilt(snap, {**snap.progress, jid: broken(snap.progress)})
+
+
+FUZZ_RESOURCES = ((3, 3), (2, 3, 1), (1, 1))
+EDITS = ("move", "duplicate", "other-tier", "unknown", "drop", "demote",
+         "nudge")
+
+
+@st.composite
+def simulator_snapshots(draw):
+    """A simulator's snapshot part-way through a seeded stream."""
+    resources = draw(st.sampled_from(FUZZ_RESOURCES))
+    env = EnvironmentConfig(num_tiers=len(resources),
+                            resources_per_tier=resources)
+    jobs = generate(WorkloadSpec(
+        arrival_rate=draw(st.sampled_from([2.0, 6.0])),
+        num_jobs=draw(st.integers(1, 30)), seed=draw(st.integers(0, 999))),
+        env)
+    sim = Simulator(jobs, env, draw(st.sampled_from(["fcfs", "wlc", "wrr"])))
+    for _ in range(draw(st.integers(0, 2 * env.num_tiers * len(jobs)))):
+        sim.step()
+    return sim.snapshot()
+
+
+def edit(draw, snap, orders, busy, kind):
+    """Apply one edit of ``kind`` in place to a candidate's queues; an edit
+    with nothing to act on leaves them as they are."""
+    env = snap.env
+
+    def first_waiting(t, k):
+        return 0 if busy[t][k] is None else 1
+
+    def insert(jid, t):
+        k = draw(st.integers(0, env.resources_per_tier[t] - 1))
+        queue = orders[t][k]
+        queue.insert(draw(st.integers(first_waiting(t, k), len(queue))), jid)
+
+    waiting = [(t, k, pos) for t, k in env.iter_queues()
+               for pos in range(first_waiting(t, k), len(orders[t][k]))]
+    heads = [(t, k) for t, k in env.iter_queues() if busy[t][k] is not None]
+    any_tier = st.integers(0, env.num_tiers - 1)
+    if kind in ("move", "other-tier", "drop") and waiting:
+        t, k, pos = draw(st.sampled_from(waiting))
+        jid = orders[t][k].pop(pos)
+        if kind == "move":
+            insert(jid, t)
+        elif kind == "other-tier":
+            insert(jid, draw(any_tier.filter(lambda u: u != t)))
+    elif kind == "duplicate" and snap.progress:
+        insert(draw(st.sampled_from(sorted(snap.progress))), draw(any_tier))
+    elif kind == "unknown":
+        insert(draw(st.sampled_from([0, len(snap.jobs) + 1, -3])),
+               draw(any_tier))
+    elif kind == "demote" and heads:
+        t, k = draw(st.sampled_from(heads))
+        busy[t][k] = None
+    elif kind == "nudge" and heads:
+        t, k = draw(st.sampled_from(heads))
+        busy[t][k] = max(0.0, busy[t][k] + draw(st.sampled_from(
+            [1e-12, -1e-12, 1e-6, -1e-6, 100.0])))
+
+
+class TestValidateAgainstReference:
+    """Checked against a valid snapshot, the candidate-only checks reach the
+    verdict of the whole-candidate walk they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(snap=simulator_snapshots(), data=st.data())
+    def test_verdicts_agree(self, snap, data):
+        orders = [[list(q) for q in row] for row in snap.schedule.orders]
+        busy = [list(row) for row in snap.schedule.busy]
+        for kind in data.draw(st.lists(st.sampled_from(EDITS), min_size=1,
+                                       max_size=3)):
+            edit(data.draw, snap, orders, busy, kind)
+        candidate = Schedule(orders=orders, busy=busy)
+        got = validate_schedule(candidate, snap.env, snap.jobs, snapshot=snap)
+        want = reference_validate(candidate, snap.env, snap.jobs,
+                                  snapshot=snap)
+        assert got.ok == want.ok, (got.violations, want.violations)
 
 
 class TestRemainingWait:
