@@ -5,20 +5,33 @@ tier's waiting jobs to its queues and every ordering within those queues,
 and keep the global minimum of the signed violation total.  Queue scores are
 independent across tiers, so each tier is enumerated separately and the
 minima add; the enumerated space is still exactly the full cross product.
-Only sensible at desk scale (the state count is super-exponential).
+
+Every state is still formed and compared, but as rows of arrays: a tier's
+permutations come in chunks of ``CHUNK_ROWS``, and each stars-and-bars split
+of a chunk cuts every row into the same per-queue blocks.  A block's score
+is a column of :meth:`ScheduleEvaluator.prefix_scores`, the same additions
+as :meth:`ScheduleEvaluator.queue_score`, so each state's score is bit for
+bit the one a state-by-state loop gets.  Only rows that reach the running
+minimum are decoded into schedules for the tie-break.  Only sensible at
+desk scale (the state count is super-exponential).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
+
+import numpy as np
 
 from .model import Schedule, SchedulingError, Snapshot
 from .penalty import AllowanceMode, ScheduleEvaluator
 
 #: Ceiling on enumerated schedules before the oracle refuses.
 DEFAULT_MAX_STATES = 5_000_000
+
+#: Permutations scored per array pass; bounds the oracle's working memory.
+CHUNK_ROWS = 2048
 
 
 class InstanceTooLargeError(SchedulingError):
@@ -42,26 +55,16 @@ def count_states(snapshot: Snapshot) -> int:
     return total
 
 
-def _ordered_splits(ids: list[int], queues: int):
-    """All ways to deal an ordered id list into ``queues`` ordered queues.
-
-    Yields tuples of per-queue tuples; every permutation of ``ids`` combined
-    with every split point covers each arrangement exactly once.
-    """
-    n = len(ids)
-    if n == 0:
-        yield ((),) * queues
-        return
-    for perm in permutations(ids):
-        for bars in combinations(range(n + queues - 1), queues - 1):
-            blocks = []
-            prev = 0
-            for i, bar in enumerate(bars):
-                size = bar - i - prev
-                blocks.append(perm[prev:prev + size])
-                prev += size
-            blocks.append(perm[prev:])
-            yield tuple(blocks)
+def _block_bounds(bars: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    """Each queue's ``(start, stop)`` slice of a permutation of ``n``
+    entries, given the bar positions that deal it into ``len(bars) + 1``
+    queues (a stars-and-bars combination of ``range(n + len(bars))``)."""
+    bounds = []
+    prev = 0
+    for i, bar in enumerate(bars):
+        bounds.append((prev, bar - i))
+        prev = bar - i
+    return bounds + [(prev, n)]
 
 
 def exhaustive_best(snapshot: Snapshot,
@@ -85,18 +88,38 @@ def exhaustive_best(snapshot: Snapshot,
     states = 0
     for tier in range(env.num_tiers):
         ids = snapshot.waiting_ids(tier)
+        n = len(ids)
         m = env.resources_per_tier[tier]
         offset = env.queue_offset(tier)
+        splits = [_block_bounds(bars, n)
+                  for bars in combinations(range(n + m - 1), m - 1)]
+        id_array = np.array(ids, dtype=np.intp)
         best_blocks = None
         best_score = None
-        for blocks in _ordered_splits(ids, m):
-            states += 1
-            score = 0.0
-            for k, block in enumerate(blocks):
-                score += evaluator.queue_score(offset + k, block)
-            if (best_score is None or score < best_score
-                    or (score == best_score and blocks < best_blocks)):
-                best_blocks, best_score = blocks, score
+        perms = permutations(range(n))
+        total_rows = math.factorial(n)
+        for done in range(0, total_rows, CHUNK_ROWS):
+            rows = min(CHUNK_ROWS, total_rows - done)
+            chunk = np.fromiter(chain.from_iterable(islice(perms, rows)),
+                                dtype=np.int8, count=rows * n).reshape(rows, n)
+            orders = id_array[chunk]
+            head = evaluator.prefix_scores(offset, orders)
+            for bounds in splits:
+                score = 0.0 + head[:, bounds[0][1]]
+                for k, (start, stop) in enumerate(bounds[1:], 1):
+                    score = score + evaluator.prefix_scores(
+                        offset + k, orders[:, start:stop])[:, -1]
+                states += rows
+                low = score.min()
+                if best_score is not None and low > best_score:
+                    continue
+                for row in np.flatnonzero(score == low).tolist():
+                    perm = orders[row].tolist()
+                    blocks = tuple(tuple(perm[start:stop])
+                                   for start, stop in bounds)
+                    if (best_score is None or low < best_score
+                            or (low == best_score and blocks < best_blocks)):
+                        best_blocks, best_score = blocks, float(low)
         if best_blocks is None:
             raise AssertionError(f"tier {tier}: no schedule enumerated")
         best_orders.extend(best_blocks)

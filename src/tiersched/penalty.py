@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .model import (
     InvalidScheduleError,
@@ -111,8 +114,9 @@ class ScheduleEvaluator:
     each resident's ``Job.allowance`` from its job set's table, built once
     per ``JobSet`` rather than once per snapshot.  :meth:`fitness` is
     ``pinned_total`` plus the :meth:`queue_score` of every queue, added in
-    queue order.  :meth:`breakdown` is the package's one source of each
-    resident's expected wait.
+    queue order.  :meth:`prefix_scores` scores many orders of one queue at
+    once, with the same additions as :meth:`queue_score`.  :meth:`breakdown`
+    is the package's one source of each resident's expected wait.
     """
 
     def __init__(self, snapshot: Snapshot, mode: AllowanceMode):
@@ -159,6 +163,31 @@ class ScheduleEvaluator:
             total += const[jid] + run
             run += execs[jid]
         return total
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-job constants and execution times as arrays indexed by
+        job id, built on the first :meth:`prefix_scores` call."""
+        return np.array(self._const), np.array(self._exec)
+
+    def prefix_scores(self, queue_index: int, orders) -> np.ndarray:
+        """Signed violation totals of every prefix of many orders of one
+        queue.
+
+        ``orders`` is a 2-D array of job ids, one order per row.  Column c of
+        the ``(rows, width + 1)`` result is ``queue_score(queue_index,
+        row[:c])`` bit for bit: the columns repeat its additions in its order.
+        """
+        const, execs = self._tables
+        rows, width = orders.shape
+        table = np.empty((rows, width + 1))
+        table[:, 0] = 0.0
+        run = np.full(rows, self._delays[queue_index])
+        for c in range(width):
+            ids = orders[:, c]
+            np.add(table[:, c], const[ids] + run, out=table[:, c + 1])
+            run += execs[ids]
+        return table
 
     def fitness(self, flat_orders) -> float:
         """Signed violation total over all residents for candidate orders.

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiersched import (
     AllowanceMode,
@@ -252,3 +254,59 @@ class TestOneScoringPath:
                             abs=1e-9)
                         checked += 1
         assert checked == 2332 and reordered > 0
+
+
+def scalar_scores(evaluator, queue_index, orders):
+    """``queue_score`` of every prefix of every row, as float bit strings."""
+    return [[evaluator.queue_score(queue_index, row[:c]).hex()
+             for c in range(len(row) + 1)] for row in orders.tolist()]
+
+
+class TestPrefixScores:
+    """Column c of ``prefix_scores`` is ``queue_score`` of each row's first
+    c jobs, bit for bit, on a busy queue and an idle one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_columns_equal_queue_scores(self, data):
+        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
+        odd = st.integers(1, 99_999).map(lambda i: i / 9_973)
+        count = data.draw(st.integers(2, 7))
+        jobs = JobSet(tuple(
+            job(i + 1, (data.draw(odd),),
+                fraction=data.draw(st.integers(0, 97)) / 97)
+            for i in range(count)))
+        residual = jobs.job(1).exec_times[0] * data.draw(
+            st.integers(0, 97)) / 97
+        waiting = tuple(range(2, count + 1))
+        snap = fresh_snapshot(
+            env, jobs, (((1,) + waiting, ()),), busy=((residual, None),),
+            elapsed={jid: data.draw(odd) for jid in waiting})
+        evaluator = ScheduleEvaluator(
+            snap, data.draw(st.sampled_from(list(AllowanceMode))))
+        width = data.draw(st.integers(0, 6))
+        rows = data.draw(st.integers(1, 4))
+        orders = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from(waiting), min_size=width,
+                     max_size=width), min_size=rows, max_size=rows)),
+            dtype=np.intp).reshape(rows, width)
+        for queue_index in (0, 1):  # busy, then idle
+            table = evaluator.prefix_scores(queue_index, orders)
+            assert table.shape == (rows, width + 1)
+            assert table.dtype == np.float64
+            assert [[v.hex() for v in row] for row in table.tolist()] == \
+                scalar_scores(evaluator, queue_index, orders)
+
+    def test_width_zero_and_single_row(self, env_2x3):
+        snap = loaded_snapshot(6.0, 45, seed=6)
+        evaluator = ScheduleEvaluator(snap, AllowanceMode.TOTAL)
+        for queue_index, order in enumerate(snap.schedule.flat_waiting()):
+            single = np.array([order], dtype=np.intp).reshape(1, len(order))
+            table = evaluator.prefix_scores(queue_index, single)
+            assert table[0, -1].hex() == \
+                evaluator.queue_score(queue_index, order).hex()
+            assert [v.hex() for v in table[0].tolist()] == \
+                scalar_scores(evaluator, queue_index, single)[0]
+            empty = evaluator.prefix_scores(queue_index,
+                                            np.empty((3, 0), dtype=np.intp))
+            assert empty.shape == (3, 1) and not empty.any()

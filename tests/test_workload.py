@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tiersched import (
     EnvironmentConfig,
+    Job,
+    JobSet,
     WorkloadFormatError,
     WorkloadSpec,
     generate,
@@ -131,3 +135,45 @@ class TestFileFormat:
         path.write_text("hello\nworld\nmore\n")
         with pytest.raises(WorkloadFormatError, match="line 1"):
             load(path)
+
+
+#: Finite floats from subnormal to near-overflow magnitudes; sums of up to
+#: four execution times and an arrival stay finite.
+EXTREME = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
+                    allow_infinity=False)
+POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@st.composite
+def job_sets(draw):
+    """Valid job sets of 1-4 tiers; some targets sit exactly at
+    ``arrival + total_exec`` (no allowance at all)."""
+    tiers = draw(st.integers(1, 4))
+    arrivals = sorted(draw(st.lists(EXTREME, min_size=1, max_size=6)))
+    jobs = []
+    for jid, arrival in enumerate(arrivals, start=1):
+        execs = tuple(draw(POSITIVE) for _ in range(tiers))
+        slack = draw(st.one_of(st.just(0.0), POSITIVE))
+        target = arrival + sum(execs) + slack
+        try:
+            jobs.append(Job(id=jid, arrival=arrival, exec_times=execs,
+                            target_completion=target))
+        except ValueError:
+            # Rounding at these magnitudes can leave no room for the work.
+            assume(False)
+    return JobSet(tuple(jobs))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(jobs=job_sets())
+    def test_load_of_save_is_identity(self, jobs, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("round-trip")
+        save(jobs, folder / "a.txt")
+        loaded = load(folder / "a.txt")
+        assert loaded == jobs
+        # Saving again writes the same bytes: every float, the sign of a
+        # zero included, came back bit for bit.
+        save(loaded, folder / "b.txt")
+        assert (folder / "b.txt").read_bytes() == \
+            (folder / "a.txt").read_bytes()
