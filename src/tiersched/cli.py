@@ -228,6 +228,11 @@ def _write_jsonl(path: Path, records) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _write_trace(out_dir: Path, sim: Simulator) -> None:
+    (out_dir / "trace.txt").write_text(
+        "\n".join(sim.trace_lines()) + "\n", encoding="ascii")
+
+
 def _improvement(initial: float, enhanced: float) -> float:
     if initial <= 0:
         return 0.0
@@ -335,8 +340,7 @@ def cmd_run(args) -> int:
             {"schema": "tiersched.history/1", "generation": h.generation,
              "best": h.best, "mean": h.mean} for h in history))
     if args.trace:
-        (out_dir / "trace.txt").write_text(
-            "\n".join(sim.trace_lines()) + "\n", encoding="ascii")
+        _write_trace(out_dir, sim)
 
     print(f"policy {args.policy} mode {mode.value} "
           f"({summary['counts']['resident']} resident jobs at "
@@ -367,9 +371,10 @@ def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
 
     baseline = Simulator(jobs, env, make_policy(arrival, env, seed=seed)
                          ).run().report()
-    optimized = Simulator(jobs, env, make_policy(arrival, env, seed=seed),
-                          optimizer=optimizer,
-                          reschedule_every=int(args.epoch)).run().report()
+    sim = Simulator(jobs, env, make_policy(arrival, env, seed=seed),
+                    optimizer=optimizer, reschedule_every=int(args.epoch),
+                    keep_trace=args.trace)
+    optimized = sim.run().report()
 
     summary = _write_run_summary(
         out_dir, args, arrival,
@@ -386,6 +391,8 @@ def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
                 "response_time": o.response_time, "total_wait": o.total_wait,
             })
     _write_jsonl(out_dir / "jobs.jsonl", records)
+    if args.trace:
+        _write_trace(out_dir, sim)
     print(f"online {args.policy}: violation "
           f"{baseline.total_violation:.3f} -> {optimized.total_violation:.3f} "
           f"({summary['improvement']['violation_pct']:.2f}% better)")

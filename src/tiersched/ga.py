@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -180,19 +180,33 @@ def crossover(parent_a: Genome, parent_b: Genome,
 
 
 def _crossover_child(template: Genome, donor: Genome, cut: int) -> Genome:
+    """The child of ``template`` and ``donor`` at ``cut``: the template's
+    genes before the cut, then the donor's other genes in its order, split
+    into the template's segment sizes.  Every segment that lies wholly
+    before the cut, and every later one rebuilt with the template's
+    content, is the template's own object, so a scorer that compares
+    segments by identity rescores only the segments the crossover
+    changed."""
+    child: list[tuple[int, ...]] = []
+    start = 0
+    for seg in template:
+        if start + len(seg) > cut:
+            break
+        child.append(seg)
+        start += len(seg)
     # Job ids are unique across tiers and a tier owns the same span of flat
     # positions in both parents.  So the donor genes left after the skip are
     # the rest of the cut's tier followed by every later tier, in place: the
     # repair never moves a gene across tiers.
-    head = list(chain.from_iterable(template))[:cut]
+    head = list(islice(chain.from_iterable(template), cut))
     kept = set(head)
-    flat = head + [g for g in chain.from_iterable(donor) if g not in kept]
-    # Re-split the child's order into the template's segment sizes.
-    child: list[tuple[int, ...]] = []
-    start = 0
-    for seg in template:
-        child.append(tuple(flat[start:start + len(seg)]))
-        start += len(seg)
+    flat = head[start:] + [g for g in chain.from_iterable(donor)
+                           if g not in kept]
+    pos = 0
+    for seg in template[len(child):]:
+        rebuilt = tuple(flat[pos:pos + len(seg)])
+        child.append(seg if rebuilt == seg else rebuilt)
+        pos += len(seg)
     return tuple(child)
 
 
@@ -239,17 +253,24 @@ def random_chromosome(snapshot: Snapshot, rng: np.random.Generator) -> Genome:
     A tier with ``n`` waiting jobs draws ``rng.permutation(n)`` and then
     ``rng.integers(count, size=n)`` for its ``count`` queues; a tier with
     none draws nothing.  Each queue gets the permuted ids dealt to it, in
-    permutation order, as Python ints.
+    permutation order, as Python ints.  The ids come from the snapshot's
+    per-tier arrays, built once per snapshot; a stable sort by queue deals
+    them all at once.
     """
     genome: list[tuple[int, ...]] = []
-    for tier, count in enumerate(snapshot.env.resources_per_tier):
-        ids = snapshot.waiting_ids(tier)
-        if not ids:
+    for ids, count in zip(snapshot._waiting_arrays,
+                          snapshot.env.resources_per_tier):
+        n = len(ids)
+        if not n:
             genome += [()] * count
             continue
-        order = np.array(ids)[rng.permutation(len(ids))]
-        picks = rng.integers(count, size=len(ids))
-        genome += [tuple(order[picks == k].tolist()) for k in range(count)]
+        perm = rng.permutation(n)
+        picks = rng.integers(count, size=n)
+        dealt = ids[perm[np.argsort(picks, kind="stable")]].tolist()
+        start = 0
+        for size in np.bincount(picks, minlength=count).tolist():
+            genome.append(tuple(dealt[start:start + size]))
+            start += size
     return tuple(genome)
 
 
@@ -275,20 +296,24 @@ class EvolveResult:
 def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
             evaluator: ScheduleEvaluator, base: float, config: GAConfig,
             rng: np.random.Generator):
-    """Shared evolution loop; returns (best, best_score, history, evals).
+    """Shared evolution loop; returns (best, best_score, seeded_score,
+    history, evals).
 
     Segment ``s`` of the genomes is the evaluator's queue ``queues[s]``.  A
     member of the population is a genome, its score and its per-segment
     queue scores; the score is ``base`` plus those queue scores summed in
-    segment order, the arithmetic of :meth:`ScheduleEvaluator.fitness`.
+    segment order, the arithmetic of :meth:`ScheduleEvaluator.fitness`, so
+    ``seeded_score`` (the score of ``seeded``) is what ``fitness`` gives it.
     ``evals`` is the logical budget, population x generations: every member
     of every generation has a score.  Scores are pure, so the elite, the
     roulette copies and a crossover child of equal parents (which is its
-    parent) carry their member's scores.  A mutant rescores only the
-    segments that are not its parent's own objects (compared by identity),
-    and the other crossover children are scored in full.  The best-ever
-    member is carried unmodified into each next generation (elitism), which
-    makes the best-so-far history nonincreasing.
+    parent) carry their member's scores.  A mutant and the other crossover
+    children rescore only the segments that are not their parent's (for a
+    child, its template's) own objects, compared by identity: a child keeps
+    every segment that lies wholly before the cut or comes out of the
+    repair unchanged.  The best-ever member is
+    carried unmodified into each next generation (elitism), which makes the
+    best-so-far history nonincreasing.
 
     ``rng`` builds the initial population; the operators then draw the same
     stream through :class:`_Draws`.
@@ -299,15 +324,16 @@ def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
     queue_tiers = [t for t, _ in evaluator.snapshot.env.iter_queues()]
     tiers = tuple(queue_tiers[q] for q in queues)
 
-    def member(genome: Genome, parent: Genome | None = None, own=None):
-        # ``own`` holds the queue scores of ``parent``, whose segments keep
-        # them where the genome still holds the very same object.
+    def member(genome: Genome, parent=None):
+        # ``parent`` is the member the genome was made from: its queue
+        # scores stay where the genome holds the very same segment object.
         if parent is None:
             parts = [score(q, seg) for q, seg in zip(queues, genome)]
         else:
-            parts = own.copy()
+            old, _, parts = parent
+            parts = parts.copy()
             for s, seg in enumerate(genome):
-                if seg is not parent[s]:
+                if seg is not old[s]:
                     parts[s] = score(queues[s], seg)
         total = base
         for part in parts:
@@ -316,6 +342,7 @@ def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
 
     genomes = [seeded] + [sample_random(rng) for _ in range(n - 1)]
     population = [member(c) for c in genomes]
+    seeded_score = population[0][1]
     draws = _Draws(rng)
     # Parents and copies are drawn as members, so they carry their scores.
     best = None
@@ -335,14 +362,14 @@ def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
         for _ in range(ops):
             a, b = select(population, wheel, draws, 2)
             ca, cb = crossover(a[0], b[0], draws)
-            nxt += (a if ca is a[0] else member(ca),
-                    b if cb is b[0] else member(cb))
+            nxt += (a if ca is a[0] else member(ca, a),
+                    b if cb is b[0] else member(cb, b))
         for _ in range(ops):
-            parent, _, own = select(population, wheel, draws)[0]
-            nxt.append(member(mutate(parent, tiers, draws), parent, own))
+            (parent,) = select(population, wheel, draws)
+            nxt.append(member(mutate(parent[0], tiers, draws), parent))
         nxt += select(population, wheel, draws, n - len(nxt))
         population = nxt
-    return best[0], best_f, history, n * config.generations
+    return best[0], best_f, seeded_score, history, n * config.generations
 
 
 def evolve(snapshot: Snapshot, config: GAConfig | None = None) -> EvolveResult:
@@ -356,10 +383,8 @@ def evolve(snapshot: Snapshot, config: GAConfig | None = None) -> EvolveResult:
     if config.variant == QueueVariant.SEGMENTED:
         return _evolve_segmented(snapshot, config)
     evaluator = ScheduleEvaluator(snapshot, config.mode)
-    seeded = snapshot.schedule.flat_waiting()
-    initial = evaluator.fitness(seeded)
-    best_c, best_f, history, evaluations = _run_ga(
-        seeded=seeded,
+    best_c, best_f, initial, history, evaluations = _run_ga(
+        seeded=snapshot.schedule.flat_waiting(),
         queues=tuple(range(snapshot.env.num_queues)),
         sample_random=lambda r: random_chromosome(snapshot, r),
         evaluator=evaluator,
@@ -401,7 +426,7 @@ def _evolve_segmented(snapshot: Snapshot, config: GAConfig) -> EvolveResult:
         def sample(r: np.random.Generator, order=order) -> Genome:
             return (tuple(order[int(i)] for i in r.permutation(len(order))),)
 
-        best_c, best_f, history, evals = _run_ga(
+        best_c, best_f, _, history, evals = _run_ga(
             seeded=(order,),
             queues=(qi,),
             sample_random=sample,

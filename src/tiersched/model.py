@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 #: Absolute tolerance for time comparisons throughout the package.
 TIME_EPS = 1e-9
 
@@ -144,7 +146,8 @@ class JobSet:
                 raise ValueError(
                     f"job {job.id} arrives before job {job.id - 1}; ids must "
                     f"follow arrival order")
-            last_arrival = max(job.arrival, last_arrival or job.arrival)
+            last_arrival = (job.arrival if last_arrival is None
+                            else max(job.arrival, last_arrival))
             if tiers is None:
                 tiers = len(job.exec_times)
             elif len(job.exec_times) != tiers:
@@ -343,8 +346,10 @@ class Snapshot:
     outside ``1..len(jobs)``, a job scheduled twice (in one tier or two), an
     in-service residual above the head's execution time, and progress
     records that disagree with the queues (coverage, id, tier, arrivals,
-    negative waits, in-service flag).  ``validate_schedule`` checks
-    candidates against a snapshot.
+    negative waits, in-service flag).  All of it is checked in one walk over
+    the schedule, which looks each job's record up by id and gathers
+    ``_waiting_by_tier``, the sorted waiting ids of each tier, on the way.
+    ``validate_schedule`` checks candidates against a snapshot.
     """
 
     env: EnvironmentConfig
@@ -354,52 +359,67 @@ class Snapshot:
     progress: dict[int, JobProgress] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        schedule, jobs = self.schedule, self.jobs.jobs
+        schedule, jobs, progress = self.schedule, self.jobs.jobs, self.progress
         num_jobs = len(jobs)
         layout = tuple(len(tier) for tier in schedule.orders)
         if layout != self.env.resources_per_tier:
             raise ValueError("schedule layout does not match the environment")
         if self.jobs.num_tiers not in (0, self.env.num_tiers):
             raise ValueError("job tier count does not match the environment")
-        # One pass over the schedule: each job's (tier, in-service head)
-        # location, checked against its progress record below.
-        located: dict[int, tuple[int, bool]] = {}
+        # One walk over the schedule: each job is checked where it is queued,
+        # against its own progress record, and each tier's waiting ids are
+        # gathered on the way.
+        floor = -TIME_EPS
+        seen: set[int] = set()
+        by_tier: list[tuple[int, ...]] = []
         for tier, (tier_queues, tier_busy) in enumerate(
                 zip(schedule.orders, schedule.busy)):
+            waiting: list[int] = []
             for queue, residual in zip(tier_queues, tier_busy):
                 for pos, jid in enumerate(queue):
                     if not 1 <= jid <= num_jobs:
                         raise ValueError(f"unknown job id {jid} in tier {tier}")
-                    if jid in located:
+                    if jid in seen:
                         raise ValueError(f"job {jid} scheduled twice")
+                    seen.add(jid)
                     head = pos == 0 and residual is not None
                     if head and (residual > jobs[jid - 1].exec_times[tier]
                                  + TIME_EPS):
                         raise ValueError(
                             f"job {jid}: residual exceeds its tier {tier} "
                             f"execution time")
-                    located[jid] = (tier, head)
-        if located.keys() != self.progress.keys():
+                    prog = progress.get(jid)
+                    if prog is None:
+                        raise ValueError(
+                            "schedule and progress must cover the same jobs")
+                    owner, arrivals, waits, elapsed, in_service = prog
+                    if owner != jid:
+                        raise ValueError(
+                            f"job {jid}: progress record of job {owner}")
+                    if len(waits) != tier:
+                        raise ValueError(
+                            f"job {jid} scheduled in tier {tier} but resides "
+                            f"in tier {len(waits)}")
+                    if len(arrivals) != tier + 1:
+                        raise ValueError(
+                            f"job {jid}: need one arrival per tier reached")
+                    for wait in waits:
+                        if wait < floor:
+                            raise ValueError(
+                                f"job {jid}: negative completed wait")
+                    if elapsed < floor:
+                        raise ValueError(f"job {jid}: negative elapsed wait")
+                    if head != in_service:
+                        raise ValueError(
+                            f"job {jid}: in-service flag disagrees with the "
+                            f"schedule")
+                    if not head:
+                        waiting.append(jid)
+            waiting.sort()
+            by_tier.append(tuple(waiting))
+        if len(seen) != len(progress):
             raise ValueError("schedule and progress must cover the same jobs")
-        for jid, prog in self.progress.items():
-            tier, head_in_service = located[jid]
-            if prog.job_id != jid:
-                raise ValueError(
-                    f"job {jid}: progress record of job {prog.job_id}")
-            if tier != prog.tier:
-                raise ValueError(
-                    f"job {jid} scheduled in tier {tier} but resides in "
-                    f"tier {prog.tier}")
-            if len(prog.tier_arrivals) != tier + 1:
-                raise ValueError(
-                    f"job {jid}: need one arrival per tier reached")
-            if any(w < -TIME_EPS for w in prog.completed_waits):
-                raise ValueError(f"job {jid}: negative completed wait")
-            if prog.elapsed_wait < -TIME_EPS:
-                raise ValueError(f"job {jid}: negative elapsed wait")
-            if head_in_service != prog.in_service:
-                raise ValueError(
-                    f"job {jid}: in-service flag disagrees with the schedule")
+        object.__setattr__(self, "_waiting_by_tier", tuple(by_tier))
 
     def resident_ids(self) -> list[int]:
         return sorted(self.progress)
@@ -410,11 +430,7 @@ class Snapshot:
         return list(self._waiting_by_tier[tier])
 
     @cached_property
-    def _waiting_by_tier(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted waiting ids of each tier, gathered once per snapshot."""
-        by_tier: list[list[int]] = [[] for _ in self.schedule.orders]
-        for jid in sorted(self.progress):
-            prog = self.progress[jid]
-            if not prog.in_service:
-                by_tier[prog.tier].append(jid)
-        return tuple(tuple(ids) for ids in by_tier)
+    def _waiting_arrays(self) -> tuple[np.ndarray, ...]:
+        """Each tier's ``_waiting_by_tier`` as an array, built on first use
+        for the GA's random genomes."""
+        return tuple(np.array(ids) for ids in self._waiting_by_tier)

@@ -328,32 +328,38 @@ class Simulator:
     # snapshots and reports
 
     def snapshot(self) -> Snapshot:
-        """Immutable view of the current queues and per-job progress."""
-        orders = tuple(
-            tuple(tuple(q) for q in tier_queues) for tier_queues in self._queues)
+        """Immutable view of the current queues and per-job progress.
+
+        One walk over the queues copies their orders and builds each
+        resident's progress record; the records are then keyed in id order.
+        """
         clock = self.clock
-        busy = tuple(
-            tuple(None if b is None else max(0.0, b[1] - clock)
-                  for b in tier_busy)
-            for tier_busy in self._busy)
-        # (job, tier, in service) from the queue walk, in id order.
-        located = sorted(
-            (jid, tier, pos == 0 and b is not None)
-            for tier, (tier_queues, tier_busy) in enumerate(
-                zip(self._queues, self._busy))
-            for queue, b in zip(tier_queues, tier_busy)
-            for pos, jid in enumerate(queue))
         tiers, arrive, wait = self.env.num_tiers, self._arrive, self._wait
-        progress: dict[int, JobProgress] = {}
-        for jid, tier, in_service in located:
-            first = jid * tiers
-            slot = first + tier
-            progress[jid] = JobProgress(
-                jid, tuple(arrive[first:slot + 1]), tuple(wait[first:slot]),
-                wait[slot] if in_service else clock - arrive[slot],
-                in_service)
+        orders, busy = [], []
+        records: dict[int, JobProgress] = {}
+        # The tuple constructor skips the named tuple's Python-level
+        # ``__new__``; the records are the same.
+        record = tuple.__new__
+        for tier, (tier_queues, tier_busy) in enumerate(
+                zip(self._queues, self._busy)):
+            orders.append(tuple(tuple(q) for q in tier_queues))
+            busy.append(tuple(None if b is None else max(0.0, b[1] - clock)
+                              for b in tier_busy))
+            for queue, b in zip(tier_queues, tier_busy):
+                in_service = b is not None
+                for jid in queue:
+                    first = jid * tiers
+                    slot = first + tier
+                    records[jid] = record(JobProgress, (
+                        jid, tuple(arrive[first:slot + 1]),
+                        tuple(wait[first:slot]),
+                        wait[slot] if in_service else clock - arrive[slot],
+                        in_service))
+                    in_service = False
+        progress = {jid: records[jid] for jid in sorted(records)}
         return Snapshot(env=self.env, jobs=self.jobs, clock=clock,
-                        schedule=Schedule(orders=orders, busy=busy),
+                        schedule=Schedule(orders=tuple(orders),
+                                          busy=tuple(busy)),
                         progress=progress)
 
     def assert_invariants(self) -> None:

@@ -313,6 +313,27 @@ class TestRun:
         assert len(decisions) == 1
         assert summary["evaluations"] == 10 * 5
 
+    def test_online_trace_logs_every_decision(self, tmp_path, monkeypatch):
+        decisions = []
+        plain = cli.evolve
+
+        def counted(snapshot, config):
+            decisions.append(snapshot.clock)
+            return plain(snapshot, config)
+
+        monkeypatch.setattr(cli, "evolve", counted)
+        out = tmp_path / "online"
+        assert run_cli("run", "--jobs", "40", "--lambda", "5.0",
+                       "--policy", "ga-virtualized", "--generations", "5",
+                       "--epoch", "20", "--trace", "--out-dir", str(out)) == 0
+        lines = (out / "trace.txt").read_text(encoding="ascii").splitlines()
+        assert lines[0] == "# tiersched-trace 1"
+        kinds = [line.split()[1] for line in lines[1:]]
+        # 40 jobs through 2 tiers: 160 events, a decision every 20.
+        assert len(decisions) == 8
+        assert kinds.count("reschedule") == len(decisions)
+        assert kinds.count("depart") == 40
+
     def test_online_run_honours_seed(self, tmp_path):
         out = tmp_path / "online"
         assert run_cli("run", "--jobs", "40", "--lambda", "5.0", "--seed", "5",

@@ -31,6 +31,7 @@ from tiersched import ga
 from tiersched.ga import _crossover_child
 
 from conftest import fresh_snapshot, genome_valid, job, loaded_snapshot
+from reference_crossover import reference_crossover_child
 from reference_dealer import reference_chromosome
 
 
@@ -216,6 +217,31 @@ class TestCrossover:
             for child in (ca, cb):
                 assert genome_valid(child, snap)
             pool[i % len(pool)] = ca
+
+
+class TestCrossoverAgainstReference:
+    """A crossover child holds what the whole-child reference builds; every
+    segment that lies wholly before the cut, and every other segment with
+    the template's content, is the template's own object."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(snap=dealt_snapshots(), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_children_match_and_keep_the_leading_segments(self, snap, seed,
+                                                          data):
+        rng = np.random.default_rng(seed)
+        template = data.draw(st.sampled_from([
+            snap.schedule.flat_waiting(), random_chromosome(snap, rng)]))
+        donor = random_chromosome(snap, rng)
+        total = sum(map(len, template))
+        cut = data.draw(st.integers(0, max(total - 1, 0)))
+        child = _crossover_child(template, donor, cut)
+        assert child == reference_crossover_child(template, donor, cut)
+        end = 0
+        for seg, own in zip(child, template):
+            end += len(own)
+            if end <= cut or seg == own:
+                assert seg is own
 
 
 class TestMutate:
@@ -418,15 +444,18 @@ class TestEvolveSegmented:
 class TestScoringWork:
     """Queue scorings inside the GA loop, counted exactly.  Every member
     carries its per-queue scores: the elite, the roulette copies and a
-    crossover child of equal parents (the parent itself) are not rescored, a
-    mutant rescores only the segments that are not its parent's own objects,
-    and a child of unequal parents is scored in full.  ``evaluations`` keeps
+    crossover child of equal parents (the parent itself) are not rescored,
+    and a mutant or a child of unequal parents rescores only the segments
+    that are not its parent's (for a child, its template's) own objects.  A
+    virtualized ``evolve`` takes the incumbent's ``initial_fitness`` from its
+    member's score, so it makes no ``fitness`` call.  ``evaluations`` keeps
     the logical budget."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         """Per ``_run_ga`` call: ``queue_score`` calls, crossover children of
-        unequal and of equal parents, and the segments each mutant does not
+        unequal and of equal parents, and the segments each child of unequal
+        parents does not share with its template and each mutant does not
         share with its parent; plus ``ScheduleEvaluator.fitness`` calls."""
         runs: list[dict] = []
         fitness_calls = [0]
@@ -434,8 +463,12 @@ class TestScoringWork:
         plain_fitness = ScheduleEvaluator.fitness
         plain_crossover, plain_mutate = ga.crossover, ga.mutate
 
+        def fresh(offspring, origin):
+            return sum(seg is not old for seg, old in zip(offspring, origin))
+
         def run(*args, **kwargs):
-            runs.append(dict(scorings=0, unequal=0, equal=0, fresh=[]))
+            runs.append(dict(scorings=0, unequal=0, equal=0, children=[],
+                             mutants=[]))
             try:
                 return plain_run(*args, **kwargs)
             finally:
@@ -447,13 +480,19 @@ class TestScoringWork:
             return plain_score(self, queue_index, order)
 
         def crossover(parent_a, parent_b, rng):
-            runs[-1]["equal" if parent_a == parent_b else "unequal"] += 2
-            return plain_crossover(parent_a, parent_b, rng)
+            children = plain_crossover(parent_a, parent_b, rng)
+            if parent_a == parent_b:
+                runs[-1]["equal"] += 2
+            else:
+                runs[-1]["unequal"] += 2
+                runs[-1]["children"] += [
+                    fresh(child, template) for child, template
+                    in zip(children, (parent_a, parent_b))]
+            return children
 
         def mutate(genome, tiers, rng):
             mutant = plain_mutate(genome, tiers, rng)
-            runs[-1]["fresh"].append(
-                sum(seg is not old for seg, old in zip(mutant, genome)))
+            runs[-1]["mutants"].append(fresh(mutant, genome))
             return mutant
 
         def fitness(self, flat_orders):
@@ -477,7 +516,8 @@ class TestScoringWork:
         for run in runs:
             assert run["unequal"] + run["equal"] == (
                 2 * (config.generations - 1) * config.operator_count)
-            assert len(run["fresh"]) == (
+            assert len(run["children"]) == run["unequal"]
+            assert len(run["mutants"]) == (
                 (config.generations - 1) * config.operator_count)
 
     @pytest.mark.parametrize("extra", CONFIGS)
@@ -490,18 +530,21 @@ class TestScoringWork:
         self.check_operators(runs, config)
         (run,) = runs
         # A mutant reorders one queue or migrates a job between two.
-        assert set(run["fresh"]) == {1, 2}
+        assert set(run["mutants"]) == {1, 2}
+        # A child keeps the segments wholly before its cut and those the
+        # repair leaves unchanged, so most children rescore only some.
+        assert all(0 <= n <= queues for n in run["children"])
+        assert sum(run["children"]) < run["unequal"] * queues
         assert run["scorings"] == (config.population * queues
-                                   + sum(run["fresh"])
-                                   + run["unequal"] * queues)
-        # Only the incumbent's ``initial_fitness`` goes through ``fitness``.
-        assert fitness_calls[0] == 1
+                                   + sum(run["mutants"])
+                                   + sum(run["children"]))
+        assert fitness_calls[0] == 0
         assert result.evaluations == config.population * config.generations
 
     @pytest.mark.parametrize("extra", CONFIGS)
     def test_segmented_scores_only_offspring_per_queue(self, counted,
                                                          extra):
-        runs, _ = counted
+        runs, fitness_calls = counted
         snap = loaded_snapshot(6.0, 30, seed=16)
         config = GAConfig(generations=60, seed=3,
                           variant=QueueVariant.SEGMENTED, **extra)
@@ -511,12 +554,16 @@ class TestScoringWork:
         assert len(runs) == evolved
         self.check_operators(runs, config)
         for run in runs:
-            # The one queue of a mutant is always new.
-            assert set(run["fresh"]) == {1}
+            # The one queue of a mutant is always new; a child's is new
+            # unless the repair rebuilt its template's order.
+            assert set(run["mutants"]) == {1}
+            assert all(n in (0, 1) for n in run["children"])
             assert run["scorings"] == (
                 config.population
                 + (config.generations - 1) * config.operator_count
-                + run["unequal"])
+                + sum(run["children"]))
+        # The incumbent's ``initial_fitness`` and the winner's score.
+        assert fitness_calls[0] == 2
         assert result.evaluations == (
             config.population * config.generations * evolved)
 

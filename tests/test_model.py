@@ -26,6 +26,7 @@ from tiersched.sim import Simulator
 
 from conftest import fresh_snapshot, job, loaded_snapshot
 from expected_waits import remaining_wait
+from reference_snapshot import reference_progress, reference_snapshot_checks
 from reference_validate import reference_validate
 
 
@@ -79,6 +80,18 @@ class TestJobSet:
     def test_rejects_out_of_order_arrivals(self):
         with pytest.raises(ValueError, match="arrival"):
             JobSet((job(1, (1.0,), arrival=5.0), job(2, (1.0,), arrival=1.0)))
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_tolerance_runs_from_the_latest_arrival(self, shift):
+        # A job may arrive up to TIME_EPS before the latest arrival so far,
+        # whether that arrival is 0.0 or not.
+        def stream(*arrivals):
+            return JobSet(tuple(job(jid, (1.0,), arrival=shift + a)
+                                for jid, a in enumerate(arrivals, start=1)))
+
+        assert len(stream(0.0, -0.9e-9, -0.5e-9)) == 3
+        with pytest.raises(ValueError, match="job 3 arrives before job 2"):
+            stream(0.0, -0.9e-9, -1.8e-9)
 
 
 class TestValidateSchedule:
@@ -251,8 +264,8 @@ EDITS = ("move", "duplicate", "other-tier", "unknown", "drop", "demote",
 
 
 @st.composite
-def simulator_snapshots(draw):
-    """A simulator's snapshot part-way through a seeded stream."""
+def simulators(draw):
+    """A simulator part-way through a seeded stream."""
     resources = draw(st.sampled_from(FUZZ_RESOURCES))
     env = EnvironmentConfig(num_tiers=len(resources),
                             resources_per_tier=resources)
@@ -263,7 +276,12 @@ def simulator_snapshots(draw):
     sim = Simulator(jobs, env, draw(st.sampled_from(["fcfs", "wlc", "wrr"])))
     for _ in range(draw(st.integers(0, 2 * env.num_tiers * len(jobs)))):
         sim.step()
-    return sim.snapshot()
+    return sim
+
+
+def simulator_snapshots():
+    """A simulator's snapshot part-way through a seeded stream."""
+    return simulators().map(Simulator.snapshot)
 
 
 def edit(draw, snap, orders, busy, kind):
@@ -321,6 +339,84 @@ class TestValidateAgainstReference:
         want = reference_validate(candidate, snap.env, snap.jobs,
                                   snapshot=snap)
         assert got.ok == want.ok, (got.violations, want.violations)
+
+
+PROGRESS_EDITS = ("forget", "extra", "other-record", "tier", "arrivals",
+                  "completed-wait", "elapsed-wait", "flip")
+
+
+def edit_progress(draw, snap, progress, kind):
+    """Apply one edit of ``kind`` in place to progress records; an edit with
+    nothing to act on leaves them as they are."""
+    residents = sorted(progress)
+    if kind == "extra":
+        jid = draw(st.integers(0, len(snap.jobs) + 1))
+        source = progress.get(jid) or next(iter(snap.progress.values()), None)
+        if source is not None:
+            progress[jid] = source._replace(job_id=jid)
+        return
+    if not residents:
+        return
+    jid = draw(st.sampled_from(residents))
+    prog = progress[jid]
+    small = st.sampled_from([1e-12, 1e-6, 1.0])
+    if kind == "forget":
+        del progress[jid]
+    elif kind == "other-record":
+        progress[jid] = progress[draw(st.sampled_from(residents))]
+    elif kind == "tier":
+        waits = prog.completed_waits
+        progress[jid] = prog._replace(
+            completed_waits=waits[:-1] if waits and draw(st.booleans())
+            else waits + (0.0,))
+    elif kind == "arrivals":
+        progress[jid] = prog._replace(
+            tier_arrivals=prog.tier_arrivals + (snap.clock,))
+    elif kind == "completed-wait" and prog.completed_waits:
+        progress[jid] = prog._replace(completed_waits=(
+            prog.completed_waits[:-1] + (-draw(small),)))
+    elif kind == "elapsed-wait":
+        progress[jid] = prog._replace(elapsed_wait=-draw(small))
+    elif kind == "flip":
+        progress[jid] = prog._replace(in_service=not prog.in_service)
+
+
+class TestSnapshotAgainstReference:
+    """The one-walk snapshot checks refuse exactly what the two-walk
+    reference refuses, and gather the same waiting ids; a simulator's
+    snapshot holds the reference's progress records in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sim=simulators(), data=st.data())
+    def test_refusals_and_records_agree(self, sim, data):
+        snap = sim.snapshot()
+        want = reference_progress(sim)
+        assert list(snap.progress.items()) == list(want.items())
+        assert snap._waiting_by_tier == reference_snapshot_checks(
+            snap.env, snap.jobs, snap.schedule, snap.progress)
+
+        orders = [[list(q) for q in row] for row in snap.schedule.orders]
+        busy = [list(row) for row in snap.schedule.busy]
+        progress = dict(snap.progress)
+        for kind in data.draw(st.lists(
+                st.sampled_from(EDITS + PROGRESS_EDITS), max_size=3)):
+            if kind in EDITS:
+                edit(data.draw, snap, orders, busy, kind)
+            else:
+                edit_progress(data.draw, snap, progress, kind)
+        schedule = Schedule(orders=orders, busy=busy)
+        try:
+            want = reference_snapshot_checks(snap.env, snap.jobs, schedule,
+                                             progress)
+        except ValueError:
+            want = None
+        try:
+            got = Snapshot(env=snap.env, jobs=snap.jobs, clock=snap.clock,
+                           schedule=schedule, progress=progress)
+        except ValueError as err:
+            assert want is None, err
+        else:
+            assert got._waiting_by_tier == want
 
 
 class TestRemainingWait:
