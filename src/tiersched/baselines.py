@@ -35,7 +35,10 @@ class AssignmentPolicy:
 
 
 class LeastBacklogPolicy(AssignmentPolicy):
-    """Append to the queue with the least unfinished work ahead of the tail."""
+    """Append to the queue with the least unfinished work ahead of the tail.
+
+    Backlogs are never negative and a later queue must be lower by more
+    than 1e-12, so the scan ends at the first backlog of at most 1e-12."""
 
     kind = PolicyKind.FCFS
 
@@ -48,6 +51,8 @@ class LeastBacklogPolicy(AssignmentPolicy):
             load = sim.backlog(tier, k)
             if best_load is None or load < best_load - 1e-12:
                 best, best_load = k, load
+                if load <= 1e-12:
+                    break
         return best
 
 
@@ -75,8 +80,12 @@ class WeightedLeastConnectionPolicy(AssignmentPolicy):
         self.env = env
 
     def pick(self, sim, job_id: int, tier: int) -> int:
-        return min(range(self.env.resources_per_tier[tier]),
-                   key=lambda k: sim.queue_count(tier, k))
+        best, fewest = 0, None
+        for k in range(self.env.resources_per_tier[tier]):
+            count = sim.queue_count(tier, k)
+            if fewest is None or count < fewest:
+                best, fewest = k, count
+        return best
 
 
 class RandomAssignPolicy(AssignmentPolicy):

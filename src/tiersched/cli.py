@@ -153,6 +153,16 @@ def _workload(args, env: EnvironmentConfig):
     return generate(_workload_spec(args), env)
 
 
+def _out_dir(args) -> Path:
+    """Create ``--out-dir``; a path that cannot be a directory (say, one
+    under a regular file) is a usage error."""
+    try:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise SystemExit2(f"--out-dir {args.out_dir}: {err.strerror}") from None
+    return Path(args.out_dir)
+
+
 def _environment(args) -> EnvironmentConfig:
     tiers = int(args.tiers)
     return EnvironmentConfig(
@@ -168,7 +178,10 @@ def cmd_generate(args) -> int:
     env = EnvironmentConfig(num_tiers=int(args.tiers),
                             resources_per_tier=1)
     jobs = generate(spec, env)
-    save(jobs, args.out)
+    try:
+        save(jobs, args.out)
+    except OSError as err:
+        raise SystemExit2(f"--out {args.out}: {err.strerror}") from None
     print(f"wrote {len(jobs)} jobs to {args.out} "
           f"(lambda={spec.arrival_rate} mu={spec.service_rate} "
           f"allowance={spec.allowance_fraction} seed={spec.seed})")
@@ -304,8 +317,7 @@ def cmd_run(args) -> int:
     mode = AllowanceMode(args.mode)
     ga_spec = _parse_ga_token(args.policy, args.mode)
     config = _ga_config(args, ga_spec, args.seed) if ga_spec else None
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
 
     if config and args.epoch > 0:
         return _run_online(args, env, jobs, config, out_dir)
@@ -418,8 +430,7 @@ def cmd_compare(args) -> int:
     configs = {(token, spec.seed): _ga_config(args, ga_spec, spec.seed)
                for token, ga_spec in ga_specs.items() if ga_spec
                for spec in specs}
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
 
     run_records = []
     job_records = []
@@ -493,7 +504,7 @@ def main(argv=None) -> int:
     except SystemExit2 as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (WorkloadFormatError, FileNotFoundError, ValueError) as err:
+    except (WorkloadFormatError, OSError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (InvalidScheduleError, AssertionError) as err:

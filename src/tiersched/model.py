@@ -174,7 +174,8 @@ class JobSet:
     @cached_property
     def _allowances(self) -> tuple[float, ...]:
         """Every job's ``Job.allowance``, at the position of ``jobs``; built
-        once per job set for the schedule evaluators of its snapshots."""
+        once per job set for the schedule evaluators of its snapshots and
+        the reports of its simulations."""
         return tuple(job.allowance for job in self.jobs)
 
 

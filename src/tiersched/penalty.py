@@ -68,13 +68,15 @@ class JobViolation(NamedTuple):
 
 def violation_totals(records) -> dict[str, float]:
     """Aggregates of expected or realized per-job records (any re-iterable
-    collection of objects with ``alpha`` and ``cost``)."""
+    collection of objects with ``alpha`` and ``cost``), summed in record
+    order from lists built once."""
+    alphas = [r.alpha for r in records]
+    violations = [max(a, 0.0) for a in alphas]
     return {
-        "total_signed": sum(r.alpha for r in records),
-        "total_violation": sum(max(r.alpha, 0.0) for r in records),
-        "total_cost": sum(r.cost for r in records),
-        "max_violation": max((max(r.alpha, 0.0) for r in records),
-                             default=0.0),
+        "total_signed": sum(alphas),
+        "total_violation": sum(violations),
+        "total_cost": sum([r.cost for r in records]),
+        "max_violation": max(violations, default=0.0),
     }
 
 

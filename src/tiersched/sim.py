@@ -15,8 +15,8 @@ does not grow with the length of the stream.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -96,7 +96,8 @@ class Simulator:
     ``policy`` assigns arriving jobs to queues (least-backlog FCFS by
     default).  ``optimizer``, when given, is called with a frozen snapshot
     every ``reschedule_every`` events and may return a replacement schedule;
-    invalid schedules are rejected and logged, never installed.
+    invalid schedules are rejected and logged, never installed.  Each event
+    is one :meth:`step`, and steps and installs start service alike.
     """
 
     def __init__(self, jobs: JobSet, env: EnvironmentConfig,
@@ -177,7 +178,8 @@ class Simulator:
         if entry is None:
             total = 0.0
         else:
-            total = max(0.0, entry[1] - self.clock)
+            total = entry[1] - self.clock
+            total = total if total > 0.0 else 0.0  # max(0.0, ·), no call
             queue = queue[1:]
         exec_times = self._exec[tier]
         for jid in queue:
@@ -188,10 +190,12 @@ class Simulator:
     # event processing
 
     def step(self) -> bool:
-        """Process the next pending event; False when none remain."""
+        """Process the next pending event, a completion or an arrival, in
+        one body; then an idle resource of the event with jobs queued starts
+        its head.  False when no event remains."""
         events, arrival = self._events, self._next_arrival
         if events and (arrival is None or events[0] < arrival):
-            time, rank, job_id, tier, k = heapq.heappop(events)
+            time, rank, job_id, tier, k = heappop(events)
         elif arrival is not None:
             time, rank, job_id, tier, k = arrival
             self._next_arrival = next(self._arrivals, None)
@@ -200,10 +204,45 @@ class Simulator:
         if time < self.clock - TIME_EPS:
             raise AssertionError("event times must not decrease")
         self.clock = time
+        tiers, busy = self.env.num_tiers, self._busy[tier]
         if rank == _COMPLETION:
-            self._handle_completion(job_id, tier, k)
+            entry, queue = busy[k], self._queues[tier][k]
+            if entry is None or entry[0] != job_id:
+                raise AssertionError("completion out of order")
+            if not queue or queue[0] != job_id:
+                raise AssertionError("completing job is not the queue head")
+            del queue[0]
+            busy[k] = None
+            if self.keep_trace:
+                self._trace("finish", job_id, tier, k)
+            if tier + 1 < tiers:
+                self._in_flight[tier] += 1
+                heappush(events, (time, _ARRIVAL, job_id, tier + 1, -1))
+            else:
+                self._completion[job_id] = time
+                self.departed += 1
+                if self.keep_trace:
+                    self._trace("depart", job_id, tier, k)
         else:
-            self._handle_arrival(job_id, tier)
+            if tier:
+                self._in_flight[tier - 1] -= 1
+            else:
+                self.external_arrivals += 1
+            self._arrive[job_id * tiers + tier] = time
+            self.arrived[tier] += 1
+            k, pos = self.policy.assign(self, job_id, tier)
+            queues = self._queues[tier]
+            if not (0 <= k < len(queues)
+                    and (busy[k] is not None) <= pos <= len(queues[k])):
+                raise InvalidScheduleError(
+                    f"policy returned invalid placement ({k}, {pos}) for job "
+                    f"{job_id} at tier {tier}")
+            queue = queues[k]
+            queue.insert(pos, job_id)
+            if self.keep_trace:
+                self._trace("arrive", job_id, tier, k)
+        if queue and busy[k] is None:
+            self._start_head(tier, k)
         if self.optimizer is not None:
             self._maybe_reschedule()
         return True
@@ -220,65 +259,15 @@ class Simulator:
     def _trace(self, kind: str, job_id: int, tier: int, resource: int) -> None:
         self.trace.append(TraceEvent(self.clock, kind, job_id, tier, resource))
 
-    def _handle_arrival(self, job_id: int, tier: int) -> None:
-        if tier == 0:
-            self.external_arrivals += 1
-        else:
-            self._in_flight[tier - 1] -= 1
-        self._arrive[job_id * self.env.num_tiers + tier] = self.clock
-        self.arrived[tier] += 1
-
-        k, pos = self.policy.assign(self, job_id, tier)
-        queue = None
-        if 0 <= k < self.env.resources_per_tier[tier]:
-            queue = self._queues[tier][k]
-            min_pos = 1 if self._busy[tier][k] is not None else 0
-            if not min_pos <= pos <= len(queue):
-                queue = None
-        if queue is None:
-            raise InvalidScheduleError(
-                f"policy returned invalid placement ({k}, {pos}) for job "
-                f"{job_id} at tier {tier}")
-        queue.insert(pos, job_id)
-        if self.keep_trace:
-            self._trace("arrive", job_id, tier, k)
-        self._try_start(tier, k)
-
-    def _handle_completion(self, job_id: int, tier: int, k: int) -> None:
-        entry = self._busy[tier][k]
-        if entry is None or entry[0] != job_id:
-            raise AssertionError("completion out of order")
-        queue = self._queues[tier][k]
-        if not queue or queue[0] != job_id:
-            raise AssertionError("completing job is not the queue head")
-        queue.pop(0)
-        self._busy[tier][k] = None
-        if self.keep_trace:
-            self._trace("finish", job_id, tier, k)
-        if tier + 1 < self.env.num_tiers:
-            self._in_flight[tier] += 1
-            heapq.heappush(self._events,
-                           (self.clock, _ARRIVAL, job_id, tier + 1, -1))
-        else:
-            self._completion[job_id] = self.clock
-            self.departed += 1
-            if self.keep_trace:
-                self._trace("depart", job_id, tier, k)
-        self._try_start(tier, k)
-
-    def _try_start(self, tier: int, k: int) -> None:
-        if self._busy[tier][k] is not None:
-            return
-        queue = self._queues[tier][k]
-        if not queue:
-            return
-        head = queue[0]
+    def _start_head(self, tier: int, k: int) -> None:
+        """Start serving the head of an idle resource's non-empty queue."""
+        head = self._queues[tier][k][0]
         clock = self.clock
         slot = head * self.env.num_tiers + tier
         self._wait[slot] = clock - self._arrive[slot]
         end = clock + self._exec[tier][head]
         self._busy[tier][k] = (head, end)
-        heapq.heappush(self._events, (end, _COMPLETION, head, tier, k))
+        heappush(self._events, (end, _COMPLETION, head, tier, k))
         if self.keep_trace:
             self._trace("start", head, tier, k)
 
@@ -319,7 +308,8 @@ class Simulator:
             head = [entry[0]] if entry is not None else []
             self._queues[tier][k] = head + list(schedule.waiting(tier, k))
         for tier, k in self.env.iter_queues():
-            self._try_start(tier, k)
+            if self._queues[tier][k] and self._busy[tier][k] is None:
+                self._start_head(tier, k)
         if self.keep_trace:
             self._trace("reschedule", 0, -1, -1)
         return True
@@ -399,10 +389,13 @@ class Simulator:
                         f"the queue head")
 
     def report(self) -> SimReport:
-        """Realized outcomes for every completed job."""
+        """Realized outcomes for every completed job; each alpha is the total
+        wait less the job's entry in the job set's allowance table."""
         chi, nu = self.env.chi, self.env.nu
         tiers = self.env.num_tiers
         wait, completions = self._wait, self._completion
+        allowances = self.jobs._allowances
+        outcome = tuple.__new__  # skips JobOutcome's Python-level __new__
         outcomes: dict[int, JobOutcome] = {}
         for job in self.jobs.jobs:
             jid = job.id
@@ -413,12 +406,11 @@ class Simulator:
             waits = tuple(wait[first:first + tiers])
             total_wait = sum(waits)
             arrival = job.arrival
-            # Job.total_exec and Job.allowance, with one sum between them.
-            total_exec = sum(job.exec_times)
-            alpha = total_wait - ((job.target_completion - arrival) - total_exec)
-            outcomes[jid] = JobOutcome(
-                jid, arrival, completion, total_exec, waits, total_wait,
-                completion - arrival, alpha, penalty(alpha, chi, nu))
+            alpha = total_wait - allowances[jid - 1]
+            outcomes[jid] = outcome(JobOutcome, (
+                jid, arrival, completion, sum(job.exec_times), waits,
+                total_wait, completion - arrival, alpha,
+                penalty(alpha, chi, nu)))
         return SimReport(outcomes=outcomes,
                          **violation_totals(outcomes.values()))
 

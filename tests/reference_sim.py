@@ -1,0 +1,150 @@
+"""Handler-per-kind reference for ``tiersched.Simulator``'s events and report.
+
+``ReferenceSimulator`` steps through a stream the way the simulator did when
+each event kind had a handler of its own: ``step`` dispatches to
+``_handle_arrival`` or ``_handle_completion``, and both end in ``_try_start``,
+which checks for itself that the resource is idle and its queue non-empty.
+Its ``report`` prices each job from ``Job``'s fields and builds the records
+through ``JobOutcome``'s constructor, and ``reference_violation_totals`` sums
+generator passes over the records.  The package runs both kinds of event in
+one step body and reads the job set's allowance table; the tests hold the
+two to each other, state after state.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+from tiersched.model import TIME_EPS, InvalidScheduleError
+from tiersched.penalty import penalty
+from tiersched.sim import (
+    _ARRIVAL,
+    _COMPLETION,
+    JobOutcome,
+    SimReport,
+    Simulator,
+)
+
+
+def reference_violation_totals(records) -> dict[str, float]:
+    """Aggregates of expected or realized per-job records (any re-iterable
+    collection of objects with ``alpha`` and ``cost``)."""
+    return {
+        "total_signed": sum(r.alpha for r in records),
+        "total_violation": sum(max(r.alpha, 0.0) for r in records),
+        "total_cost": sum(r.cost for r in records),
+        "max_violation": max((max(r.alpha, 0.0) for r in records),
+                             default=0.0),
+    }
+
+
+class ReferenceSimulator(Simulator):
+    """A ``Simulator`` whose events and report take the handler-per-kind
+    path; snapshots and installs are the package's own."""
+
+    def step(self) -> bool:
+        """Process the next pending event; False when none remain."""
+        events, arrival = self._events, self._next_arrival
+        if events and (arrival is None or events[0] < arrival):
+            time, rank, job_id, tier, k = heapq.heappop(events)
+        elif arrival is not None:
+            time, rank, job_id, tier, k = arrival
+            self._next_arrival = next(self._arrivals, None)
+        else:
+            return False
+        if time < self.clock - TIME_EPS:
+            raise AssertionError("event times must not decrease")
+        self.clock = time
+        if rank == _COMPLETION:
+            self._handle_completion(job_id, tier, k)
+        else:
+            self._handle_arrival(job_id, tier)
+        if self.optimizer is not None:
+            self._maybe_reschedule()
+        return True
+
+    def _handle_arrival(self, job_id: int, tier: int) -> None:
+        if tier == 0:
+            self.external_arrivals += 1
+        else:
+            self._in_flight[tier - 1] -= 1
+        self._arrive[job_id * self.env.num_tiers + tier] = self.clock
+        self.arrived[tier] += 1
+
+        k, pos = self.policy.assign(self, job_id, tier)
+        queue = None
+        if 0 <= k < self.env.resources_per_tier[tier]:
+            queue = self._queues[tier][k]
+            min_pos = 1 if self._busy[tier][k] is not None else 0
+            if not min_pos <= pos <= len(queue):
+                queue = None
+        if queue is None:
+            raise InvalidScheduleError(
+                f"policy returned invalid placement ({k}, {pos}) for job "
+                f"{job_id} at tier {tier}")
+        queue.insert(pos, job_id)
+        if self.keep_trace:
+            self._trace("arrive", job_id, tier, k)
+        self._try_start(tier, k)
+
+    def _handle_completion(self, job_id: int, tier: int, k: int) -> None:
+        entry = self._busy[tier][k]
+        if entry is None or entry[0] != job_id:
+            raise AssertionError("completion out of order")
+        queue = self._queues[tier][k]
+        if not queue or queue[0] != job_id:
+            raise AssertionError("completing job is not the queue head")
+        queue.pop(0)
+        self._busy[tier][k] = None
+        if self.keep_trace:
+            self._trace("finish", job_id, tier, k)
+        if tier + 1 < self.env.num_tiers:
+            self._in_flight[tier] += 1
+            heapq.heappush(self._events,
+                           (self.clock, _ARRIVAL, job_id, tier + 1, -1))
+        else:
+            self._completion[job_id] = self.clock
+            self.departed += 1
+            if self.keep_trace:
+                self._trace("depart", job_id, tier, k)
+        self._try_start(tier, k)
+
+    def _try_start(self, tier: int, k: int) -> None:
+        if self._busy[tier][k] is not None:
+            return
+        queue = self._queues[tier][k]
+        if not queue:
+            return
+        head = queue[0]
+        clock = self.clock
+        slot = head * self.env.num_tiers + tier
+        self._wait[slot] = clock - self._arrive[slot]
+        end = clock + self._exec[tier][head]
+        self._busy[tier][k] = (head, end)
+        heapq.heappush(self._events, (end, _COMPLETION, head, tier, k))
+        if self.keep_trace:
+            self._trace("start", head, tier, k)
+
+    def report(self) -> SimReport:
+        """Realized outcomes for every completed job."""
+        chi, nu = self.env.chi, self.env.nu
+        tiers = self.env.num_tiers
+        wait, completions = self._wait, self._completion
+        outcomes: dict[int, JobOutcome] = {}
+        for job in self.jobs.jobs:
+            jid = job.id
+            completion = completions[jid]
+            if completion is None:
+                continue
+            first = jid * tiers
+            waits = tuple(wait[first:first + tiers])
+            total_wait = sum(waits)
+            arrival = job.arrival
+            # Job.total_exec and Job.allowance, with one sum between them.
+            total_exec = sum(job.exec_times)
+            alpha = total_wait - ((job.target_completion - arrival) - total_exec)
+            outcomes[jid] = JobOutcome(
+                jid, arrival, completion, total_exec, waits, total_wait,
+                completion - arrival, alpha, penalty(alpha, chi, nu))
+        return SimReport(outcomes=outcomes,
+                         **reference_violation_totals(outcomes.values()))

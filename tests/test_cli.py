@@ -34,6 +34,8 @@ def assert_exit(argv, code, capsys) -> str:
 GEN = ("--jobs", "30", "--lambda", "2.5")
 # Stands for a workload file the contract test generates first.
 WORKLOAD = "{workload}"
+# Stands for the contract test's temporary directory.
+DIRECTORY = "{directory}"
 
 # argv -> exit code, and a fragment of the message on stderr.
 CONTRACT = {
@@ -126,6 +128,15 @@ CONTRACT = {
     "run-inf-chi": (
         ("run", *GEN, "--chi", "inf"), 3,
         "input error: cost factor chi must be positive and finite"),
+    "run-workload-is-a-directory": (
+        ("run", "--workload", DIRECTORY, "--policy", "fcfs"), 3,
+        "input error: [Errno 21] Is a directory"),
+    "run-out-dir-under-a-file": (
+        ("run", *GEN, "--out-dir", f"{WORKLOAD}/out"), 2,
+        "usage error: --out-dir"),
+    "compare-out-dir-under-a-file": (
+        ("compare", *GEN, "--policies", "fcfs", "--out-dir",
+         f"{WORKLOAD}/out"), 2, "usage error: --out-dir"),
     "run-nan-nu": (
         ("run", *GEN, "--nu", "nan"), 3,
         "input error: scaling factor nu must be positive and finite"),
@@ -135,12 +146,15 @@ CONTRACT = {
 @pytest.mark.parametrize("case", sorted(CONTRACT))
 def test_exit_code_contract(case, tmp_path, capsys):
     argv, code, message = CONTRACT[case]
-    if WORKLOAD in argv:
+    if any(WORKLOAD in a for a in argv):
         path = tmp_path / "w.txt"
         assert run_cli("generate", *GEN, "--out", str(path)) == 0
-        argv = tuple(str(path) if a == WORKLOAD else a for a in argv)
+        argv = tuple(a.replace(WORKLOAD, str(path)) for a in argv)
+    argv = tuple(a.replace(DIRECTORY, str(tmp_path)) for a in argv)
     out = tmp_path / "out"
-    err = assert_exit((*argv, "--out-dir", str(out)), code, capsys)
+    if "--out-dir" not in argv:
+        argv = (*argv, "--out-dir", str(out))
+    err = assert_exit(argv, code, capsys)
     assert message in err
     # Inputs are checked before anything runs or is written.
     assert not out.exists()
@@ -184,6 +198,12 @@ class TestGenerate:
 
     def test_unknown_flag_exits_two(self, capsys):
         assert_exit(("generate", "--frobnicate"), 2, capsys)
+
+    def test_out_path_that_cannot_be_written_is_usage_error(self, tmp_path,
+                                                            capsys):
+        err = assert_exit(("generate", *GEN, "--out", str(tmp_path)), 2,
+                          capsys)
+        assert "usage error: --out" in err
 
 
 class TestRun:

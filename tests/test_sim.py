@@ -29,9 +29,11 @@ from tiersched import (
     total_penalty,
 )
 from tiersched.baselines import AssignmentPolicy
+from tiersched.penalty import JobViolation, violation_totals
 from tiersched.sim import Simulator
 
 from conftest import job
+from reference_sim import ReferenceSimulator, reference_violation_totals
 
 
 class TestBasicDynamics:
@@ -307,6 +309,18 @@ class TestPolicyContract:
         jobs = JobSet((job(1, (1.0, 1.0)),))
         sim = Simulator(jobs, env_2x3, BrokenPolicy())
         with pytest.raises(InvalidScheduleError, match="invalid placement"):
+            sim.run()
+
+    def test_placement_ahead_of_the_in_service_head_halts(self, env_1x1):
+        class FrontPolicy(AssignmentPolicy):
+            def assign(self, sim, job_id, tier):
+                return 0, 0
+
+        jobs = JobSet((job(1, (1.0,)), job(2, (1.0,), arrival=0.5)))
+        sim = Simulator(jobs, env_1x1, FrontPolicy())
+        sim.step()
+        with pytest.raises(InvalidScheduleError,
+                           match=r"invalid placement \(0, 0\) for job 2"):
             sim.run()
 
 
@@ -622,3 +636,50 @@ class TestStreamProperties:
             assert list(sim.snapshot().progress) == queued
         assert checking.arrivals == len(jobs) * env.num_tiers
         assert sim.departed == len(jobs) == sim.report().job_count
+
+
+def reverse_waiting(snap):
+    """Optimizer that reverses every queue's waiting order."""
+    return snap.schedule.with_waiting(
+        [order[::-1] for order in snap.schedule.flat_waiting()])
+
+
+class TestAgainstReference:
+    """The one-body step and the table-reading report against the
+    handler-per-kind reference in ``reference_sim.py``."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_streams(), st.integers(0, 3))
+    def test_same_states_trace_and_report(self, stream, seed):
+        env, jobs, policy, cadence = stream
+        optimizer = None if cadence is None else reverse_waiting
+        sims = [cls(jobs, env, make_policy(policy, env, seed=seed),
+                    optimizer=optimizer, reschedule_every=cadence or 1,
+                    keep_trace=True)
+                for cls in (Simulator, ReferenceSimulator)]
+        sim, ref = sims
+        while True:
+            stepped = sim.step()
+            assert stepped == ref.step()
+            assert repr(sim.clock) == repr(ref.clock)
+            assert sim._queues == ref._queues
+            assert repr(sim._busy) == repr(ref._busy)
+            if not stepped:
+                break
+        assert sim.trace_lines() == ref.trace_lines()
+        got, want = sim.report(), ref.report()
+        assert repr(got.outcomes) == repr(want.outcomes)
+        assert (repr((got.total_signed, got.total_violation, got.total_cost,
+                      got.max_violation))
+                == repr((want.total_signed, want.total_violation,
+                         want.total_cost, want.max_violation)))
+
+    @pytest.mark.parametrize("alphas", [
+        (), (-0.0,), (0.0,), (-0.0, 0.0), (0.0, -0.0), (-1.5, -0.0),
+        (-2.0, -3.25), (-0.0, -1.0, 0.0), (2.5, -0.0, -7.0, 0.0, 1e-300),
+    ])
+    def test_violation_totals_keep_signed_zeros(self, alphas):
+        records = [JobViolation(a, max(a, 0.0) / 2, 0.0) for a in alphas]
+        assert (repr(violation_totals(records))
+                == repr(reference_violation_totals(records)))
