@@ -149,7 +149,10 @@ def _workload_spec(args, seed=None) -> WorkloadSpec:
 
 def _workload(args, env: EnvironmentConfig):
     if getattr(args, "workload", None):
-        return load(args.workload)
+        try:
+            return load(args.workload)
+        except OSError as err:  # missing, a directory, unreadable
+            raise WorkloadFormatError(str(err)) from None
     return generate(_workload_spec(args), env)
 
 
@@ -504,7 +507,7 @@ def main(argv=None) -> int:
     except SystemExit2 as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (WorkloadFormatError, OSError, ValueError) as err:
+    except (WorkloadFormatError, FileNotFoundError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (InvalidScheduleError, AssertionError) as err:

@@ -654,11 +654,10 @@ class TestAgainstReference:
     def test_same_states_trace_and_report(self, stream, seed):
         env, jobs, policy, cadence = stream
         optimizer = None if cadence is None else reverse_waiting
-        sims = [cls(jobs, env, make_policy(policy, env, seed=seed),
-                    optimizer=optimizer, reschedule_every=cadence or 1,
-                    keep_trace=True)
-                for cls in (Simulator, ReferenceSimulator)]
-        sim, ref = sims
+        sim, ref = (cls(jobs, env, make_policy(policy, env, seed=seed),
+                        optimizer=optimizer, reschedule_every=cadence or 1,
+                        keep_trace=True)
+                    for cls in (Simulator, ReferenceSimulator))
         while True:
             stepped = sim.step()
             assert stepped == ref.step()
