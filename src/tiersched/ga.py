@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -94,18 +94,18 @@ class _Draws:
             raise TypeError(
                 f"_Draws emulates PCG64, not {state['bit_generator']}")
         self._raw = rng.bit_generator.random_raw
-        self._words = iter(())
+        # The unread words of the current block, the next one last.
+        self._words: list[int] = []
         self._half = state["uinteger"] if state["has_uint32"] else None
 
-    def _word(self) -> int:
-        word = next(self._words, None)
-        if word is None:
-            self._words = iter(self._raw(self._BLOCK).tolist())
-            word = next(self._words)
-        return word
+    def _refill(self) -> None:
+        self._words += self._raw(self._BLOCK)[::-1].tolist()
 
     def random(self) -> float:
-        return (self._word() >> 11) * 2.0 ** -53
+        words = self._words
+        if not words:
+            self._refill()
+        return (words.pop() >> 11) * 2.0 ** -53
 
     def integers(self, n: int) -> int:
         if not 0 < n < 2 ** 32:
@@ -113,21 +113,29 @@ class _Draws:
                 f"_Draws draws integers(n) for 0 < n < 2**32 only, got {n}")
         if n == 1:
             return 0
-        m = self._uint32() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (2 ** 32 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * n
-        return m >> 32
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        word = self._word()
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
+        threshold = None
+        while True:
+            # A 32-bit candidate: the buffered high half, else the low half
+            # of a new word (its high half is buffered).
+            half = self._half
+            if half is None:
+                words = self._words
+                if not words:
+                    self._refill()
+                word = words.pop()
+                self._half = word >> 32
+                half = word & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = half * n
+            low = m & 0xFFFFFFFF
+            # ``threshold`` is below ``n``, so ``low >= n`` accepts at once.
+            if low >= n:
+                return m >> 32
+            if threshold is None:
+                threshold = (2 ** 32 - n) % n
+            if low >= threshold:
+                return m >> 32
 
 
 def roulette_wheel(raws) -> list[float]:
@@ -136,14 +144,23 @@ def roulette_wheel(raws) -> list[float]:
     Raw scores measure violation, so selection inverts them: weight grows as
     the score falls below the generation's worst.  A tiny epsilon keeps
     degenerate (all-equal) populations on a uniform wheel.  The last entry is
-    pinned to 1 so rounding never leaves a draw past the end.
+    pinned to 1 so rounding never leaves a draw past the end.  The weights
+    are added left to right, as ``sum()`` does before Python 3.12 (it
+    compensates from 3.12 on), so the wheel is the same on every version.
     """
     worst = max(raws)
     # max(1, worst, -min) is max(1, max |r|) without a pass over abs().
     eps = 1e-12 * max(1.0, worst, -min(raws))
     weights = [(worst - r) + eps for r in raws]
-    total = sum(weights)
-    wheel = list(accumulate([w / total for w in weights]))
+    total = 0.0
+    for w in weights:
+        total += w
+    # Running sums of the shares, added as ``accumulate`` adds them.
+    wheel = []
+    share = 0.0
+    for w in weights:
+        share += w / total
+        wheel.append(share)
     wheel[-1] = 1.0
     return wheel
 
@@ -155,6 +172,12 @@ def select(population, wheel, rng: np.random.Generator | _Draws,
     Like the other operators, it draws from a ``Generator`` or from
     ``_run_ga``'s :class:`_Draws`.
     """
+    # The GA's parents come one or two at a time.
+    if count == 1:
+        return [population[bisect_right(wheel, rng.random())]]
+    if count == 2:
+        return [population[bisect_right(wheel, rng.random())],
+                population[bisect_right(wheel, rng.random())]]
     return [population[bisect_right(wheel, rng.random())]
             for _ in range(count)]
 
@@ -210,39 +233,56 @@ def _crossover_child(template: Genome, donor: Genome, cut: int) -> Genome:
     return tuple(child)
 
 
-def mutate(genome: Genome, tiers: tuple[int, ...],
+def mutation_layout(genome: Genome, tiers: tuple[int, ...]):
+    """What an insert mutation needs to know of ``genome``, whose segment
+    ``s`` belongs to tier ``tiers[s]``, and of every mutant of it:
+    ``(genes, siblings, slots)``, its gene count and, per segment, the
+    segments of its tier (itself included, in order) and the insert slots
+    the tier offers once one gene is pulled (its other genes plus one per
+    segment)."""
+    siblings = tuple(tuple(i for i, t in enumerate(tiers) if t == tier)
+                     for tier in tiers)
+    slots = tuple(sum(len(genome[i]) + 1 for i in sibs) - 1
+                  for sibs in siblings)
+    return sum(map(len, genome)), siblings, slots
+
+
+def mutate(genome: Genome, layout: tuple,
            rng: np.random.Generator | _Draws) -> Genome:
     """Insert mutation: pull one gene and reinsert it within its tier.
 
-    ``tiers[s]`` is the tier owning segment ``s``.  Reinsertion into the same
-    segment reorders that queue; reinsertion into a sibling segment migrates
-    the job to another resource of the tier.  Only the one or two segments
-    touched are copied.
+    ``layout`` is :func:`mutation_layout` of the genome or of any genome it
+    was mutated from.  Reinsertion into the same segment reorders that
+    queue; reinsertion into a sibling segment migrates the job to another
+    resource of the tier.  Only the one or two segments touched are copied.
     """
-    total = sum(map(len, genome))
-    if total == 0:
+    genes, siblings, slots = layout
+    if genes == 0:
         return genome
-    gene_idx = int(rng.integers(total))
+    gene_idx = int(rng.integers(genes))
     src = 0
-    while gene_idx >= len(genome[src]):
-        gene_idx -= len(genome[src])
+    seg = genome[0]
+    while gene_idx >= len(seg):
+        gene_idx -= len(seg)
         src += 1
-    segments = list(genome)
-    source = list(genome[src])
+        seg = genome[src]
+    source = list(seg)
     gene = source.pop(gene_idx)
-    segments[src] = source
 
-    tier_segs = [i for i, t in enumerate(tiers) if t == tiers[src]]
-    slots = sum(len(segments[i]) + 1 for i in tier_segs)
-    slot = int(rng.integers(slots))
-    for dst in tier_segs:
-        if slot <= len(segments[dst]):
+    slot = int(rng.integers(slots[src]))
+    for dst in siblings[src]:
+        size = len(source) if dst == src else len(genome[dst])
+        if slot <= size:
             break
-        slot -= len(segments[dst]) + 1
-    target = source if dst == src else list(segments[dst])
-    target.insert(slot, gene)
+        slot -= size + 1
+    segments = list(genome)
+    if dst == src:
+        source.insert(slot, gene)
+    else:
+        target = list(genome[dst])
+        target.insert(slot, gene)
+        segments[dst] = tuple(target)
     segments[src] = tuple(source)
-    segments[dst] = tuple(target)
     return tuple(segments)
 
 
@@ -301,9 +341,11 @@ def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
 
     Segment ``s`` of the genomes is the evaluator's queue ``queues[s]``.  A
     member of the population is a genome, its score and its per-segment
-    queue scores; the score is ``base`` plus those queue scores summed in
-    segment order, the arithmetic of :meth:`ScheduleEvaluator.fitness`, so
-    ``seeded_score`` (the score of ``seeded``) is what ``fitness`` gives it.
+    queue scores; a one-segment member (every run of the segmented variant)
+    is only its genome and score.  The score is ``base`` plus the queue
+    scores summed in segment order, the arithmetic of
+    :meth:`ScheduleEvaluator.fitness`, so ``seeded_score`` (the score of
+    ``seeded``) is what ``fitness`` gives it.
     ``evals`` is the logical budget, population x generations: every member
     of every generation has a score.  Scores are pure, so the elite, the
     roulette copies and a crossover child of equal parents (which is its
@@ -311,34 +353,48 @@ def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
     children rescore only the segments that are not their parent's (for a
     child, its template's) own objects, compared by identity: a child keeps
     every segment that lies wholly before the cut or comes out of the
-    repair unchanged.  The best-ever member is
-    carried unmodified into each next generation (elitism), which makes the
-    best-so-far history nonincreasing.
+    repair unchanged.  The best-ever member is carried unmodified into each
+    next generation (elitism), which makes the best-so-far history
+    nonincreasing.
 
     ``rng`` builds the initial population; the operators then draw the same
-    stream through :class:`_Draws`.
+    stream through :class:`_Draws`.  The mutation layout is taken once per
+    run: every genome of a run has the seeded genome's tier gene counts.
     """
     n = config.population
     ops = config.operator_count
     score = evaluator.queue_score
     queue_tiers = [t for t, _ in evaluator.snapshot.env.iter_queues()]
-    tiers = tuple(queue_tiers[q] for q in queues)
+    layout = mutation_layout(seeded, tuple(queue_tiers[q] for q in queues))
 
-    def member(genome: Genome, parent=None):
-        # ``parent`` is the member the genome was made from: its queue
-        # scores stay where the genome holds the very same segment object.
-        if parent is None:
-            parts = [score(q, seg) for q, seg in zip(queues, genome)]
-        else:
-            old, _, parts = parent
-            parts = parts.copy()
-            for s, seg in enumerate(genome):
-                if seg is not old[s]:
-                    parts[s] = score(queues[s], seg)
-        total = base
-        for part in parts:
-            total += part
-        return genome, total, parts
+    if len(queues) == 1:
+        (queue,) = queues
+
+        def member(genome: Genome, parent=None):
+            # ``parent`` is the member the genome was made from: its score
+            # stays if the genome holds the very same segment object.
+            seg = genome[0]
+            if parent is not None and seg is parent[0][0]:
+                return genome, parent[1]
+            return genome, base + score(queue, seg)
+    else:
+        def member(genome: Genome, parent=None):
+            # As above, segment by segment.
+            total = base
+            parts = []
+            if parent is None:
+                for q, seg in zip(queues, genome):
+                    part = score(q, seg)
+                    parts.append(part)
+                    total += part
+            else:
+                old, _, old_parts = parent
+                for q, seg, was, part in zip(queues, genome, old, old_parts):
+                    if seg is not was:
+                        part = score(q, seg)
+                    parts.append(part)
+                    total += part
+            return genome, total, parts
 
     genomes = [seeded] + [sample_random(rng) for _ in range(n - 1)]
     population = [member(c) for c in genomes]
@@ -348,14 +404,21 @@ def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
     best = None
     best_f = float("inf")
     history: list[GenerationStats] = []
+    # The named tuple's own ``__new__`` is a Python-level call.
+    stats = tuple.__new__
+    last = config.generations - 1
     for gen in range(config.generations):
         fits = [m[1] for m in population]
         # The first member with the lowest score, as a scan would find it.
         low = min(fits)
         if low < best_f:
             best, best_f = population[fits.index(low)], low
-        history.append(GenerationStats(gen, best_f, sum(fits) / n))
-        if gen == config.generations - 1:
+        # Left to right, as ``sum()`` adds before Python 3.12.
+        total = 0.0
+        for fit in fits:
+            total += fit
+        history.append(stats(GenerationStats, (gen, best_f, total / n)))
+        if gen == last:
             break
         wheel = roulette_wheel(fits)
         nxt = [best]
@@ -366,7 +429,7 @@ def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
                     b if cb is b[0] else member(cb, b))
         for _ in range(ops):
             (parent,) = select(population, wheel, draws)
-            nxt.append(member(mutate(parent[0], tiers, draws), parent))
+            nxt.append(member(mutate(parent[0], layout, draws), parent))
         nxt += select(population, wheel, draws, n - len(nxt))
         population = nxt
     return best[0], best_f, seeded_score, history, n * config.generations
@@ -439,12 +502,15 @@ def _evolve_segmented(snapshot: Snapshot, config: GAConfig) -> EvolveResult:
         histories.append(history)
         evaluations += evals
 
-    generations = config.generations
     combined: list[GenerationStats] = []
-    for gen in range(generations):
-        best = fixed_total + sum(h[gen].best for h in histories)
-        mean = fixed_total + sum(h[gen].mean for h in histories)
-        combined.append(GenerationStats(gen, best, mean))
+    for gen in range(config.generations):
+        # Left to right, as ``sum()`` adds before Python 3.12.
+        best = mean = 0.0
+        for h in histories:
+            best += h[gen].best
+            mean += h[gen].mean
+        combined.append(
+            GenerationStats(gen, fixed_total + best, fixed_total + mean))
 
     return EvolveResult(
         best_schedule=snapshot.schedule.with_waiting(best_orders),

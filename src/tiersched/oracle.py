@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, permutations
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -67,6 +68,33 @@ def _block_bounds(bars: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     return bounds + [(prev, n)]
 
 
+def _permutation_rows(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the permutations of ``range(n)`` in the order
+    ``itertools.permutations`` lists them, as an int8 array.
+
+    Row ``r`` is ``r // (n-1)!`` followed by row ``r % (n-1)!`` of the
+    permutations of ``range(n - 1)``, with every entry at or above that
+    first value raised by one.
+    """
+    if n == 0:
+        return np.zeros((stop - start, 0), dtype=np.int8)
+    rows = np.arange(start, stop)
+    first, rest = np.divmod(rows, math.factorial(n - 1))
+    first = first.astype(np.int8)[:, None]
+    rest = _permutation_table(n - 1)[rest]
+    rest += rest >= first
+    return np.concatenate((first, rest), axis=1)
+
+
+@cache
+def _permutation_table(n: int) -> np.ndarray:
+    """Every permutation of ``range(n)``, built once per process; at the
+    state ceiling the largest is 9! rows of 9 entries (3.3 MB)."""
+    table = _permutation_rows(n, 0, math.factorial(n))
+    table.flags.writeable = False
+    return table
+
+
 def exhaustive_best(snapshot: Snapshot,
                     mode: AllowanceMode = AllowanceMode.TOTAL) -> OracleResult:
     """Certified minimizer of the signed violation total.
@@ -96,13 +124,10 @@ def exhaustive_best(snapshot: Snapshot,
         id_array = np.array(ids, dtype=np.intp)
         best_blocks = None
         best_score = None
-        perms = permutations(range(n))
         total_rows = math.factorial(n)
         for done in range(0, total_rows, CHUNK_ROWS):
             rows = min(CHUNK_ROWS, total_rows - done)
-            chunk = np.fromiter(chain.from_iterable(islice(perms, rows)),
-                                dtype=np.int8, count=rows * n).reshape(rows, n)
-            orders = id_array[chunk]
+            orders = id_array[_permutation_rows(n, done, done + rows)]
             head = evaluator.prefix_scores(offset, orders)
             for bounds in splits:
                 score = 0.0 + head[:, bounds[0][1]]

@@ -32,6 +32,7 @@ from tiersched import (
 from tiersched.ga import (
     crossover,
     mutate,
+    mutation_layout,
     random_chromosome,
 )
 from tiersched.cli import main as cli_main
@@ -246,8 +247,9 @@ class TestCriterion6Structure:
             pool[i % 6] = ca
         mutant = base
         tiers = tuple(t for t, _ in snap.env.iter_queues())
+        layout = mutation_layout(base, tiers)
         for _ in range(10_000):
-            mutant = mutate(mutant, tiers, rng)
+            mutant = mutate(mutant, layout, rng)
             bad += not genome_valid(mutant, snap)
 
         config = GAConfig(population=10, generations=300, seed=7)

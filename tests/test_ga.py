@@ -3,6 +3,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tiersched import (
 from tiersched.ga import (
     crossover,
     mutate,
+    mutation_layout,
     random_chromosome,
     roulette_wheel,
     select,
@@ -33,6 +35,7 @@ from tiersched.ga import _crossover_child
 from conftest import fresh_snapshot, genome_valid, job, loaded_snapshot
 from reference_crossover import reference_crossover_child
 from reference_dealer import reference_chromosome
+from reference_ga import reference_run_ga
 
 
 def tier_genes(genome, env):
@@ -250,17 +253,18 @@ class TestMutate:
         snap = fresh_snapshot(env_1x1, jobs, (((1,),),))
         chrom = snap.schedule.flat_waiting()
         rng = np.random.default_rng(3)
-        tiers = queue_tiers(snap)
+        layout = mutation_layout(chrom, queue_tiers(snap))
         for _ in range(20):
-            assert mutate(chrom, tiers, rng) == chrom
+            assert mutate(chrom, layout, rng) == chrom
 
     def test_fuzz_preserves_validity(self):
         rng = np.random.default_rng(4)
         snap = loaded_snapshot(6.0, 24, seed=10)
         chrom = snap.schedule.flat_waiting()
-        tiers = queue_tiers(snap)
+        # One layout serves every mutant of the genome it was taken from.
+        layout = mutation_layout(chrom, queue_tiers(snap))
         for _ in range(10_000):
-            chrom = mutate(chrom, tiers, rng)
+            chrom = mutate(chrom, layout, rng)
             assert genome_valid(chrom, snap)
 
     def test_cross_segment_moves_roughly_match_uniform_slots(self):
@@ -273,13 +277,13 @@ class TestMutate:
                                 tuple(range(9, 13))),))
         chrom = snap.schedule.flat_waiting()
         rng = np.random.default_rng(5)
-        tiers = queue_tiers(snap)
+        layout = mutation_layout(chrom, queue_tiers(snap))
         moved = 0
         trials = 10_000
         for _ in range(trials):
             segment_of = {g: si for si, seg in enumerate(chrom)
                           for g in seg}
-            mutant = mutate(chrom, tiers, rng)
+            mutant = mutate(chrom, layout, rng)
             new_segment_of = {g: si for si, seg in enumerate(mutant)
                               for g in seg}
             if any(segment_of[g] != new_segment_of[g] for g in segment_of):
@@ -454,21 +458,23 @@ class TestScoringWork:
     @pytest.fixture
     def counted(self, monkeypatch):
         """Per ``_run_ga`` call: ``queue_score`` calls, crossover children of
-        unequal and of equal parents, and the segments each child of unequal
+        unequal and of equal parents, the segments each child of unequal
         parents does not share with its template and each mutant does not
-        share with its parent; plus ``ScheduleEvaluator.fitness`` calls."""
+        share with its parent, and ``select`` calls per generation; plus
+        ``ScheduleEvaluator.fitness`` calls."""
         runs: list[dict] = []
         fitness_calls = [0]
         plain_run, plain_score = ga._run_ga, ScheduleEvaluator.queue_score
         plain_fitness = ScheduleEvaluator.fitness
         plain_crossover, plain_mutate = ga.crossover, ga.mutate
+        plain_wheel, plain_select = ga.roulette_wheel, ga.select
 
         def fresh(offspring, origin):
             return sum(seg is not old for seg, old in zip(offspring, origin))
 
         def run(*args, **kwargs):
             runs.append(dict(scorings=0, unequal=0, equal=0, children=[],
-                             mutants=[]))
+                             mutants=[], selects=[]))
             try:
                 return plain_run(*args, **kwargs)
             finally:
@@ -490,8 +496,8 @@ class TestScoringWork:
                     in zip(children, (parent_a, parent_b))]
             return children
 
-        def mutate(genome, tiers, rng):
-            mutant = plain_mutate(genome, tiers, rng)
+        def mutate(genome, layout, rng):
+            mutant = plain_mutate(genome, layout, rng)
             runs[-1]["mutants"].append(fresh(mutant, genome))
             return mutant
 
@@ -499,11 +505,22 @@ class TestScoringWork:
             fitness_calls[0] += 1
             return plain_fitness(self, flat_orders)
 
+        # Every generation but the last builds one wheel before it selects.
+        def roulette_wheel(raws):
+            runs[-1]["selects"].append(0)
+            return plain_wheel(raws)
+
+        def select(population, wheel, rng, count=1):
+            runs[-1]["selects"][-1] += 1
+            return plain_select(population, wheel, rng, count)
+
         monkeypatch.setattr(ga, "_run_ga", run)
         monkeypatch.setattr(ScheduleEvaluator, "queue_score", queue_score)
         monkeypatch.setattr(ScheduleEvaluator, "fitness", fitness)
         monkeypatch.setattr(ga, "crossover", crossover)
         monkeypatch.setattr(ga, "mutate", mutate)
+        monkeypatch.setattr(ga, "roulette_wheel", roulette_wheel)
+        monkeypatch.setattr(ga, "select", select)
         return runs, fitness_calls
 
     CONFIGS = [dict(), dict(population=30)]
@@ -519,6 +536,10 @@ class TestScoringWork:
             assert len(run["children"]) == run["unequal"]
             assert len(run["mutants"]) == (
                 (config.generations - 1) * config.operator_count)
+            # Two parents per pair, one per mutant, then one call for the
+            # roulette copies.
+            assert run["selects"] == (
+                [2 * config.operator_count + 1] * (config.generations - 1))
 
     @pytest.mark.parametrize("extra", CONFIGS)
     def test_virtualized_scores_only_offspring(self, counted, extra):
@@ -568,6 +589,65 @@ class TestScoringWork:
             config.population * config.generations * evolved)
 
 
+class TestLoopAgainstReference:
+    """``evolve`` through the package's generation loop gives, bit for bit,
+    what it gives through the plainer reference loop in ``reference_ga``."""
+
+    @staticmethod
+    def check(snap, config):
+        got = evolve(snap, config)
+        with mock.patch.object(ga, "_run_ga", reference_run_ga):
+            want = evolve(snap, config)
+        assert got.best_schedule == want.best_schedule
+        assert got.best_fitness.hex() == want.best_fitness.hex()
+        assert got.initial_fitness.hex() == want.initial_fitness.hex()
+        assert [(h.generation, h.best.hex(), h.mean.hex())
+                for h in got.history] == [
+            (h.generation, h.best.hex(), h.mean.hex()) for h in want.history]
+        assert all(type(h) is ga.GenerationStats for h in got.history)
+        assert got.evaluations == want.evaluations
+
+    @settings(max_examples=80, deadline=None)
+    @given(resources=st.sampled_from([(1,), (2, 3, 1), (3, 3)]),
+           rate=st.sampled_from([2.5, 7.0, 12.0]), jobs=st.integers(1, 40),
+           stream=st.integers(0, 999),
+           population=st.sampled_from([10, 20, 30]),
+           generations=st.integers(1, 40),
+           variant=st.sampled_from([QueueVariant.VIRTUALIZED,
+                                    QueueVariant.SEGMENTED]),
+           mode=st.sampled_from(list(AllowanceMode)),
+           seed=st.integers(0, 2**32))
+    def test_simulated_snapshots(self, resources, rate, jobs, stream,
+                                 population, generations, variant, mode,
+                                 seed):
+        env = EnvironmentConfig(num_tiers=len(resources),
+                                resources_per_tier=resources)
+        snap = loaded_snapshot(rate, jobs, stream, env)
+        self.check(snap, GAConfig(population=population,
+                                  generations=generations, variant=variant,
+                                  mode=mode, seed=seed))
+
+    @pytest.mark.parametrize("variant", [QueueVariant.VIRTUALIZED,
+                                         QueueVariant.SEGMENTED])
+    @pytest.mark.parametrize("population", [10, 20, 30])
+    @pytest.mark.parametrize("orders", [
+        # The middle tier holds no job; the last holds one.
+        (((1, 2, 3), (4, 5)), ((), (), ()), ((6,),)),
+        # Only the middle tier has jobs waiting.
+        (((), ()), ((1, 2), (3,), (4, 5, 6)), ((),)),
+        # Nothing waits anywhere.
+        (((), ()), ((), (), ()), ((),)),
+    ])
+    def test_empty_tiers(self, orders, population, variant):
+        env = EnvironmentConfig(num_tiers=3, resources_per_tier=(2, 3, 1))
+        count = sum(len(q) for row in orders for q in row)
+        jobs = JobSet(tuple(job(i + 1, (1.0 + 0.3 * i, 2.0, 0.5 + 0.1 * i))
+                            for i in range(max(count, 1))))
+        snap = fresh_snapshot(env, jobs, orders)
+        self.check(snap, GAConfig(population=population, generations=50,
+                                  variant=variant, seed=population))
+
+
 class TestDraws:
     """``_Draws`` gives a PCG64 Generator's ``random()`` and ``integers(n)``
     draw for draw, from the state a population's construction leaves,
@@ -612,6 +692,22 @@ class TestDraws:
             else:
                 assert draws.integers(n) == real.integers(n)
 
+    @pytest.mark.parametrize("before", [254, 255, 256, 257, 511, 512, 513])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_block_boundary(self, before, half):
+        # The buffer runs dry after 256 words and refills from the next
+        # block, whether or not a 32-bit half is pending across the seam.
+        draws, real = self.pair(7, 12, 4, 3)
+        if half:
+            assert draws.integers(5) == real.integers(5)
+        for _ in range(before):
+            assert draws.random() == real.random()
+        for n in (None, 2, None, 2**31 + 1, 3, 1, None, 2**32 - 1):
+            if n is None:
+                assert draws.random() == real.random()
+            else:
+                assert draws.integers(n) == real.integers(n)
+
     @pytest.mark.parametrize("n", [0, -1, 2**32, 2**40])
     def test_unemulated_range_raises(self, n):
         draws = ga._Draws(np.random.default_rng(0))
@@ -634,6 +730,53 @@ class TestDraws:
     def test_other_bit_generators_rejected(self):
         with pytest.raises(TypeError, match="PCG64"):
             ga._Draws(np.random.Generator(np.random.MT19937(0)))
+
+
+#: Runs both GA variants and the oracle on small instances and prints a
+#: digest of every result's schedule, float bits, history and count.
+DIGEST_SCRIPT = """
+import hashlib
+from tiersched import (EnvironmentConfig, GAConfig, QueueVariant,
+                       WorkloadSpec, evolve, exhaustive_best, generate,
+                       make_policy, simulate_to_snapshot)
+
+def frozen(env, rate, jobs, seed):
+    stream = generate(WorkloadSpec(arrival_rate=rate, num_jobs=jobs,
+                                   seed=seed), env)
+    return simulate_to_snapshot(stream, env, make_policy("fcfs", env))
+
+digest = hashlib.sha256()
+snap = frozen(EnvironmentConfig(), 7.0, 60, 3)
+for variant in (QueueVariant.VIRTUALIZED, QueueVariant.SEGMENTED):
+    result = evolve(snap, GAConfig(generations=60, seed=5, variant=variant))
+    digest.update(repr((result.best_schedule.flat_waiting(),
+                        result.best_fitness.hex(),
+                        result.initial_fitness.hex(),
+                        [(h.best.hex(), h.mean.hex())
+                         for h in result.history],
+                        result.evaluations)).encode())
+desk = frozen(EnvironmentConfig(num_tiers=2, resources_per_tier=(2, 2)),
+              4.0, 9, 12284)
+result = exhaustive_best(desk)
+digest.update(repr((result.schedule.flat_waiting(), result.fitness.hex(),
+                    result.states)).encode())
+print(__debug__, digest.hexdigest())
+"""
+
+
+class TestWithoutAsserts:
+    """``python -O`` strips assert statements; the GA and the oracle give
+    the same results without them."""
+
+    def test_results_match_under_optimize_flag(self, capsys):
+        exec(compile(DIGEST_SCRIPT, "<digest>", "exec"), {})
+        here = capsys.readouterr().out.strip()
+        src = str(Path(ga.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", DIGEST_SCRIPT],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert here.startswith("True ")
+        assert out.stdout.strip() == here.replace("True", "False", 1)
 
 
 class TestPinnedStream:

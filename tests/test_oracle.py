@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -21,7 +22,12 @@ from tiersched import (
     simulate_to_snapshot,
 )
 from tiersched.ga import random_chromosome
-from tiersched.oracle import DEFAULT_MAX_STATES, count_states
+from tiersched.oracle import (
+    CHUNK_ROWS,
+    DEFAULT_MAX_STATES,
+    _permutation_rows,
+    count_states,
+)
 
 from conftest import fresh_snapshot, job, loaded_snapshot
 from reference_oracle import reference_best
@@ -189,6 +195,22 @@ class TestAgainstReference:
         got = exhaustive_best(snap)
         assert got.schedule.orders == (((1,), (2, 3)),)
         assert got == reference_best(snap)
+
+
+class TestPermutationRows:
+    """Rows derived from the cached table of the permutations of ``n - 1``
+    are ``itertools.permutations``' rows, chunk by chunk."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_rows_match_itertools(self, n):
+        rows = math.factorial(n)
+        want = np.fromiter(itertools.chain.from_iterable(
+            itertools.permutations(range(n))), dtype=np.int8,
+            count=rows * n).reshape(rows, n)
+        chunks = [_permutation_rows(n, start, min(start + CHUNK_ROWS, rows))
+                  for start in range(0, rows, CHUNK_ROWS)]
+        assert all(c.dtype == np.int8 for c in chunks)
+        assert np.array_equal(np.concatenate(chunks), want)
 
 
 def traced_peak(snapshot):
