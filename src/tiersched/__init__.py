@@ -29,7 +29,7 @@ from .penalty import (
     penalty,
     total_penalty,
 )
-from .sim import SimReport, Simulator, run_to_completion, simulate_to_snapshot
+from .sim import Simulator, simulate_to_snapshot
 from .workload import WorkloadFormatError, WorkloadSpec, generate, load, save
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "Schedule",
     "ScheduleEvaluator",
     "SchedulingError",
-    "SimReport",
     "Simulator",
     "Snapshot",
     "ValidationReport",
@@ -64,7 +63,6 @@ __all__ = [
     "load",
     "make_policy",
     "penalty",
-    "run_to_completion",
     "save",
     "simulate_to_snapshot",
     "total_penalty",

@@ -108,12 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p_cmp)
     _add_ga_flags(p_cmp)
     p_cmp.add_argument("--policies", nargs="+", required=True,
-                       help="policy names; genetic ones accept a ':total' or "
-                            "':per-tier' suffix")
+                       help="policy names; genetic ones accept a ':total' "
+                            "(default) or ':per-tier' suffix")
     p_cmp.add_argument("--seeds", nargs="+", type=int, default=None,
                        help="workload seeds (defaults to --seed)")
-    p_cmp.add_argument("--mode", default="total", choices=["total", "per-tier"],
-                       help="allowance mode for unsuffixed genetic policies")
     p_cmp.add_argument("--initial-policy", default="fcfs", choices=BASELINES,
                        help="arrival assignment behind every genetic row")
     p_cmp.add_argument("--out-dir", default="compare-out")
@@ -191,7 +189,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _parse_ga_token(token: str, default_mode: str):
+def _parse_ga_token(token: str, default_mode: str = "total"):
     """Split 'ga-virtualized:per-tier' into (variant, mode); None if baseline."""
     base, _, suffix = token.partition(":")
     if base not in GA_POLICIES:
@@ -314,9 +312,10 @@ def cmd_run(args) -> int:
     jobs = _workload(args, env)
     # One arrival and one completion per job and tier.
     events = 2 * env.num_tiers * len(jobs)
-    if args.epoch > events:
-        raise SystemExit2(f"--epoch {args.epoch} exceeds the run's {events} "
-                          f"events, so no rescheduling decision would run")
+    if args.epoch >= events:
+        raise SystemExit2(f"--epoch {args.epoch} is not below the run's "
+                          f"{events} events, so no rescheduling decision "
+                          f"could move a job")
     mode = AllowanceMode(args.mode)
     ga_spec = _parse_ga_token(args.policy, args.mode)
     config = _ga_config(args, ga_spec, args.seed) if ga_spec else None
@@ -398,8 +397,8 @@ def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
         baseline, optimized, evaluations)
     records = []
     for phase, report in (("initial", baseline), ("enhanced", optimized)):
-        for jid in sorted(report.outcomes):
-            o = report.outcomes[jid]
+        for jid in sorted(report.per_job):
+            o = report.per_job[jid]
             records.append({
                 "schema": "tiersched.job/1", "phase": phase, "job": jid,
                 "status": "departed", "alpha": o.alpha, "cost": o.cost,
@@ -428,7 +427,7 @@ def cmd_compare(args) -> int:
         if repeated:
             raise SystemExit2(f"{flag} given more than once: "
                               f"{', '.join(map(str, repeated))}")
-    ga_specs = {token: _parse_ga_token(token, args.mode)
+    ga_specs = {token: _parse_ga_token(token)
                 for token in args.policies}
     configs = {(token, spec.seed): _ga_config(args, ga_spec, spec.seed)
                for token, ga_spec in ga_specs.items() if ga_spec

@@ -298,7 +298,7 @@ def random_chromosome(snapshot: Snapshot, rng: np.random.Generator) -> Genome:
     them all at once.
     """
     genome: list[tuple[int, ...]] = []
-    for ids, count in zip(snapshot._waiting_arrays,
+    for ids, count in zip(snapshot.waiting_arrays,
                           snapshot.env.resources_per_tier):
         n = len(ids)
         if not n:

@@ -92,25 +92,31 @@ class Job:
     arrival: float
     exec_times: tuple[float, ...]
     target_completion: float
+    #: Total queueing slack the job can absorb without violation: its
+    #: deadline less its total execution time, set once at construction.
+    allowance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "exec_times", tuple(float(e) for e in self.exec_times))
+        exec_times = tuple(map(float, self.exec_times))
+        object.__setattr__(self, "exec_times", exec_times)
         if self.id < 1:
             raise ValueError("job ids start at 1")
-        if not self.exec_times:
+        if not exec_times:
             raise ValueError(f"job {self.id}: needs at least one tier execution time")
-        if not all(0 < e < math.inf for e in self.exec_times):
+        if not all(0 < e < math.inf for e in exec_times):
             raise ValueError(
                 f"job {self.id}: execution times must be positive and finite")
         if not (math.isfinite(self.arrival)
                 and math.isfinite(self.target_completion)):
             raise ValueError(
                 f"job {self.id}: arrival and target completion must be finite")
-        if self.deadline < self.total_exec - TIME_EPS:
+        total = sum(exec_times)
+        deadline = self.target_completion - self.arrival
+        if deadline < total - TIME_EPS:
             raise ValueError(
-                f"job {self.id}: deadline {self.deadline!r} below total "
-                f"execution time {self.total_exec!r}")
+                f"job {self.id}: deadline {deadline!r} below total "
+                f"execution time {total!r}")
+        object.__setattr__(self, "allowance", deadline - total)
 
     @property
     def total_exec(self) -> float:
@@ -120,11 +126,6 @@ class Job:
     def deadline(self) -> float:
         """Time budget from arrival to target completion."""
         return self.target_completion - self.arrival
-
-    @property
-    def allowance(self) -> float:
-        """Total queueing slack the job can absorb without violation."""
-        return self.deadline - self.total_exec
 
 
 @dataclass(frozen=True)
@@ -170,13 +171,6 @@ class JobSet:
         if not 1 <= job_id <= len(self.jobs):
             raise KeyError(f"unknown job id {job_id}")
         return self.jobs[job_id - 1]
-
-    @cached_property
-    def _allowances(self) -> tuple[float, ...]:
-        """Every job's ``Job.allowance``, at the position of ``jobs``; built
-        once per job set for the schedule evaluators of its snapshots and
-        the reports of its simulations."""
-        return tuple(job.allowance for job in self.jobs)
 
 
 class JobProgress(NamedTuple):
@@ -431,7 +425,7 @@ class Snapshot:
         return list(self._waiting_by_tier[tier])
 
     @cached_property
-    def _waiting_arrays(self) -> tuple[np.ndarray, ...]:
-        """Each tier's ``_waiting_by_tier`` as an array, built on first use
+    def waiting_arrays(self) -> tuple[np.ndarray, ...]:
+        """Each tier's sorted waiting ids as an array, built on first use
         for the GA's random genomes."""
         return tuple(np.array(ids) for ids in self._waiting_by_tier)

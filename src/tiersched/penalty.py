@@ -11,10 +11,11 @@ saturates at the monetary ceiling.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, reduce
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .model import (
     Snapshot,
     validate_schedule,
 )
+
+if TYPE_CHECKING:
+    from .sim import JobOutcome
 
 
 class AllowanceMode(Enum):
@@ -66,16 +70,23 @@ class JobViolation(NamedTuple):
     wait: float
 
 
+def ordered_sum(values):
+    """Left-to-right sum starting from the int 0, as ``sum()`` adds on
+    Python 3.11; from 3.12 ``sum()`` compensates floats, which would change
+    record-level totals between Python versions."""
+    return reduce(operator.add, values, 0)
+
+
 def violation_totals(records) -> dict[str, float]:
     """Aggregates of expected or realized per-job records (any re-iterable
-    collection of objects with ``alpha`` and ``cost``), summed in record
-    order from lists built once."""
+    collection of objects with ``alpha`` and ``cost``), summed left to right
+    in record order from lists built once."""
     alphas = [r.alpha for r in records]
     violations = [max(a, 0.0) for a in alphas]
     return {
-        "total_signed": sum(alphas),
-        "total_violation": sum(violations),
-        "total_cost": sum([r.cost for r in records]),
+        "total_signed": ordered_sum(alphas),
+        "total_violation": ordered_sum(violations),
+        "total_cost": ordered_sum([r.cost for r in records]),
         "max_violation": max(violations, default=0.0),
     }
 
@@ -84,13 +95,16 @@ def violation_totals(records) -> dict[str, float]:
 class ViolationBreakdown:
     """Per-job violation times and penalties plus their aggregates.
 
-    ``total_signed`` sums the raw signed violation times (the optimizer's
-    objective); ``total_violation`` counts only positive parts (the reported
-    SLA violation time, since a satisfied client violates nothing);
+    ``per_job`` maps job ids to their records: the expected
+    ``JobViolation`` of each resident of a snapshot, or the realized
+    ``JobOutcome`` of each job a simulation completed.  ``total_signed``
+    sums the raw signed violation times (the optimizer's objective);
+    ``total_violation`` counts only positive parts (the reported SLA
+    violation time, since a satisfied client violates nothing);
     ``total_cost`` is the summed penalty payable by the provider.
     """
 
-    per_job: dict[int, JobViolation]
+    per_job: dict[int, JobViolation | JobOutcome]
     total_signed: float
     total_violation: float
     total_cost: float
@@ -112,9 +126,7 @@ class ScheduleEvaluator:
     constants up front, so scoring a candidate is a single pass through each
     queue: a running predecessor-work counter (seeded with the in-service
     residual) is the job's remaining wait.  In-service jobs keep their
-    schedule-independent violation as a pinned constant.  The constants read
-    each resident's ``Job.allowance`` from its job set's table, built once
-    per ``JobSet`` rather than once per snapshot.  :meth:`fitness` is
+    schedule-independent violation as a pinned constant.  :meth:`fitness` is
     ``pinned_total`` plus the :meth:`queue_score` of every queue, added in
     queue order.  :meth:`prefix_scores` scores many orders of one queue at
     once, with the same additions as :meth:`queue_score`.  :meth:`breakdown`
@@ -129,7 +141,7 @@ class ScheduleEvaluator:
         self._exec = execs = [0.0] * size
         self._delays = [
             snapshot.schedule.residual(t, k) for t, k in env.iter_queues()]
-        by_position, allowances = jobs.jobs, jobs._allowances
+        by_position = jobs.jobs
         progress = snapshot.progress
         total_mode = mode is AllowanceMode.TOTAL
         pinned: dict[int, JobViolation] = {}
@@ -139,7 +151,7 @@ class ScheduleEvaluator:
             tier = len(waits)
             job = by_position[jid - 1]
             if total_mode:
-                allow = allowances[jid - 1]
+                allow = job.allowance
                 base = sum(waits) + prog.elapsed_wait
             else:
                 allow = differentiated_allowance(job, tier)
@@ -154,7 +166,7 @@ class ScheduleEvaluator:
                 execs[jid] = job.exec_times[tier]
         self._pinned = pinned
         #: Signed violation of the in-service jobs, fixed for every candidate.
-        self.pinned_total = sum(v.alpha for v in pinned.values())
+        self.pinned_total = ordered_sum(v.alpha for v in pinned.values())
 
     def queue_score(self, queue_index: int, order) -> float:
         """Signed violation total of one queue's waiting order."""

@@ -31,7 +31,7 @@ from .model import (
     Snapshot,
     validate_schedule,
 )
-from .penalty import penalty, violation_totals
+from .penalty import ViolationBreakdown, penalty, violation_totals
 
 _COMPLETION = 0  # processed before arrivals at equal timestamps
 _ARRIVAL = 1
@@ -75,29 +75,16 @@ class JobOutcome(NamedTuple):
     cost: float
 
 
-@dataclass(frozen=True)
-class SimReport:
-    """Per-job outcomes of a drained simulation plus violation totals."""
-
-    outcomes: dict[int, JobOutcome]
-    total_signed: float
-    total_violation: float
-    total_cost: float
-    max_violation: float
-
-    @property
-    def job_count(self) -> int:
-        return len(self.outcomes)
-
-
 class Simulator:
     """Drives a job set through the tiered environment.
 
     ``policy`` assigns arriving jobs to queues (least-backlog FCFS by
     default).  ``optimizer``, when given, is called with a frozen snapshot
     every ``reschedule_every`` events and may return a replacement schedule;
-    invalid schedules are rejected and logged, never installed.  Each event
-    is one :meth:`step`, and steps and installs start service alike.
+    invalid schedules are rejected and logged, never installed.  A decision
+    in which no waiting job could move is skipped: the current schedule is
+    then the only valid candidate.  Each event is one :meth:`step`, and
+    steps and installs start service alike.
     """
 
     def __init__(self, jobs: JobSet, env: EnvironmentConfig,
@@ -276,8 +263,21 @@ class Simulator:
         if self._since_reschedule < self.reschedule_every:
             return
         self._since_reschedule = 0
+        if not self._can_move():
+            return
         snapshot = self.snapshot()
         self.install_schedule(self.optimizer(snapshot), snapshot)
+
+    def _can_move(self) -> bool:
+        """Whether some tier has two waiting jobs, or one waiting job and a
+        second resource, so that a candidate could differ from the current
+        schedule."""
+        for queues, busy in zip(self._queues, self._busy):
+            waiting = (sum(len(q) for q in queues)
+                       - sum(b is not None for b in busy))
+            if waiting >= 2 or (waiting and len(queues) >= 2):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # rescheduling
@@ -388,13 +388,12 @@ class Simulator:
                         f"tier {tier} resource {k}: in-service job is not "
                         f"the queue head")
 
-    def report(self) -> SimReport:
-        """Realized outcomes for every completed job; each alpha is the total
-        wait less the job's entry in the job set's allowance table."""
+    def report(self) -> ViolationBreakdown:
+        """Realized ``JobOutcome`` of every completed job plus their totals;
+        each alpha is the total wait less the job's allowance."""
         chi, nu = self.env.chi, self.env.nu
         tiers = self.env.num_tiers
         wait, completions = self._wait, self._completion
-        allowances = self.jobs._allowances
         outcome = tuple.__new__  # skips JobOutcome's Python-level __new__
         outcomes: dict[int, JobOutcome] = {}
         for job in self.jobs.jobs:
@@ -406,23 +405,17 @@ class Simulator:
             waits = tuple(wait[first:first + tiers])
             total_wait = sum(waits)
             arrival = job.arrival
-            alpha = total_wait - allowances[jid - 1]
+            alpha = total_wait - job.allowance
             outcomes[jid] = outcome(JobOutcome, (
                 jid, arrival, completion, sum(job.exec_times), waits,
                 total_wait, completion - arrival, alpha,
                 penalty(alpha, chi, nu)))
-        return SimReport(outcomes=outcomes,
-                         **violation_totals(outcomes.values()))
+        return ViolationBreakdown(per_job=outcomes,
+                                  **violation_totals(outcomes.values()))
 
     def trace_lines(self) -> list[str]:
         return [f"# tiersched-trace {TRACE_VERSION}"] + [
             ev.line() for ev in self.trace]
-
-
-def run_to_completion(jobs: JobSet, env: EnvironmentConfig,
-                      policy=None) -> SimReport:
-    """Drain a job set through the environment and report realized outcomes."""
-    return Simulator(jobs, env, policy).run().report()
 
 
 def simulate_to_snapshot(jobs: JobSet, env: EnvironmentConfig,

@@ -7,7 +7,7 @@ which checks for itself that the resource is idle and its queue non-empty.
 Its ``report`` prices each job from ``Job``'s fields and builds the records
 through ``JobOutcome``'s constructor, and ``reference_violation_totals`` sums
 generator passes over the records.  The package runs both kinds of event in
-one step body and reads the job set's allowance table; the tests hold the
+one step body and reads each job's stored allowance; the tests hold the
 two to each other, state after state.
 """
 
@@ -16,14 +16,8 @@ from __future__ import annotations
 import heapq
 
 from tiersched.model import TIME_EPS, InvalidScheduleError
-from tiersched.penalty import penalty
-from tiersched.sim import (
-    _ARRIVAL,
-    _COMPLETION,
-    JobOutcome,
-    SimReport,
-    Simulator,
-)
+from tiersched.penalty import ViolationBreakdown, penalty
+from tiersched.sim import _ARRIVAL, _COMPLETION, JobOutcome, Simulator
 
 
 def reference_violation_totals(records) -> dict[str, float]:
@@ -125,7 +119,7 @@ class ReferenceSimulator(Simulator):
         if self.keep_trace:
             self._trace("start", head, tier, k)
 
-    def report(self) -> SimReport:
+    def report(self) -> ViolationBreakdown:
         """Realized outcomes for every completed job."""
         chi, nu = self.env.chi, self.env.nu
         tiers = self.env.num_tiers
@@ -146,5 +140,5 @@ class ReferenceSimulator(Simulator):
             outcomes[jid] = JobOutcome(
                 jid, arrival, completion, total_exec, waits, total_wait,
                 completion - arrival, alpha, penalty(alpha, chi, nu))
-        return SimReport(outcomes=outcomes,
-                         **reference_violation_totals(outcomes.values()))
+        return ViolationBreakdown(
+            per_job=outcomes, **reference_violation_totals(outcomes.values()))

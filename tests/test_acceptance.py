@@ -18,6 +18,7 @@ from tiersched import (
     GAConfig,
     QueueVariant,
     ScheduleEvaluator,
+    Simulator,
     WorkloadSpec,
     differentiated_allowance,
     evolve,
@@ -25,7 +26,6 @@ from tiersched import (
     generate,
     make_policy,
     penalty,
-    run_to_completion,
     simulate_to_snapshot,
     total_penalty,
 )
@@ -96,8 +96,8 @@ class TestCriterion2Queueing:
         env = EnvironmentConfig(num_tiers=1, resources_per_tier=(1,))
         jobs = generate(WorkloadSpec(arrival_rate=lam, num_jobs=100_000,
                                      seed=3, service_rate=mu), env)
-        rep = run_to_completion(jobs, env)
-        mean = sum(o.waits[0] for o in rep.outcomes.values()) / len(jobs)
+        rep = Simulator(jobs, env).run().report()
+        mean = sum(o.waits[0] for o in rep.per_job.values()) / len(jobs)
         elapsed = time.time() - started
         ok = abs(mean - expected) / expected < 0.05 and elapsed < 30.0
         assert report(2, ok, f"M/M/1 mean wait {mean:.4f} vs {expected:.4f} "

@@ -71,6 +71,9 @@ CONTRACT = {
     "compare-negative-seed": (
         ("compare", "--jobs", "20", "--lambda", "4", "--policies", "wlc",
          "--seed", "-1"), 3, "input error: --seed must be nonnegative, got -1"),
+    "compare-mode-flag": (
+        ("compare", *GEN, "--policies", "ga-virtualized", "--mode",
+         "per-tier"), 2, "unrecognized arguments: --mode per-tier"),
     "compare-epoch": (
         ("compare", *GEN, "--policies", "fcfs", "ga-virtualized", "--epoch",
          "50"), 2, "unrecognized arguments: --epoch 50"),
@@ -96,7 +99,12 @@ CONTRACT = {
         "--epoch must be 0 or more, not -5"),
     "run-epoch-beyond-events": (
         ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "121"), 2,
-        "--epoch 121 exceeds the run's 120 events"),
+        "--epoch 121 is not below the run's 120 events"),
+    # 30 jobs through 2 tiers: 120 events.  The only decision would fall on
+    # the final departure, with nothing left to move.
+    "run-epoch-at-the-event-count": (
+        ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "120"), 2,
+        "--epoch 120 is not below the run's 120 events"),
     "run-negative-ga-seed": (
         ("run", "--jobs", "20", "--lambda", "4", "--policy", "ga-virtualized",
          "--generations", "2", "--ga-seed", "-3"), 3,
@@ -314,25 +322,6 @@ class TestRun:
         assert len(decisions) > 1
         assert summary["evaluations"] == len(decisions) * 10 * 20
 
-    def test_online_epoch_at_the_event_count_decides_once(self, tmp_path,
-                                                          monkeypatch):
-        decisions = []
-        plain = cli.evolve
-
-        def counted(snapshot, config):
-            decisions.append(snapshot.clock)
-            return plain(snapshot, config)
-
-        monkeypatch.setattr(cli, "evolve", counted)
-        out = tmp_path / "online"
-        # 30 jobs through 2 tiers: 120 events, the last one a departure.
-        assert run_cli("run", *GEN, "--policy", "ga-virtualized",
-                       "--generations", "5", "--epoch", "120",
-                       "--out-dir", str(out)) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert len(decisions) == 1
-        assert summary["evaluations"] == 10 * 5
-
     def test_online_trace_logs_every_decision(self, tmp_path, monkeypatch):
         decisions = []
         plain = cli.evolve
@@ -349,8 +338,9 @@ class TestRun:
         lines = (out / "trace.txt").read_text(encoding="ascii").splitlines()
         assert lines[0] == "# tiersched-trace 1"
         kinds = [line.split()[1] for line in lines[1:]]
-        # 40 jobs through 2 tiers: 160 events, a decision every 20.
-        assert len(decisions) == 8
+        # 40 jobs through 2 tiers: 160 events, a decision every 20; the 8th
+        # falls on the final departure, with nothing to move, and is skipped.
+        assert len(decisions) == 7
         assert kinds.count("reschedule") == len(decisions)
         assert kinds.count("depart") == 40
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from tiersched import (
     Snapshot,
     WorkloadSpec,
     generate,
+    load,
+    save,
     simulate_to_snapshot,
     validate_schedule,
 )
@@ -63,6 +66,38 @@ class TestJob:
     def test_rejects_deadline_below_total_exec(self):
         with pytest.raises(ValueError, match="deadline"):
             Job(id=1, arrival=0.0, exec_times=(2.0, 3.0), target_completion=4.0)
+
+    @pytest.mark.parametrize("resources", [(3, 3), (2, 3, 1)])
+    def test_stored_allowance_is_deadline_less_total_exec(self, resources,
+                                                          tmp_path):
+        env = EnvironmentConfig(num_tiers=len(resources),
+                                resources_per_tier=resources)
+        jobs = generate(WorkloadSpec(arrival_rate=3.0, num_jobs=300, seed=4),
+                        env)
+        path = tmp_path / "w.txt"
+        save(jobs, path)
+        for job_set in (jobs, load(path)):
+            for j in job_set:
+                want = (j.target_completion - j.arrival) - sum(j.exec_times)
+                assert j.allowance.hex() == want.hex()
+
+    def test_replace_recomputes_the_allowance(self):
+        j = Job(id=1, arrival=2.0, exec_times=(2.0, 3.0), target_completion=9.0)
+        moved = dataclasses.replace(j, target_completion=12.0)
+        assert moved.allowance == 5.0
+        assert dataclasses.replace(j, exec_times=(1.0, 1.0)).allowance == 5.0
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(j, allowance=0.0)
+
+    def test_repr_equality_and_hash_ignore_the_allowance(self):
+        j = Job(id=1, arrival=2.0, exec_times=(2.0, 3.0), target_completion=9.0)
+        assert repr(j) == ("Job(id=1, arrival=2.0, exec_times=(2.0, 3.0), "
+                           "target_completion=9.0)")
+        assert hash(j) == hash((1, 2.0, (2.0, 3.0), 9.0))
+        twin = Job(id=1, arrival=2.0, exec_times=(2, 3), target_completion=9.0)
+        assert twin == j and hash(twin) == hash(j)
+        assert [f.name for f in dataclasses.fields(j) if f.compare] == [
+            "id", "arrival", "exec_times", "target_completion"]
 
 
 class TestJobSet:
@@ -447,7 +482,7 @@ class TestRemainingWait:
         predicted = remaining_wait(snap.schedule, 3, 0, jobs)
         sim.run()
         report = sim.report()
-        start = report.outcomes[3].completion - jobs.job(3).exec_times[0]
+        start = report.per_job[3].completion - jobs.job(3).exec_times[0]
         assert predicted == pytest.approx(start - snap.clock, abs=1e-9)
 
     def test_job_missing_from_tier(self, env_1x1):
@@ -498,7 +533,7 @@ class TestTierChaining:
                 handoffs += 1
         assert handoffs > 0
         sim.run()
-        for jid, outcome in sim.report().outcomes.items():
+        for jid, outcome in sim.report().per_job.items():
             assert len(outcome.waits) == env_2x3.num_tiers
 
     def test_schedules_from_pipeline_validate(self, env_2x3):

@@ -122,7 +122,7 @@ class TestPenaltyCurve:
         sim.run(until_external_arrivals=len(jobs))
         expected = total_penalty(sim.snapshot(), AllowanceMode.TOTAL)
         realized = sim.run().report()
-        for records in (expected.per_job, realized.outcomes):
+        for records in (expected.per_job, realized.per_job):
             assert any(r.alpha > 0 for r in records.values())
             for r in records.values():
                 assert r.cost == penalty(r.alpha, 2.5, 0.05)
@@ -201,10 +201,10 @@ class TestFrozenConsistency:
         report = sim.report()
         for jid, expected in predicted_total.items():
             tier = predicted_tier[jid][0]
-            realized = sum(report.outcomes[jid].waits[:tier + 1])
+            realized = sum(report.per_job[jid].waits[:tier + 1])
             assert realized == pytest.approx(expected, abs=1e-9)
         for jid, (tier, expected) in predicted_tier.items():
-            assert report.outcomes[jid].waits[tier] == pytest.approx(
+            assert report.per_job[jid].waits[tier] == pytest.approx(
                 expected, abs=1e-9)
 
 

@@ -24,13 +24,12 @@ from tiersched import (
     evolve,
     generate,
     make_policy,
-    run_to_completion,
     simulate_to_snapshot,
     total_penalty,
 )
 from tiersched.baselines import AssignmentPolicy
-from tiersched.penalty import JobViolation, violation_totals
-from tiersched.sim import Simulator
+from tiersched.penalty import JobViolation, ViolationBreakdown, violation_totals
+from tiersched.sim import JobOutcome, Simulator
 
 from conftest import job
 from reference_sim import ReferenceSimulator, reference_violation_totals
@@ -39,23 +38,23 @@ from reference_sim import ReferenceSimulator, reference_violation_totals
 class TestBasicDynamics:
     def test_single_job_empty_system(self, env_2x3):
         jobs = JobSet((job(1, (2.0, 1.5)),))
-        report = run_to_completion(jobs, env_2x3)
-        outcome = report.outcomes[1]
+        report = Simulator(jobs, env_2x3).run().report()
+        outcome = report.per_job[1]
         assert outcome.response_time == pytest.approx(3.5)
         assert outcome.waits == (0.0, 0.0)
         assert outcome.total_wait == 0.0
 
     def test_serial_queue_second_waits_for_first(self, env_1x1):
         jobs = JobSet((job(1, (2.0,)), job(2, (1.0,))))
-        report = run_to_completion(jobs, env_1x1)
-        assert report.outcomes[1].waits[0] == 0.0
-        assert report.outcomes[2].waits[0] == pytest.approx(2.0)
+        report = Simulator(jobs, env_1x1).run().report()
+        assert report.per_job[1].waits[0] == 0.0
+        assert report.per_job[2].waits[0] == pytest.approx(2.0)
 
     def test_two_tier_staggered_hand_trace(self):
         env = EnvironmentConfig(num_tiers=2, resources_per_tier=(1, 1))
         jobs = JobSet((job(1, (2.0, 1.0)), job(2, (1.0, 2.0), arrival=0.5)))
-        report = run_to_completion(jobs, env)
-        first, second = report.outcomes[1], report.outcomes[2]
+        report = Simulator(jobs, env).run().report()
+        first, second = report.per_job[1], report.per_job[2]
         assert first.waits == (0.0, 0.0)
         assert first.response_time == pytest.approx(3.0)
         assert second.waits[0] == pytest.approx(1.5)
@@ -68,16 +67,25 @@ class TestBasicDynamics:
     def test_total_wait_is_sum_of_tier_waits(self, env_2x3):
         jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=30, seed=2),
                         env_2x3)
-        report = run_to_completion(jobs, env_2x3)
-        for outcome in report.outcomes.values():
+        report = Simulator(jobs, env_2x3).run().report()
+        for outcome in report.per_job.values():
             assert outcome.total_wait == pytest.approx(sum(outcome.waits))
             assert outcome.response_time == pytest.approx(
                 outcome.total_exec + outcome.total_wait, abs=1e-9)
 
     def test_empty_job_set(self, env_2x3):
-        report = run_to_completion(JobSet(), env_2x3)
-        assert report.outcomes == {}
+        report = Simulator(JobSet(), env_2x3).run().report()
+        assert report.per_job == {}
         assert report.total_violation == 0.0
+
+    def test_report_is_a_breakdown_of_outcomes(self, env_2x3):
+        jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=30, seed=2),
+                        env_2x3)
+        report = Simulator(jobs, env_2x3).run().report()
+        assert type(report) is ViolationBreakdown
+        assert report.job_count == 30
+        assert all(type(o) is JobOutcome for o in report.per_job.values())
+        assert report.mean_violation == report.total_violation / 30
 
 
 class TestInvariants:
@@ -135,8 +143,8 @@ class TestQueueingOracles:
         env = EnvironmentConfig(num_tiers=1, resources_per_tier=(1,))
         jobs = generate(WorkloadSpec(arrival_rate=lam, num_jobs=100_000,
                                      seed=3, service_rate=mu), env)
-        report = run_to_completion(jobs, env)
-        mean = sum(o.waits[0] for o in report.outcomes.values()) / len(jobs)
+        report = Simulator(jobs, env).run().report()
+        mean = sum(o.waits[0] for o in report.per_job.values()) / len(jobs)
         assert mean == pytest.approx(expected, rel=0.05)
 
     def test_mmc_mean_wait(self):
@@ -150,12 +158,47 @@ class TestQueueingOracles:
         env = EnvironmentConfig(num_tiers=1, resources_per_tier=(c,))
         jobs = generate(WorkloadSpec(arrival_rate=lam, num_jobs=100_000,
                                      seed=3, service_rate=mu), env)
-        report = run_to_completion(jobs, env)
-        mean = sum(o.waits[0] for o in report.outcomes.values()) / len(jobs)
+        report = Simulator(jobs, env).run().report()
+        mean = sum(o.waits[0] for o in report.per_job.values()) / len(jobs)
         assert mean == pytest.approx(expected, rel=0.05)
 
 
 class TestRescheduleHook:
+    def test_decisions_with_nothing_to_move_are_skipped(self):
+        # One resource per tier, a decision due every 3 of 24 events: at
+        # t = 1, 3, 4, 5, 20, 22, 23 and 24.  Only those at t = 1 and 20
+        # find two jobs waiting in a tier; the others are skipped, and the
+        # cadence still counts every event.
+        env = EnvironmentConfig(num_tiers=2, resources_per_tier=(1, 1))
+        jobs = JobSet((job(1, (2.0, 1.0)), job(2, (1.0, 1.0), arrival=0.5),
+                       job(3, (1.0, 1.0), arrival=1.0),
+                       *(job(jid, (1.0, 1.0), arrival=20.0)
+                         for jid in (4, 5, 6))))
+        waiting = []
+
+        def identity(snap):
+            waiting.append((snap.clock, snap.waiting_ids()))
+            return snap.schedule
+
+        sim = Simulator(jobs, env, optimizer=identity, reschedule_every=3,
+                        keep_trace=True).run()
+        assert waiting == [(1.0, [2, 3]), (20.0, [5, 6])]
+        assert [line.split()[1] for line in sim.trace_lines()[1:]].count(
+            "reschedule") == 2
+
+    def test_one_waiting_job_can_move_between_resources(self, env_2x3):
+        jobs = JobSet(tuple(job(jid, (5.0, 1.0)) for jid in range(1, 5)))
+        calls = []
+
+        def identity(snap):
+            calls.append(snap)
+            return snap.schedule
+
+        sim = Simulator(jobs, env_2x3, optimizer=identity, reschedule_every=4)
+        sim.run(until_external_arrivals=4)
+        # Three jobs in service, one waiting, three resources in its tier.
+        assert len(calls) == 1 and calls[0].waiting_ids() == [4]
+
     def test_identity_optimizer_changes_nothing(self, env_2x3):
         jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=25, seed=6),
                         env_2x3)
@@ -341,8 +384,8 @@ def outcome_digest(report) -> str:
     """sha256 over each outcome's field values in job-id order (values, not
     the outcome object's repr, so the digest survives a change of type)."""
     h = hashlib.sha256()
-    for jid in sorted(report.outcomes):
-        o = report.outcomes[jid]
+    for jid in sorted(report.per_job):
+        o = report.per_job[jid]
         h.update(repr((o.job_id, o.arrival, o.completion, o.total_exec,
                        o.waits, o.total_wait, o.response_time, o.alpha,
                        o.cost)).encode())
@@ -386,7 +429,8 @@ class TestPinnedDrain:
     def test_drain_totals_and_outcomes(self, env_2x3, policy):
         jobs = generate(WorkloadSpec(arrival_rate=2.5, num_jobs=5000, seed=5),
                         env_2x3)
-        report = run_to_completion(jobs, env_2x3, make_policy(policy, env_2x3))
+        report = Simulator(jobs, env_2x3,
+                           make_policy(policy, env_2x3)).run().report()
         got = (repr(report.total_signed), repr(report.total_violation),
                repr(report.total_cost), repr(report.max_violation),
                outcome_digest(report))
@@ -403,12 +447,15 @@ class TestPinnedDrain:
 
         Simulator(jobs, env_2x3, optimizer=identity,
                   reschedule_every=25).run()
-        assert len(snaps) == 2 * 2 * 300 // 25
+        # A decision every 25 of 1,200 events; the last one falls after the
+        # final departure, with nothing to move, and is skipped.
+        assert len(snaps) == 2 * 2 * 300 // 25 - 1
         # Recorded over the JobProgress fields that remain, before the
-        # redundant departures and service_start fields were deleted.
+        # redundant departures and service_start fields were deleted, and
+        # re-recorded without the skipped decision's (empty) snapshot.
         assert snapshot_digest(snaps) == (
-            "b6cfcf77749f36b2dbc697aa08d669e2"
-            "dddd715db65433abdd1c8f98a791a930")
+            "19e97e63be34221b2c3dd72fb9c200ce"
+            "8af9ee8ecc15af2d5baeb9a6fb6c1298")
 
 
 class TestPinnedOnline:
@@ -416,19 +463,22 @@ class TestPinnedOnline:
     (lambda 4, a virtualized 20-generation GA every 50 events), shortened
     to 1,000 jobs.  Every decision's fitness, history and installed orders,
     the trace and the drained totals were recorded before the GA's initial
-    population, allowances and offspring scoring were reworked."""
+    population, allowances and offspring scoring were reworked.  The count
+    and the digest were re-recorded when decisions with nothing to move
+    (here the 80th, after the final departure) began to be skipped; they
+    equal the old run's with that decision and its trace line left out."""
 
     PINNED = {
-        1: (80,
-            "4b6aea5c7d33c008fbcde7083aa49b0f"
-            "47e1d4f48f1a57dca25a4d9213298b2a",
+        1: (79,
+            "e7884f75926e3e5ff3756002c8da526a"
+            "18b67dd033a8d80f0b9a637e3e1df509",
             "(44320.02845684461, 44321.0424246499, 314.10175957180223, "
             "255.71381518128558)",
             "0e16fd3703db10d3711c9debf979ae86"
             "88f01c7484b604911ce43430dbf97983"),
-        2: (80,
-            "7f99ed49006066cdec3c8c7b66072afa"
-            "f80cbd536e0df9e9da65812239fa9be1",
+        2: (79,
+            "324f436dba0c3ea4b6cc02a842bcedc7"
+            "ca327fd1f699f58dc1b63fa2f654dd5a",
             "(41217.70342688399, 41220.62196881381, 296.8015568377865, "
             "243.02505789668714)",
             "50087a82a29041a22103139189f41c15"
@@ -507,7 +557,10 @@ def edge_run(name: str, run: str) -> Simulator:
 class TestPinnedEventOrder:
     """Trace and outcome digests recorded while every external arrival was
     pre-loaded into the event heap; they pin the order of tied, slightly
-    reversed and coincident events."""
+    reversed and coincident events.  Two ``ga-every-7`` trace digests were
+    re-recorded when decisions with nothing to move began to be skipped;
+    they equal the old traces without those decisions' ``reschedule``
+    lines."""
 
     PINNED = {
         ("coincident", "fcfs"): (
@@ -521,8 +574,8 @@ class TestPinnedEventOrder:
             "b503a11a45073b89ed41ccb04a8bc5ca"
             "b064cc94c2b2d2c99a8920d90b379832"),
         ("coincident", "ga-every-7"): (
-            "6162be77c045f3908f53a3e020a7b4be"
-            "3d914460fc399f8792734408fbcb5c5a",
+            "e68a1321fb223435dee7bf75c53af41b"
+            "cdef156dee01c29d863f20e607363abd",
             "13de1f88c29cb9ebca4b42b734996ff6"
             "4291ec09202000249e54ee9e2756da42"),
         ("reversed", "fcfs"): (
@@ -536,8 +589,8 @@ class TestPinnedEventOrder:
             "14019a58b45ccba1ec27eca12185933d"
             "28f0e43568cafab79d7387435c375040"),
         ("reversed", "ga-every-7"): (
-            "80ae40894f388d3a55bbc71a9dffe63f"
-            "0d6495d30776588a0d2757288c081120",
+            "4ede37fb87a6f02b246d939eaa1169c6"
+            "e19ba23f64731211a2aa2d2ba13eee32",
             "263f0f4efc15580f98bf5106adf24831"
             "9ba943c082ed2beeac6c8e27168cc27c"),
         ("tied", "fcfs"): (
@@ -668,7 +721,7 @@ class TestAgainstReference:
                 break
         assert sim.trace_lines() == ref.trace_lines()
         got, want = sim.report(), ref.report()
-        assert repr(got.outcomes) == repr(want.outcomes)
+        assert repr(got.per_job) == repr(want.per_job)
         assert (repr((got.total_signed, got.total_violation, got.total_cost,
                       got.max_violation))
                 == repr((want.total_signed, want.total_violation,
@@ -682,3 +735,8 @@ class TestAgainstReference:
         records = [JobViolation(a, max(a, 0.0) / 2, 0.0) for a in alphas]
         assert (repr(violation_totals(records))
                 == repr(reference_violation_totals(records)))
+
+    def test_violation_totals_add_left_to_right(self):
+        # A compensated sum (Python 3.12's sum()) gives 1.0 here.
+        records = [JobViolation(a, 0.0, 0.0) for a in (1e16, 1.0, -1e16)]
+        assert violation_totals(records)["total_signed"] == 0.0
