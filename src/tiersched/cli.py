@@ -34,10 +34,15 @@ EXIT_INTERNAL = 4
 
 
 def _parse_resources(text: str, tiers: int) -> tuple[int, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    counts = tuple(int(p) for p in parts)
+    """One count per tier, or one for all; ``--tiers`` below 1 is left to
+    ``EnvironmentConfig``."""
+    parts = text.replace(",", " ").split()
+    counts = tuple(map(int, parts)) if all(map(str.isdecimal, parts)) else ()
     if len(counts) == 1:
-        return counts * tiers
+        counts *= tiers
+    if tiers >= 1 and (len(counts) != tiers or min(counts) < 1):
+        raise ValueError(f"--resources {text!r} must be one positive count "
+                         f"or {tiers} comma-separated ones")
     return counts
 
 
@@ -227,7 +232,8 @@ def _job_records(breakdown: ViolationBreakdown, snapshot: Snapshot,
             "phase": phase,
             "job": jid,
             "tier": prog.tier + 1,
-            "status": "in_service" if prog.in_service else "waiting",
+            "status": ("in_service" if jid in snapshot.in_service_ids
+                       else "waiting"),
             "alpha": v.alpha,
             "cost": v.cost,
             "waits": list(prog.completed_waits) + [prog.elapsed_wait],
@@ -267,7 +273,7 @@ def _write_run_summary(out_dir: Path, args, arrival: str, state: dict,
     """Write ``run``'s ``summary.json``; ``state`` describes what was judged
     (a frozen snapshot, or a drained stream when online)."""
     summary = {
-        "schema": "tiersched.run-summary/1",
+        "schema": "tiersched.run-summary/2",
         "policy": args.policy,
         "mode": args.mode,
         "arrival_policy": arrival,
@@ -344,7 +350,8 @@ def cmd_run(args) -> int:
     summary = _write_run_summary(
         out_dir, args, arrival,
         {"snapshot_clock": snapshot.clock,
-         "counts": _snapshot_counts(snapshot)},
+         "counts": _snapshot_counts(snapshot),
+         "decisions": int(config is not None)},
         initial, enhanced, evaluations)
     _write_jsonl(out_dir / "jobs.jsonl",
                  _job_records(initial, snapshot, "initial")
@@ -375,12 +382,11 @@ def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
     arrival = args.initial_policy
     seed = int(args.seed)
 
-    evaluations = 0
+    evaluations: list[int] = []  # each decision's search budget
 
     def optimizer(snapshot: Snapshot):
-        nonlocal evaluations
         result = evolve(snapshot, config)
-        evaluations += result.evaluations
+        evaluations.append(result.evaluations)
         return result.best_schedule
 
     baseline = Simulator(jobs, env, make_policy(arrival, env, seed=seed)
@@ -393,8 +399,9 @@ def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
     summary = _write_run_summary(
         out_dir, args, arrival,
         {"online_epoch": int(args.epoch),
-         "counts": {"completed": optimized.job_count}},
-        baseline, optimized, evaluations)
+         "counts": {"completed": optimized.job_count},
+         "decisions": len(evaluations)},
+        baseline, optimized, sum(evaluations))
     records = []
     for phase, report in (("initial", baseline), ("enhanced", optimized)):
         for jid in sorted(report.per_job):
@@ -407,7 +414,7 @@ def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
     _write_jsonl(out_dir / "jobs.jsonl", records)
     if args.trace:
         _write_trace(out_dir, sim)
-    print(f"online {args.policy}: violation "
+    print(f"online {args.policy}, decisions {len(evaluations)}: violation "
           f"{baseline.total_violation:.3f} -> {optimized.total_violation:.3f} "
           f"({summary['improvement']['violation_pct']:.2f}% better)")
     return EXIT_OK
@@ -422,13 +429,16 @@ def cmd_compare(args) -> int:
             raise ValueError(f"{'--seeds' if args.seeds else '--seed'} must "
                              f"be nonnegative, got {seed}")
     specs = [_workload_spec(args, seed) for seed in seeds]
-    for flag, values in (("policies", args.policies), ("seeds", seeds)):
-        repeated = sorted({v for v in values if values.count(v) > 1})
+    ga_specs = {token: _parse_ga_token(token) for token in args.policies}
+    # 'ga-virtualized' and 'ga-virtualized:total' name one (variant, mode) row.
+    rows = [ga_specs[token] or token for token in args.policies]
+    for flag, values, keys in (("policies", args.policies, rows),
+                               ("seeds", seeds, seeds)):
+        repeated = sorted({v for v, key in zip(values, keys)
+                           if keys.count(key) > 1})
         if repeated:
             raise SystemExit2(f"{flag} given more than once: "
                               f"{', '.join(map(str, repeated))}")
-    ga_specs = {token: _parse_ga_token(token)
-                for token in args.policies}
     configs = {(token, spec.seed): _ga_config(args, ga_spec, spec.seed)
                for token, ga_spec in ga_specs.items() if ga_spec
                for spec in specs}

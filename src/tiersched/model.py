@@ -174,22 +174,18 @@ class JobSet:
 
 
 class JobProgress(NamedTuple):
-    """Where a resident job currently stands.
+    """The waits a resident job has accrued so far.
 
     Tier indices are 0-based.  ``completed_waits`` holds the finalized queue
     waits of tiers the job already passed, so their count is the job's
     current tier; ``elapsed_wait`` is the wait accrued so far in the current
-    tier (frozen at its final value once service starts).  Tier hand-offs
-    are exact: the departure from tier j is the arrival at tier j+1,
-    ``tier_arrivals[j + 1]``.  ``Snapshot`` checks a record against its
-    queues.
+    tier (frozen at its final value once service starts).  The record's key
+    in ``Snapshot.progress`` is the job's id, and the schedule says where it
+    is queued and whether it is in service (``Snapshot.in_service_ids``).
     """
 
-    job_id: int
-    tier_arrivals: tuple[float, ...]
     completed_waits: tuple[float, ...]
     elapsed_wait: float
-    in_service: bool = False
 
     @property
     def tier(self) -> int:
@@ -340,9 +336,9 @@ class Snapshot:
     schedule laid out unlike ``env``, jobs with another tier count, an id
     outside ``1..len(jobs)``, a job scheduled twice (in one tier or two), an
     in-service residual above the head's execution time, and progress
-    records that disagree with the queues (coverage, id, tier, arrivals,
-    negative waits, in-service flag).  All of it is checked in one walk over
-    the schedule, which looks each job's record up by id and gathers
+    records that disagree with the queues (coverage, tier, negative waits).
+    All of it is checked in one walk over the schedule, which looks each
+    job's record up by id and gathers ``in_service_ids`` and
     ``_waiting_by_tier``, the sorted waiting ids of each tier, on the way.
     ``validate_schedule`` checks candidates against a snapshot.
     """
@@ -352,6 +348,7 @@ class Snapshot:
     clock: float
     schedule: Schedule
     progress: dict[int, JobProgress] = field(default_factory=dict)
+    in_service_ids: frozenset[int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         schedule, jobs, progress = self.schedule, self.jobs.jobs, self.progress
@@ -362,10 +359,11 @@ class Snapshot:
         if self.jobs.num_tiers not in (0, self.env.num_tiers):
             raise ValueError("job tier count does not match the environment")
         # One walk over the schedule: each job is checked where it is queued,
-        # against its own progress record, and each tier's waiting ids are
-        # gathered on the way.
+        # against its own progress record, and the in-service heads and each
+        # tier's waiting ids are gathered on the way.
         floor = -TIME_EPS
         seen: set[int] = set()
+        serving: list[int] = []
         by_tier: list[tuple[int, ...]] = []
         for tier, (tier_queues, tier_busy) in enumerate(
                 zip(schedule.orders, schedule.busy)):
@@ -387,33 +385,26 @@ class Snapshot:
                     if prog is None:
                         raise ValueError(
                             "schedule and progress must cover the same jobs")
-                    owner, arrivals, waits, elapsed, in_service = prog
-                    if owner != jid:
-                        raise ValueError(
-                            f"job {jid}: progress record of job {owner}")
+                    waits, elapsed = prog
                     if len(waits) != tier:
                         raise ValueError(
                             f"job {jid} scheduled in tier {tier} but resides "
                             f"in tier {len(waits)}")
-                    if len(arrivals) != tier + 1:
-                        raise ValueError(
-                            f"job {jid}: need one arrival per tier reached")
                     for wait in waits:
                         if wait < floor:
                             raise ValueError(
                                 f"job {jid}: negative completed wait")
                     if elapsed < floor:
                         raise ValueError(f"job {jid}: negative elapsed wait")
-                    if head != in_service:
-                        raise ValueError(
-                            f"job {jid}: in-service flag disagrees with the "
-                            f"schedule")
-                    if not head:
+                    if head:
+                        serving.append(jid)
+                    else:
                         waiting.append(jid)
             waiting.sort()
             by_tier.append(tuple(waiting))
         if len(seen) != len(progress):
             raise ValueError("schedule and progress must cover the same jobs")
+        object.__setattr__(self, "in_service_ids", frozenset(serving))
         object.__setattr__(self, "_waiting_by_tier", tuple(by_tier))
 
     def resident_ids(self) -> list[int]:

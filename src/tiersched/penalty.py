@@ -142,25 +142,24 @@ class ScheduleEvaluator:
         self._delays = [
             snapshot.schedule.residual(t, k) for t, k in env.iter_queues()]
         by_position = jobs.jobs
-        progress = snapshot.progress
+        progress, serving = snapshot.progress, snapshot.in_service_ids
         total_mode = mode is AllowanceMode.TOTAL
         pinned: dict[int, JobViolation] = {}
         for jid in snapshot.resident_ids():
-            prog = progress[jid]
-            waits = prog.completed_waits
+            waits, elapsed = progress[jid]
             tier = len(waits)
             job = by_position[jid - 1]
             if total_mode:
                 allow = job.allowance
-                base = sum(waits) + prog.elapsed_wait
+                base = sum(waits) + elapsed
             else:
                 allow = differentiated_allowance(job, tier)
-                base = prog.elapsed_wait
-            if prog.in_service:
+                base = elapsed
+            if jid in serving:
                 alpha = base - allow
                 pinned[jid] = JobViolation(
                     alpha, penalty(alpha, env.chi, env.nu),
-                    sum(waits) + prog.elapsed_wait)
+                    sum(waits) + elapsed)
             else:
                 const[jid] = base - allow
                 execs[jid] = job.exec_times[tier]

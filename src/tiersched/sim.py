@@ -341,10 +341,8 @@ class Simulator:
                     first = jid * tiers
                     slot = first + tier
                     records[jid] = record(JobProgress, (
-                        jid, tuple(arrive[first:slot + 1]),
                         tuple(wait[first:slot]),
-                        wait[slot] if in_service else clock - arrive[slot],
-                        in_service))
+                        wait[slot] if in_service else clock - arrive[slot]))
                     in_service = False
         progress = {jid: records[jid] for jid in sorted(records)}
         return Snapshot(env=self.env, jobs=self.jobs, clock=clock,

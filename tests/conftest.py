@@ -32,8 +32,8 @@ def fresh_snapshot(env, jobs, orders, busy=None, clock=0.0, elapsed=None,
     """Snapshot where every scheduled job sits in its first (or stated) tier.
 
     ``orders`` follows Schedule layout.  ``elapsed`` and ``completed`` map
-    job ids to elapsed waits and completed-tier wait tuples; jobs in tiers
-    past the first get synthetic tier-arrival chains.
+    job ids to elapsed waits and completed-tier wait tuples (zeros by
+    default).
     """
     elapsed = elapsed or {}
     completed = completed or {}
@@ -41,20 +41,11 @@ def fresh_snapshot(env, jobs, orders, busy=None, clock=0.0, elapsed=None,
     schedule = Schedule(orders=orders, busy=busy)
     progress = {}
     for tier, row in enumerate(orders):
-        for k, queue in enumerate(row):
-            for pos, jid in enumerate(queue):
-                waits = tuple(completed.get(jid, (0.0,) * tier))
-                arrivals = [jobs.job(jid).arrival]
-                for j in range(tier):
-                    arrivals.append(arrivals[-1] + waits[j]
-                                    + jobs.job(jid).exec_times[j])
-                in_service = pos == 0 and busy[tier][k] is not None
+        for queue in row:
+            for jid in queue:
                 progress[jid] = JobProgress(
-                    job_id=jid,
-                    tier_arrivals=tuple(arrivals),
-                    completed_waits=waits,
+                    completed_waits=tuple(completed.get(jid, (0.0,) * tier)),
                     elapsed_wait=elapsed.get(jid, 0.0),
-                    in_service=in_service,
                 )
     return Snapshot(env=env, jobs=jobs, clock=clock, schedule=schedule,
                     progress=progress)

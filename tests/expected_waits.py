@@ -1,9 +1,10 @@
 """Per-job hand-algebra reference for expected waits and violation times.
 
 Each function recomputes one job's quantity from the schedule alone, one
-queue scan per call.  ``ScheduleEvaluator.breakdown`` computes the same
-quantities for every resident in one pass per queue; the tests hold the two
-to each other.
+queue scan per call.  A job is given as its id, its progress record and
+whether it is in service; ``resident`` reads the three off a snapshot.
+``ScheduleEvaluator.breakdown`` computes the same quantities for every
+resident in one pass per queue; the tests hold the two to each other.
 """
 
 from __future__ import annotations
@@ -13,8 +14,17 @@ from tiersched import (
     JobProgress,
     JobSet,
     Schedule,
+    Snapshot,
     differentiated_allowance,
 )
+
+
+def resident(snapshot: Snapshot, job_id: int
+             ) -> tuple[int, JobProgress, bool]:
+    """A resident's id, progress record and in-service status, in the order
+    the functions below take them."""
+    return (job_id, snapshot.progress[job_id],
+            job_id in snapshot.in_service_ids)
 
 
 def remaining_wait(schedule: Schedule, job_id: int, tier: int,
@@ -40,8 +50,8 @@ def remaining_wait(schedule: Schedule, job_id: int, tier: int,
     raise LookupError(f"job {job_id} is not queued in tier {tier}")
 
 
-def expected_wait_tier(progress: JobProgress, schedule: Schedule, tier: int,
-                       jobs: JobSet) -> float:
+def expected_wait_tier(job_id: int, progress: JobProgress, in_service: bool,
+                       schedule: Schedule, tier: int, jobs: JobSet) -> float:
     """Expected queueing time of a job at one tier under a schedule.
 
     For completed tiers the wait is already realized; for the current tier it
@@ -52,21 +62,23 @@ def expected_wait_tier(progress: JobProgress, schedule: Schedule, tier: int,
         return progress.completed_waits[tier]
     if tier > progress.tier:
         raise LookupError(
-            f"job {progress.job_id} has not reached tier {tier}")
-    if progress.in_service:
+            f"job {job_id} has not reached tier {tier}")
+    if in_service:
         return progress.elapsed_wait
     return progress.elapsed_wait + remaining_wait(
-        schedule, progress.job_id, tier, jobs)
+        schedule, job_id, tier, jobs)
 
 
-def expected_wait_multitier(progress: JobProgress, schedule: Schedule,
+def expected_wait_multitier(job_id: int, progress: JobProgress,
+                            in_service: bool, schedule: Schedule,
                             jobs: JobSet) -> float:
     """Expected total queueing time through the job's current tier."""
     return sum(progress.completed_waits) + expected_wait_tier(
-        progress, schedule, progress.tier, jobs)
+        job_id, progress, in_service, schedule, progress.tier, jobs)
 
 
-def violation_time(progress: JobProgress, schedule: Schedule, jobs: JobSet,
+def violation_time(job_id: int, progress: JobProgress, in_service: bool,
+                   schedule: Schedule, jobs: JobSet,
                    mode: AllowanceMode) -> float:
     """Signed violation time of a resident job under the given mode.
 
@@ -75,8 +87,10 @@ def violation_time(progress: JobProgress, schedule: Schedule, jobs: JobSet,
     the full allowance; PER_TIER mode compares the current tier's expected
     wait with that tier's allowance share.
     """
-    job = jobs.job(progress.job_id)
+    job = jobs.job(job_id)
     if mode is AllowanceMode.TOTAL:
-        return expected_wait_multitier(progress, schedule, jobs) - job.allowance
-    return (expected_wait_tier(progress, schedule, progress.tier, jobs)
+        return expected_wait_multitier(
+            job_id, progress, in_service, schedule, jobs) - job.allowance
+    return (expected_wait_tier(job_id, progress, in_service, schedule,
+                               progress.tier, jobs)
             - differentiated_allowance(job, progress.tier))

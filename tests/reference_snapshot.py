@@ -2,11 +2,12 @@
 
 ``reference_snapshot_checks`` walks the schedule once to locate every job,
 then walks the progress records to check each against its location, and
-gathers each tier's sorted waiting ids from the records.
+gathers the in-service ids and each tier's sorted waiting ids from the
+locations.
 ``reference_progress`` builds a simulator's progress records from a sorted
 list of queue locations.  The package does both in one walk each; the tests
-hold the two to each other: the same inputs refused, the same waiting ids,
-the same records in the same order.
+hold the two to each other: the same inputs refused, the same in-service and
+waiting ids, the same records in the same order.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from tiersched.sim import Simulator
 def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
                               schedule: Schedule,
                               progress: dict[int, JobProgress]
-                              ) -> tuple[tuple[int, ...], ...]:
+                              ) -> tuple[frozenset[int],
+                                         tuple[tuple[int, ...], ...]]:
     """Raise ``ValueError`` where a ``Snapshot`` of these fields must be
-    refused; otherwise return the sorted waiting ids of each tier."""
+    refused; otherwise return the in-service ids and the sorted waiting ids
+    of each tier."""
     job_list = jobs.jobs
     num_jobs = len(job_list)
     layout = tuple(len(tier) for tier in schedule.orders)
@@ -55,31 +58,23 @@ def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
     if located.keys() != progress.keys():
         raise ValueError("schedule and progress must cover the same jobs")
     for jid, prog in progress.items():
-        tier, head_in_service = located[jid]
-        if prog.job_id != jid:
-            raise ValueError(
-                f"job {jid}: progress record of job {prog.job_id}")
+        tier, _ = located[jid]
         if tier != prog.tier:
             raise ValueError(
                 f"job {jid} scheduled in tier {tier} but resides in "
                 f"tier {prog.tier}")
-        if len(prog.tier_arrivals) != tier + 1:
-            raise ValueError(
-                f"job {jid}: need one arrival per tier reached")
         if any(w < -TIME_EPS for w in prog.completed_waits):
             raise ValueError(f"job {jid}: negative completed wait")
         if prog.elapsed_wait < -TIME_EPS:
             raise ValueError(f"job {jid}: negative elapsed wait")
-        if head_in_service != prog.in_service:
-            raise ValueError(
-                f"job {jid}: in-service flag disagrees with the schedule")
 
     by_tier: list[list[int]] = [[] for _ in schedule.orders]
-    for jid in sorted(progress):
-        prog = progress[jid]
-        if not prog.in_service:
-            by_tier[prog.tier].append(jid)
-    return tuple(tuple(ids) for ids in by_tier)
+    for jid in sorted(located):
+        tier, head = located[jid]
+        if not head:
+            by_tier[tier].append(jid)
+    in_service = frozenset(jid for jid, (_, head) in located.items() if head)
+    return in_service, tuple(tuple(ids) for ids in by_tier)
 
 
 def reference_progress(sim: Simulator) -> dict[int, JobProgress]:
@@ -98,7 +93,6 @@ def reference_progress(sim: Simulator) -> dict[int, JobProgress]:
         first = jid * tiers
         slot = first + tier
         progress[jid] = JobProgress(
-            jid, tuple(arrive[first:slot + 1]), tuple(wait[first:slot]),
-            wait[slot] if in_service else clock - arrive[slot],
-            in_service)
+            tuple(wait[first:slot]),
+            wait[slot] if in_service else clock - arrive[slot])
     return progress

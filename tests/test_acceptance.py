@@ -60,10 +60,10 @@ class TestCriterion1Equations:
 
         # Violation-time fixtures: exactly met, violated, and slack.
         from tiersched import JobSet
-        from expected_waits import violation_time
+        from expected_waits import resident, violation_time
         snap1 = fresh_snapshot(env_1x1, JobSet((job(1, (1.0,), allowance=5.0),)),
                                (((1,),),), elapsed={1: 5.0})
-        checks.append(abs(violation_time(snap1.progress[1], snap1.schedule,
+        checks.append(abs(violation_time(*resident(snap1, 1), snap1.schedule,
                                          snap1.jobs, AllowanceMode.TOTAL)) <= 1e-12)
 
         # Fitness hand algebra on the two-permutation.

@@ -54,6 +54,12 @@ CONTRACT = {
     "compare-repeated-policy": (
         ("compare", *GEN, "--policies", "wlc", "ga-virtualized", "wlc"), 2,
         "policies given more than once: wlc"),
+    # Both tokens name the virtualized search in total mode.
+    "compare-repeated-genetic-row": (
+        ("compare", *GEN, "--policies", "ga-virtualized",
+         "ga-virtualized:total"), 2,
+        "policies given more than once: ga-virtualized, "
+        "ga-virtualized:total"),
     "compare-repeated-seed": (
         ("compare", *GEN, "--policies", "wlc", "--seeds", "1", "2", "1"), 2,
         "seeds given more than once: 1"),
@@ -145,6 +151,17 @@ CONTRACT = {
     "compare-out-dir-under-a-file": (
         ("compare", *GEN, "--policies", "fcfs", "--out-dir",
          f"{WORKLOAD}/out"), 2, "usage error: --out-dir"),
+    "run-resources-not-a-number": (
+        ("run", *GEN, "--tiers", "2", "--resources", "abc"), 3,
+        "input error: --resources 'abc' must be one positive count or 2 "
+        "comma-separated ones"),
+    "run-resources-zero-count": (
+        ("run", *GEN, "--tiers", "2", "--resources", "2,0"), 3,
+        "input error: --resources '2,0' must be one positive count"),
+    "compare-resources-one-count-too-many": (
+        ("compare", *GEN, "--policies", "fcfs", "--tiers", "2",
+         "--resources", "1,2,3"), 3,
+        "input error: --resources '1,2,3' must be one positive count"),
     "run-nan-nu": (
         ("run", *GEN, "--nu", "nan"), 3,
         "input error: scaling factor nu must be positive and finite"),
@@ -320,7 +337,24 @@ class TestRun:
         assert summary["counts"]["completed"] == 25
         # The search budget is summed over every rescheduling decision.
         assert len(decisions) > 1
+        assert summary["decisions"] == len(decisions)
         assert summary["evaluations"] == len(decisions) * 10 * 20
+
+    @pytest.mark.parametrize("rate, epoch", [("0.2", "7"), ("2.5", "119")],
+                             ids=["light-load", "last-decision-idle"])
+    def test_online_run_without_a_decision_says_so(self, tmp_path, capsys,
+                                                   rate, epoch):
+        # At light load no decision finds a waiting job that could move; at
+        # epoch 119 of 120 events the one decision finds the stream drained.
+        out = tmp_path / "online"
+        assert run_cli("run", "--jobs", "30", "--lambda", rate, "--seed", "1",
+                       "--policy", "ga-virtualized", "--generations", "5",
+                       "--epoch", epoch, "--out-dir", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["schema"] == "tiersched.run-summary/2"
+        assert summary["decisions"] == 0
+        assert summary["evaluations"] == 0
+        assert ", decisions 0: " in capsys.readouterr().out
 
     def test_online_trace_logs_every_decision(self, tmp_path, monkeypatch):
         decisions = []

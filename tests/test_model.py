@@ -186,23 +186,14 @@ class TestSnapshotChecks:
             self.rebuilt(snap, progress)
 
     def test_progress_for_an_unscheduled_job(self, snap):
-        extra = snap.progress[3]._replace(job_id=4)
         with pytest.raises(ValueError, match="cover the same jobs"):
-            self.rebuilt(snap, {**snap.progress, 4: extra})
+            self.rebuilt(snap, {**snap.progress, 4: snap.progress[3]})
 
     def test_job_in_the_wrong_tier(self, snap):
-        second_tier = JobProgress(job_id=3, tier_arrivals=(0.6, 1.6),
-                                  completed_waits=(0.0,), elapsed_wait=0.0)
+        second_tier = JobProgress(completed_waits=(0.0,), elapsed_wait=0.0)
         with pytest.raises(ValueError, match="scheduled in tier 0 but "
                                              "resides in tier 1"):
             self.rebuilt(snap, {**snap.progress, 3: second_tier})
-
-    @pytest.mark.parametrize("jid, in_service", [(1, False), (2, True),
-                                                 (3, True)])
-    def test_in_service_flag_mismatch(self, snap, jid, in_service):
-        flipped = snap.progress[jid]._replace(in_service=in_service)
-        with pytest.raises(ValueError, match=f"job {jid}: in-service flag"):
-            self.rebuilt(snap, {**snap.progress, jid: flipped})
 
     @staticmethod
     def with_schedule(snap, orders, busy=None, progress=None):
@@ -221,7 +212,7 @@ class TestSnapshotChecks:
     @pytest.mark.parametrize("jid", [0, 4])
     def test_unknown_id(self, snap, jid):
         # Its progress record agrees with the queues; only the id is wrong.
-        progress = {**snap.progress, jid: snap.progress[3]._replace(job_id=jid)}
+        progress = {**snap.progress, jid: snap.progress[3]}
         with pytest.raises(ValueError, match=f"unknown job id {jid} in tier 0"):
             self.with_schedule(snap, (((1, 2), (3, jid)), ((), ())),
                                progress=progress)
@@ -259,7 +250,7 @@ class TestSnapshotChecks:
                 Snapshot(env=env, jobs=jobs, clock=0.0,
                          schedule=Schedule(orders=(((1,), (1,)),),
                                            busy=((None, None),)),
-                         progress={1: JobProgress(1, (0.0,), (), 0.0)})
+                         progress={1: JobProgress((), 0.0)})
             except ValueError as err:
                 print("raised", err)
             else:
@@ -274,15 +265,11 @@ class TestSnapshotChecks:
             "debug False", "raised job 1 scheduled twice"]
 
     @pytest.mark.parametrize("jid, broken, message", [
-        (3, lambda p: p[2], "job 3: progress record of job 2"),
-        (3, lambda p: p[3]._replace(tier_arrivals=(0.6, 1.6)),
-         "job 3: need one arrival per tier reached"),
         (4, lambda p: p[4]._replace(completed_waits=(-0.5,)),
          "job 4: negative completed wait"),
         (2, lambda p: p[2]._replace(elapsed_wait=-0.5),
          "job 2: negative elapsed wait"),
-    ], ids=["another-job", "arrival-count", "negative-completed-wait",
-            "negative-elapsed-wait"])
+    ], ids=["negative-completed-wait", "negative-elapsed-wait"])
     def test_broken_progress_record(self, env_2x2, jid, broken, message):
         jobs = JobSet((job(1, (2.0, 1.0)), job(2, (1.0, 1.0), arrival=0.5),
                        job(3, (1.0, 2.0), arrival=0.6),
@@ -376,8 +363,8 @@ class TestValidateAgainstReference:
         assert got.ok == want.ok, (got.violations, want.violations)
 
 
-PROGRESS_EDITS = ("forget", "extra", "other-record", "tier", "arrivals",
-                  "completed-wait", "elapsed-wait", "flip")
+PROGRESS_EDITS = ("forget", "extra", "tier", "completed-wait",
+                  "elapsed-wait")
 
 
 def edit_progress(draw, snap, progress, kind):
@@ -388,7 +375,7 @@ def edit_progress(draw, snap, progress, kind):
         jid = draw(st.integers(0, len(snap.jobs) + 1))
         source = progress.get(jid) or next(iter(snap.progress.values()), None)
         if source is not None:
-            progress[jid] = source._replace(job_id=jid)
+            progress[jid] = source
         return
     if not residents:
         return
@@ -397,29 +384,23 @@ def edit_progress(draw, snap, progress, kind):
     small = st.sampled_from([1e-12, 1e-6, 1.0])
     if kind == "forget":
         del progress[jid]
-    elif kind == "other-record":
-        progress[jid] = progress[draw(st.sampled_from(residents))]
     elif kind == "tier":
         waits = prog.completed_waits
         progress[jid] = prog._replace(
             completed_waits=waits[:-1] if waits and draw(st.booleans())
             else waits + (0.0,))
-    elif kind == "arrivals":
-        progress[jid] = prog._replace(
-            tier_arrivals=prog.tier_arrivals + (snap.clock,))
     elif kind == "completed-wait" and prog.completed_waits:
         progress[jid] = prog._replace(completed_waits=(
             prog.completed_waits[:-1] + (-draw(small),)))
     elif kind == "elapsed-wait":
         progress[jid] = prog._replace(elapsed_wait=-draw(small))
-    elif kind == "flip":
-        progress[jid] = prog._replace(in_service=not prog.in_service)
 
 
 class TestSnapshotAgainstReference:
     """The one-walk snapshot checks refuse exactly what the two-walk
-    reference refuses, and gather the same waiting ids; a simulator's
-    snapshot holds the reference's progress records in the same order."""
+    reference refuses, and gather the same in-service and waiting ids; a
+    simulator's snapshot holds the reference's progress records in the same
+    order."""
 
     @settings(max_examples=300, deadline=None)
     @given(sim=simulators(), data=st.data())
@@ -427,7 +408,8 @@ class TestSnapshotAgainstReference:
         snap = sim.snapshot()
         want = reference_progress(sim)
         assert list(snap.progress.items()) == list(want.items())
-        assert snap._waiting_by_tier == reference_snapshot_checks(
+        assert (snap.in_service_ids,
+                snap._waiting_by_tier) == reference_snapshot_checks(
             snap.env, snap.jobs, snap.schedule, snap.progress)
 
         orders = [[list(q) for q in row] for row in snap.schedule.orders]
@@ -451,7 +433,7 @@ class TestSnapshotAgainstReference:
         except ValueError as err:
             assert want is None, err
         else:
-            assert got._waiting_by_tier == want
+            assert (got.in_service_ids, got._waiting_by_tier) == want
 
 
 class TestRemainingWait:
@@ -520,19 +502,16 @@ class TestTierChaining:
     def test_departure_equals_next_arrival_over_full_runs(self, env_2x3):
         jobs = generate(WorkloadSpec(arrival_rate=3.0, num_jobs=40, seed=3),
                         env_2x3)
-        sim = Simulator(jobs, env_2x3)
-        sim.run(until_external_arrivals=len(jobs))
-        snap = sim.snapshot()
-        handoffs = 0
-        for jid, prog in snap.progress.items():
-            execs = jobs.job(jid).exec_times
-            for j in range(prog.tier):
-                start = prog.tier_arrivals[j] + prog.completed_waits[j]
-                assert abs(prog.tier_arrivals[j + 1]
-                           - (start + execs[j])) <= 1e-9
-                handoffs += 1
-        assert handoffs > 0
+        sim = Simulator(jobs, env_2x3, keep_trace=True)
         sim.run()
+        times = {(ev.kind, ev.job_id, ev.tier): ev.time for ev in sim.trace}
+        handoffs = 0
+        for jid in range(1, len(jobs) + 1):
+            for tier in range(env_2x3.num_tiers - 1):
+                assert (times["finish", jid, tier]
+                        == times["arrive", jid, tier + 1])
+                handoffs += 1
+        assert handoffs == len(jobs) * (env_2x3.num_tiers - 1)
         for jid, outcome in sim.report().per_job.items():
             assert len(outcome.waits) == env_2x3.num_tiers
 

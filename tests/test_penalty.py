@@ -28,6 +28,7 @@ from conftest import fresh_snapshot, job, loaded_snapshot
 from expected_waits import (
     expected_wait_multitier,
     expected_wait_tier,
+    resident,
     violation_time,
 )
 
@@ -56,9 +57,9 @@ class TestExpectedWaits:
     def test_fresh_job_at_idle_head(self, env_2x2):
         jobs = JobSet((job(1, (1.0, 1.0)),))
         snap = fresh_snapshot(env_2x2, jobs, (((1,), ()), ((), ())))
-        prog = snap.progress[1]
-        assert expected_wait_multitier(prog, snap.schedule, jobs) == 0.0
-        assert expected_wait_tier(prog, snap.schedule, 0, jobs) == 0.0
+        job_1 = resident(snap, 1)
+        assert expected_wait_multitier(*job_1, snap.schedule, jobs) == 0.0
+        assert expected_wait_tier(*job_1, snap.schedule, 0, jobs) == 0.0
 
     def test_sum_of_components(self, env_2x2):
         # Job 3 in tier 2 with a finished-tier wait of 3, elapsed 1, and one
@@ -69,26 +70,26 @@ class TestExpectedWaits:
             env_2x2, jobs, (((), ()), ((1, 3), (2,))),
             completed={1: (0.0,), 2: (0.0,), 3: (3.0,)},
             elapsed={3: 1.0})
-        prog = snap.progress[3]
-        assert expected_wait_multitier(prog, snap.schedule, jobs) == pytest.approx(6.0)
-        assert expected_wait_tier(prog, snap.schedule, 1, jobs) == pytest.approx(3.0)
-        assert expected_wait_tier(prog, snap.schedule, 0, jobs) == pytest.approx(3.0)
+        job_3 = resident(snap, 3)
+        assert expected_wait_multitier(*job_3, snap.schedule, jobs) == pytest.approx(6.0)
+        assert expected_wait_tier(*job_3, snap.schedule, 1, jobs) == pytest.approx(3.0)
+        assert expected_wait_tier(*job_3, snap.schedule, 0, jobs) == pytest.approx(3.0)
 
     def test_tier_ahead_is_undefined(self, env_2x2):
         jobs = JobSet((job(1, (1.0, 1.0)),))
         snap = fresh_snapshot(env_2x2, jobs, (((1,), ()), ((), ())))
         with pytest.raises(LookupError):
-            expected_wait_tier(snap.progress[1], snap.schedule, 1, jobs)
+            expected_wait_tier(*resident(snap, 1), snap.schedule, 1, jobs)
 
 
 class TestViolationTime:
     def test_boundary_and_signs(self, env_1x1):
         jobs = JobSet((job(1, (1.0,), allowance=5.0),))
         snap = fresh_snapshot(env_1x1, jobs, (((1,),),), elapsed={1: 5.0})
-        assert violation_time(snap.progress[1], snap.schedule, jobs,
+        assert violation_time(*resident(snap, 1), snap.schedule, jobs,
                               AllowanceMode.TOTAL) == pytest.approx(0.0)
         snap = fresh_snapshot(env_1x1, jobs, (((1,),),), elapsed={1: 8.0})
-        assert violation_time(snap.progress[1], snap.schedule, jobs,
+        assert violation_time(*resident(snap, 1), snap.schedule, jobs,
                               AllowanceMode.TOTAL) == pytest.approx(3.0)
 
     def test_per_tier_slack_is_negative(self, env_2x2):
@@ -96,7 +97,7 @@ class TestViolationTime:
         snap = fresh_snapshot(env_2x2, jobs, (((1,), ()), ((), ())),
                               elapsed={1: 1.0})
         # Tier share is 4; expected tier wait is 1.
-        assert violation_time(snap.progress[1], snap.schedule, jobs,
+        assert violation_time(*resident(snap, 1), snap.schedule, jobs,
                               AllowanceMode.PER_TIER) == pytest.approx(-3.0)
 
 
@@ -169,7 +170,7 @@ class TestTotalPenalty:
         assert breakdown.per_job.keys() == snap.progress.keys()
         for jid, violation in breakdown.per_job.items():
             assert violation.alpha == pytest.approx(violation_time(
-                snap.progress[jid], snap.schedule, snap.jobs,
+                *resident(snap, jid), snap.schedule, snap.jobs,
                 AllowanceMode.PER_TIER), abs=1e-9)
 
     def test_invalid_candidate_rejected(self, env_1x1):
@@ -194,9 +195,9 @@ class TestFrozenConsistency:
         predicted_tier = {}
         for jid, prog in snap.progress.items():
             predicted_total[jid] = expected_wait_multitier(
-                prog, snap.schedule, jobs)
+                *resident(snap, jid), snap.schedule, jobs)
             predicted_tier[jid] = (prog.tier, expected_wait_tier(
-                prog, snap.schedule, prog.tier, jobs))
+                *resident(snap, jid), snap.schedule, prog.tier, jobs))
         sim.run()
         report = sim.report()
         for jid, expected in predicted_total.items():
@@ -246,11 +247,12 @@ class TestOneScoringPath:
                     breakdown = evaluator.breakdown(schedule)
                     assert breakdown.per_job.keys() == snap.progress.keys()
                     for jid, violation in breakdown.per_job.items():
-                        prog = snap.progress[jid]
+                        job_args = resident(snap, jid)
                         assert violation.wait == expected_wait_multitier(
-                            prog, schedule, snap.jobs)
+                            *job_args, schedule, snap.jobs)
                         assert violation.alpha == pytest.approx(
-                            violation_time(prog, schedule, snap.jobs, mode),
+                            violation_time(*job_args, schedule, snap.jobs,
+                                           mode),
                             abs=1e-9)
                         checked += 1
         assert checked == 2332 and reordered > 0
