@@ -318,7 +318,7 @@ def cmd_run(args) -> int:
     jobs = _workload(args, env)
     # One arrival and one completion per job and tier.
     events = 2 * env.num_tiers * len(jobs)
-    if args.epoch >= events:
+    if args.epoch > 0 and args.epoch >= events:
         raise SystemExit2(f"--epoch {args.epoch} is not below the run's "
                           f"{events} events, so no rescheduling decision "
                           f"could move a job")

@@ -77,7 +77,17 @@ class EnvironmentConfig:
                 yield tier, k
 
 
-@dataclass(frozen=True)
+def ordered_sum(values):
+    """Left-to-right sum starting from the int 0, as ``sum()`` adds on
+    Python 3.11; from 3.12 ``sum()`` compensates floats, which would change
+    per-job and record-level totals between Python versions."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+@dataclass(frozen=True, slots=True)
 class Job:
     """One client job.
 
@@ -86,41 +96,54 @@ class Job:
     completion time implies a deadline relative to arrival, and the slack
     between deadline and total execution time is the job's waiting allowance:
     the total time it may spend queued without dissatisfying its client.
+    ``total_exec`` and ``allowance`` are stored once at construction, the
+    total added left to right over the tiers (``ordered_sum``); neither takes
+    part in equality, hashing or ``repr``.  The class has ``__slots__``.
     """
 
     id: int
     arrival: float
     exec_times: tuple[float, ...]
     target_completion: float
+    #: Total execution time over all tiers, added left to right.
+    total_exec: float = field(init=False, repr=False, compare=False)
     #: Total queueing slack the job can absorb without violation: its
-    #: deadline less its total execution time, set once at construction.
+    #: deadline less its total execution time.
     allowance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        exec_times = tuple(map(float, self.exec_times))
-        object.__setattr__(self, "exec_times", exec_times)
+        # A tuple of exact floats is kept as given; anything else becomes
+        # one through ``float``.
+        exec_times = self.exec_times
+        if type(exec_times) is not tuple:
+            exec_times = tuple(map(float, exec_times))
+            object.__setattr__(self, "exec_times", exec_times)
+        else:
+            for e in exec_times:
+                if type(e) is not float:
+                    exec_times = tuple(map(float, exec_times))
+                    object.__setattr__(self, "exec_times", exec_times)
+                    break
         if self.id < 1:
             raise ValueError("job ids start at 1")
         if not exec_times:
             raise ValueError(f"job {self.id}: needs at least one tier execution time")
-        if not all(0 < e < math.inf for e in exec_times):
-            raise ValueError(
-                f"job {self.id}: execution times must be positive and finite")
-        if not (math.isfinite(self.arrival)
-                and math.isfinite(self.target_completion)):
+        for e in exec_times:
+            if not 0 < e < math.inf:
+                raise ValueError(
+                    f"job {self.id}: execution times must be positive and finite")
+        arrival, target = self.arrival, self.target_completion
+        if not (math.isfinite(arrival) and math.isfinite(target)):
             raise ValueError(
                 f"job {self.id}: arrival and target completion must be finite")
-        total = sum(exec_times)
-        deadline = self.target_completion - self.arrival
+        total = ordered_sum(exec_times)
+        deadline = target - arrival
         if deadline < total - TIME_EPS:
             raise ValueError(
                 f"job {self.id}: deadline {deadline!r} below total "
                 f"execution time {total!r}")
+        object.__setattr__(self, "total_exec", total)
         object.__setattr__(self, "allowance", deadline - total)
-
-    @property
-    def total_exec(self) -> float:
-        return sum(self.exec_times)
 
     @property
     def deadline(self) -> float:
@@ -135,23 +158,25 @@ class JobSet:
     jobs: tuple[Job, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        last_arrival = None
-        tiers = None
-        for pos, job in enumerate(self.jobs, start=1):
+        jobs = tuple(self.jobs)
+        object.__setattr__(self, "jobs", jobs)
+        if not jobs:
+            return
+        tiers = len(jobs[0].exec_times)
+        latest = -math.inf
+        for pos, job in enumerate(jobs, start=1):
             if job.id != pos:
                 raise ValueError(
                     f"job ids must be dense and arrival-ordered; expected id "
                     f"{pos}, found {job.id}")
-            if last_arrival is not None and job.arrival < last_arrival - TIME_EPS:
+            arrival = job.arrival
+            if arrival < latest - TIME_EPS:
                 raise ValueError(
                     f"job {job.id} arrives before job {job.id - 1}; ids must "
                     f"follow arrival order")
-            last_arrival = (job.arrival if last_arrival is None
-                            else max(job.arrival, last_arrival))
-            if tiers is None:
-                tiers = len(job.exec_times)
-            elif len(job.exec_times) != tiers:
+            if arrival > latest:
+                latest = arrival
+            if len(job.exec_times) != tiers:
                 raise ValueError("all jobs must cover the same number of tiers")
 
     def __len__(self) -> int:

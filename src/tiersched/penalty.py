@@ -11,10 +11,9 @@ saturates at the monetary ceiling.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -24,6 +23,7 @@ from .model import (
     Job,
     Schedule,
     Snapshot,
+    ordered_sum,
     validate_schedule,
 )
 
@@ -68,13 +68,6 @@ class JobViolation(NamedTuple):
     alpha: float
     cost: float
     wait: float
-
-
-def ordered_sum(values):
-    """Left-to-right sum starting from the int 0, as ``sum()`` adds on
-    Python 3.11; from 3.12 ``sum()`` compensates floats, which would change
-    record-level totals between Python versions."""
-    return reduce(operator.add, values, 0)
 
 
 def violation_totals(records) -> dict[str, float]:
@@ -149,17 +142,17 @@ class ScheduleEvaluator:
             waits, elapsed = progress[jid]
             tier = len(waits)
             job = by_position[jid - 1]
+            waited = ordered_sum(waits) + elapsed
             if total_mode:
                 allow = job.allowance
-                base = sum(waits) + elapsed
+                base = waited
             else:
                 allow = differentiated_allowance(job, tier)
                 base = elapsed
             if jid in serving:
                 alpha = base - allow
                 pinned[jid] = JobViolation(
-                    alpha, penalty(alpha, env.chi, env.nu),
-                    sum(waits) + elapsed)
+                    alpha, penalty(alpha, env.chi, env.nu), waited)
             else:
                 const[jid] = base - allow
                 execs[jid] = job.exec_times[tier]
@@ -225,7 +218,8 @@ class ScheduleEvaluator:
                 alpha = self._const[jid] + run
                 violations[jid] = JobViolation(
                     alpha, penalty(alpha, env.chi, env.nu),
-                    sum(prog.completed_waits) + (prog.elapsed_wait + run))
+                    ordered_sum(prog.completed_waits)
+                    + (prog.elapsed_wait + run))
                 run += self._exec[jid]
         return ViolationBreakdown(violations,
                                   **violation_totals(violations.values()))

@@ -29,6 +29,7 @@ from .model import (
     JobSet,
     Schedule,
     Snapshot,
+    ordered_sum,
     validate_schedule,
 )
 from .penalty import ViolationBreakdown, penalty, violation_totals
@@ -401,11 +402,11 @@ class Simulator:
                 continue
             first = jid * tiers
             waits = tuple(wait[first:first + tiers])
-            total_wait = sum(waits)
+            total_wait = ordered_sum(waits)
             arrival = job.arrival
             alpha = total_wait - job.allowance
             outcomes[jid] = outcome(JobOutcome, (
-                jid, arrival, completion, sum(job.exec_times), waits,
+                jid, arrival, completion, job.total_exec, waits,
                 total_wait, completion - arrival, alpha,
                 penalty(alpha, chi, nu)))
         return ViolationBreakdown(per_job=outcomes,

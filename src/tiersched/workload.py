@@ -65,18 +65,15 @@ def generate(spec: WorkloadSpec, env: EnvironmentConfig) -> JobSet:
         _stream(spec.seed, 1 + j).exponential(1.0 / spec.service_rate, n)
         for j in range(env.num_tiers)
     ]
-    jobs = []
-    for i in range(n):
-        exec_times = tuple(float(execs[j][i]) for j in range(env.num_tiers))
-        total = sum(exec_times)
-        arrival = float(arrivals[i])
-        jobs.append(Job(
-            id=i + 1,
-            arrival=arrival,
-            exec_times=exec_times,
-            target_completion=arrival + total + spec.allowance_fraction * total,
-        ))
-    return JobSet(tuple(jobs))
+    # Elementwise adds in tier order: each job's total is its execution
+    # times added left to right, as ``Job`` adds them.
+    totals = execs[0]
+    for column in execs[1:]:
+        totals = totals + column
+    targets = arrivals + totals + spec.allowance_fraction * totals
+    return JobSet(tuple(map(
+        Job, range(1, n + 1), arrivals.tolist(),
+        zip(*[column.tolist() for column in execs]), targets.tolist())))
 
 
 def _columns(num_tiers: int) -> list[str]:
@@ -102,7 +99,8 @@ def save(jobs: JobSet, path) -> None:
 
 
 def load(path) -> JobSet:
-    """Read a workload file back; ``load(save(x)) == x``."""
+    """Read a workload file back; ``load(save(x)) == x``.  A file with no
+    job lines is refused, as ``WorkloadSpec`` refuses zero jobs."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
     if len(lines) < 3:
@@ -148,6 +146,8 @@ def load(path) -> JobSet:
         except ValueError as err:
             raise WorkloadFormatError(f"line {lineno}: {err}") from None
         jobs.append(job)
+    if not jobs:
+        raise WorkloadFormatError(f"{path}: no job lines")
     try:
         return JobSet(tuple(jobs))
     except ValueError as err:

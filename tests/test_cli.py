@@ -36,6 +36,8 @@ GEN = ("--jobs", "30", "--lambda", "2.5")
 WORKLOAD = "{workload}"
 # Stands for the contract test's temporary directory.
 DIRECTORY = "{directory}"
+# Stands for a workload file that holds its 3-line header and no job.
+HEADER_ONLY = "{header-only}"
 
 # argv -> exit code, and a fragment of the message on stderr.
 CONTRACT = {
@@ -142,6 +144,15 @@ CONTRACT = {
     "run-inf-chi": (
         ("run", *GEN, "--chi", "inf"), 3,
         "input error: cost factor chi must be positive and finite"),
+    "run-workload-without-jobs": (
+        ("run", "--workload", HEADER_ONLY, "--policy", "fcfs"), 3,
+        "input error: {header-only}: no job lines"),
+    "run-workload-without-jobs-genetic": (
+        ("run", "--workload", HEADER_ONLY, "--policy", "ga-virtualized"), 3,
+        "input error: {header-only}: no job lines"),
+    "run-workload-without-jobs-online": (
+        ("run", "--workload", HEADER_ONLY, "--policy", "ga-virtualized",
+         "--epoch", "1"), 3, "input error: {header-only}: no job lines"),
     "run-workload-is-a-directory": (
         ("run", "--workload", DIRECTORY, "--policy", "fcfs"), 3,
         "input error: [Errno 21] Is a directory"),
@@ -175,6 +186,12 @@ def test_exit_code_contract(case, tmp_path, capsys):
         path = tmp_path / "w.txt"
         assert run_cli("generate", *GEN, "--out", str(path)) == 0
         argv = tuple(a.replace(WORKLOAD, str(path)) for a in argv)
+    if any(HEADER_ONLY in a for a in argv):
+        path = tmp_path / "header-only.txt"
+        path.write_text("# tiersched-workload 1\n# tiers 2\n# columns id "
+                        "arrival exec_1 exec_2 target_completion\n")
+        argv = tuple(a.replace(HEADER_ONLY, str(path)) for a in argv)
+        message = message.replace(HEADER_ONLY, str(path))
     argv = tuple(a.replace(DIRECTORY, str(tmp_path)) for a in argv)
     out = tmp_path / "out"
     if "--out-dir" not in argv:

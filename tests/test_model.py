@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from conftest import fresh_snapshot, job, loaded_snapshot
 from expected_waits import remaining_wait
 from reference_snapshot import reference_progress, reference_snapshot_checks
 from reference_validate import reference_validate
+from reference_workload import reference_job_checks, reference_jobset_checks
 
 
 class TestEnvironmentConfig:
@@ -52,7 +54,93 @@ class TestEnvironmentConfig:
             EnvironmentConfig(**kwargs)
 
 
+def raised(build, *args):
+    """The exception ``build(*args)`` raises, or ``None``."""
+    try:
+        build(*args)
+    except Exception as err:  # noqa: BLE001 - compared by type and text
+        return err
+    return None
+
+
+#: (id, arrival, exec_times, target_completion) that ``Job`` refuses.
+REFUSED_JOBS = {
+    "id-zero": (0, 0.0, (1.0,), 5.0),
+    "no-tiers": (1, 0.0, (), 5.0),
+    "zero-exec": (1, 0.0, (1.0, 0.0), 5.0),
+    "negative-exec": (2, 0.0, (-1.0,), 5.0),
+    "nan-exec": (3, 0.0, (1.0, math.nan), 5.0),
+    "inf-exec": (4, 0.0, (math.inf, 1.0), 5.0),
+    "nan-arrival": (5, math.nan, (1.0,), 5.0),
+    "inf-arrival": (6, math.inf, (1.0,), 5.0),
+    "nan-target": (7, 0.0, (1.0,), math.nan),
+    "minus-inf-target": (8, 0.0, (1.0,), -math.inf),
+    "deadline-below-total": (9, 1.0, (2.0, 3.0), 5.0),
+    "deadline-just-below-tolerance": (10, 0.0, (2.0, 3.0), 5.0 - 2e-9),
+    "exec-not-a-number": (11, 0.0, ("x",), 5.0),
+}
+
+#: Fields ``Job`` accepts, some of them only after conversion.
+ACCEPTED_JOBS = {
+    "floats": (1, 2.0, (2.0, 3.0), 9.0),
+    "int-fields": (1, 2, (2, 3), 9),
+    "list-exec": (2, 0.0, [0.5, 0.25, 0.125], 1.0),
+    "numpy-exec": (3, 0.0, tuple(np.array([1.5, 2.5])), 4.0),
+    "string-exec": (4, 0.0, ("1.5",), 1.5),
+    "deadline-within-tolerance": (5, 0.0, (2.0, 3.0), 5.0 - 0.5e-9),
+    "no-allowance": (6, 1e300, (5e-324,), 1e300),
+}
+
+
+#: (id, arrival, tier count) of each job of a job set; ``JobSet`` refuses
+#: some of these sets.
+JOB_SET_CASES = {
+    "gap-in-ids": ((1, 0.0, 1), (3, 1.0, 1)),
+    "ids-from-two": ((2, 0.0, 1), (3, 1.0, 1)),
+    "repeated-id": ((1, 0.0, 1), (1, 1.0, 1)),
+    "arrival-back-beyond-tolerance": ((1, 5.0, 1), (2, 5.0 - 2e-9, 1)),
+    "arrival-back-within-tolerance": ((1, 5.0, 1), (2, 5.0 - 0.5e-9, 1)),
+    "back-from-an-earlier-latest": (
+        (1, 5.0, 1), (2, 5.0 - 0.9e-9, 1), (3, 5.0 - 1.5e-9, 1)),
+    "negative-arrivals": ((1, -3.0, 2), (2, -2.0, 2)),
+    "more-tiers-later": ((1, 0.0, 1), (2, 1.0, 2)),
+    "fewer-tiers-later": ((1, 0.0, 3), (2, 1.0, 3), (3, 2.0, 1)),
+    "empty": (),
+}
+
+
 class TestJob:
+    @pytest.mark.parametrize("case", sorted(REFUSED_JOBS))
+    def test_refusals_match_the_reference(self, case):
+        fields = REFUSED_JOBS[case]
+        want = raised(reference_job_checks, *fields)
+        got = raised(Job, *fields)
+        assert want is not None
+        assert (type(got), str(got)) == (type(want), str(want))
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTED_JOBS))
+    def test_stored_fields_match_the_reference(self, case):
+        fields = ACCEPTED_JOBS[case]
+        exec_times, total, allowance = reference_job_checks(*fields)
+        j = Job(*fields)
+        assert type(j.exec_times) is tuple
+        assert [(type(e), e.hex()) for e in j.exec_times] == [
+            (float, e.hex()) for e in exec_times]
+        assert j.total_exec.hex() == total.hex()
+        assert j.allowance.hex() == allowance.hex()
+
+    def test_total_adds_left_to_right(self):
+        # A compensated sum would give 1e16 + 2.
+        j = Job(1, 0.0, (1e16, 1.0, 1.0), 2e16)
+        assert j.total_exec == 1e16
+        assert j.allowance == 1e16
+
+    def test_slots_and_no_instance_dict(self):
+        j = Job(id=1, arrival=2.0, exec_times=(2.0, 3.0), target_completion=9.0)
+        assert not hasattr(j, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            j.total_exec = 1.0
+
     def test_derived_fields(self):
         j = Job(id=1, arrival=2.0, exec_times=(2.0, 3.0), target_completion=9.0)
         assert j.total_exec == 5.0
@@ -115,6 +203,16 @@ class TestJobSet:
     def test_rejects_out_of_order_arrivals(self):
         with pytest.raises(ValueError, match="arrival"):
             JobSet((job(1, (1.0,), arrival=5.0), job(2, (1.0,), arrival=1.0)))
+
+    @pytest.mark.parametrize("case", sorted(JOB_SET_CASES))
+    def test_verdicts_match_the_reference(self, case):
+        jobs = tuple(job(jid, (1.0,) * tiers, arrival=arrival)
+                     for jid, arrival, tiers in JOB_SET_CASES[case])
+        want = raised(reference_jobset_checks, jobs)
+        got = raised(JobSet, jobs)
+        assert (type(got), str(got)) == (type(want), str(want))
+        if want is None:
+            assert JobSet(list(jobs)).jobs == jobs
 
     @pytest.mark.parametrize("shift", [0.0, 1.0])
     def test_tolerance_runs_from_the_latest_arrival(self, shift):

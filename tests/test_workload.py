@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,8 @@ from tiersched import (
     load,
     save,
 )
+
+from reference_workload import reference_generate
 
 
 @pytest.fixture
@@ -76,6 +80,34 @@ class TestGenerate:
             WorkloadSpec(**kwargs)
 
 
+class TestGenerateAgainstReference:
+    """Column-wise generation builds every job the element-by-element
+    reference builds, field by field and bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tiers=st.sampled_from([(1,), (3, 3), (2, 3, 1)]),
+           num_jobs=st.integers(1, 500),
+           arrival_rate=st.sampled_from([0.3, 1.0, 2.5, 7.0, 110.0]),
+           service_rate=st.sampled_from([0.5, 1.0, 3.0]),
+           allowance_fraction=st.sampled_from([0.0, 0.2, 1.7]),
+           seed=st.integers(0, 2**32))
+    def test_fields_bit_identical(self, tiers, num_jobs, arrival_rate,
+                                  service_rate, allowance_fraction, seed):
+        env = EnvironmentConfig(num_tiers=len(tiers), resources_per_tier=tiers)
+        spec = WorkloadSpec(arrival_rate=arrival_rate, num_jobs=num_jobs,
+                            service_rate=service_rate,
+                            allowance_fraction=allowance_fraction, seed=seed)
+
+        def bits(fields):
+            jid, arrival, exec_times, target = fields
+            return (jid, arrival.hex(), tuple(e.hex() for e in exec_times),
+                    target.hex())
+
+        got = [bits((j.id, j.arrival, j.exec_times, j.target_completion))
+               for j in generate(spec, env)]
+        assert got == [bits(f) for f in reference_generate(spec, env)]
+
+
 class TestFileFormat:
     def test_round_trip_identity(self, env_2x3, spec, tmp_path):
         jobs = generate(spec, env_2x3)
@@ -128,6 +160,17 @@ class TestFileFormat:
             "# columns id arrival exec_1 exec_2 target_completion\n"
             "1 0.0 2.0 7.5\n")
         with pytest.raises(WorkloadFormatError, match="line 4"):
+            load(path)
+
+    @pytest.mark.parametrize("tail", ["", "\n\n"])
+    def test_header_without_jobs_rejected(self, tmp_path, tail):
+        path = tmp_path / "empty.txt"
+        path.write_text(
+            "# tiersched-workload 1\n"
+            "# tiers 2\n"
+            "# columns id arrival exec_1 exec_2 target_completion\n" + tail)
+        with pytest.raises(WorkloadFormatError,
+                           match=re.escape(f"{path}: no job lines")):
             load(path)
 
     def test_not_a_workload_file(self, tmp_path):
