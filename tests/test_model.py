@@ -58,7 +58,7 @@ def raised(build, *args):
     """The exception ``build(*args)`` raises, or ``None``."""
     try:
         build(*args)
-    except Exception as err:  # noqa: BLE001 - compared by type and text
+    except Exception as err:  # compared by type and message
         return err
     return None
 
