@@ -17,15 +17,16 @@ import statistics
 import sys
 from pathlib import Path
 
-from .baselines import make_policy
+from .baselines import PolicyKind, make_policy
 from .ga import GAConfig, QueueVariant, evolve
 from .model import EnvironmentConfig, InvalidScheduleError, Snapshot
 from .penalty import AllowanceMode, ViolationBreakdown, total_penalty
-from .sim import Simulator, simulate_to_snapshot
+from .sim import Simulator
 from .workload import WorkloadFormatError, WorkloadSpec, generate, load, save
 
-BASELINES = ("fcfs", "wrr", "wlc", "random")
-GA_POLICIES = ("ga-virtualized", "ga-segmented")
+BASELINES = tuple(kind.value for kind in PolicyKind)
+GA_POLICIES = tuple("ga-" + variant for variant in (QueueVariant.VIRTUALIZED,
+                                                    QueueVariant.SEGMENTED))
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,6 +73,9 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generations", type=int, default=1000)
     p.add_argument("--ga-seed", type=int, default=None,
                    help="genetic search seed (defaults to the workload seed)")
+    p.add_argument("--initial-policy", default=None, choices=BASELINES,
+                   help="arrival assignment behind every genetic policy's "
+                        "starting schedule (default fcfs)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,10 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--policy", default="fcfs",
                        choices=BASELINES + GA_POLICIES)
     p_run.add_argument("--mode", default="total", choices=["total", "per-tier"],
-                       help="allowance formulation the scheduler optimizes")
-    p_run.add_argument("--initial-policy", default="fcfs", choices=BASELINES,
-                       help="arrival assignment used to build the snapshot "
-                            "a genetic policy starts from")
+                       help="allowance formulation every run is judged in; "
+                            "only a genetic policy optimizes it")
     p_run.add_argument("--out-dir", default="run-out")
     p_run.add_argument("--trace", action="store_true",
                        help="also write the event trace")
@@ -117,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default) or ':per-tier' suffix")
     p_cmp.add_argument("--seeds", nargs="+", type=int, default=None,
                        help="workload seeds (defaults to --seed)")
-    p_cmp.add_argument("--initial-policy", default="fcfs", choices=BASELINES,
-                       help="arrival assignment behind every genetic row")
     p_cmp.add_argument("--out-dir", default="compare-out")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
@@ -194,24 +194,26 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _parse_ga_token(token: str, default_mode: str = "total"):
-    """Split 'ga-virtualized:per-tier' into (variant, mode); None if baseline."""
+def _policy(token: str, mode: str = "total"):
+    """Split 'ga-virtualized:per-tier' into (variant, mode); a baseline has
+    no variant and is judged in ``mode``."""
     base, _, suffix = token.partition(":")
     if base not in GA_POLICIES:
         if token not in BASELINES:
             raise SystemExit2(f"unknown policy {token!r}")
-        return None
-    mode = suffix or default_mode
+        return None, AllowanceMode(mode)
+    mode = suffix or mode
     if mode not in ("total", "per-tier"):
         raise SystemExit2(f"unknown allowance mode {mode!r} in {token!r}")
-    variant = (QueueVariant.VIRTUALIZED if base == "ga-virtualized"
-               else QueueVariant.SEGMENTED)
-    return variant, AllowanceMode(mode)
+    return base.removeprefix("ga-"), AllowanceMode(mode)
 
 
-def _ga_config(args, ga_spec, seed: int) -> GAConfig:
-    """Search flags as a config; ``--ga-seed`` overrides ``seed``."""
-    variant, mode = ga_spec
+def _ga_config(args, policy, seed: int) -> GAConfig | None:
+    """Search flags as a config, None for a baseline; ``--ga-seed``
+    overrides ``seed``."""
+    variant, mode = policy
+    if variant is None:
+        return None
     return GAConfig(
         population=int(args.population),
         generations=int(args.generations),
@@ -294,6 +296,26 @@ def _write_run_summary(out_dir: Path, args, arrival: str, state: dict,
     return summary
 
 
+def _frozen(jobs, env, arrival: str, mode: AllowanceMode, config, seed: int,
+            keep_trace: bool = False):
+    """Dispatch with ``arrival``, freeze once the last job has arrived and
+    judge the snapshot; given a config, search it and judge the best.
+
+    Returns ``(sim, snapshot, initial, enhanced, result)``; without a config
+    ``enhanced`` is ``initial`` and ``result`` is None.
+    """
+    sim = Simulator(jobs, env, make_policy(arrival, env, seed=seed),
+                    keep_trace=keep_trace)
+    sim.run(until_external_arrivals=len(jobs))
+    snapshot = sim.snapshot()
+    initial = total_penalty(snapshot, mode)
+    if config is None:
+        return sim, snapshot, initial, initial, None
+    result = evolve(snapshot, config)
+    enhanced = total_penalty(snapshot, mode, schedule=result.best_schedule)
+    return sim, snapshot, initial, enhanced, result
+
+
 def _snapshot_counts(snapshot: Snapshot) -> dict:
     per_tier = [len([j for j, p in snapshot.progress.items() if p.tier == t])
                 for t in range(snapshot.env.num_tiers)]
@@ -311,9 +333,11 @@ def cmd_run(args) -> int:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.epoch < 0:
         raise SystemExit2(f"--epoch must be 0 or more, not {args.epoch}")
-    if args.epoch > 0 and args.policy in BASELINES:
-        raise SystemExit2(f"--epoch needs a genetic --policy, not "
-                          f"{args.policy!r}")
+    for flag, given in (("--epoch", args.epoch > 0),
+                        ("--initial-policy", args.initial_policy is not None)):
+        if given and args.policy in BASELINES:
+            raise SystemExit2(f"{flag} needs a genetic --policy, not "
+                              f"{args.policy!r}")
     env = _environment(args)
     jobs = _workload(args, env)
     # One arrival and one completion per job and tier.
@@ -322,48 +346,33 @@ def cmd_run(args) -> int:
         raise SystemExit2(f"--epoch {args.epoch} is not below the run's "
                           f"{events} events, so no rescheduling decision "
                           f"could move a job")
-    mode = AllowanceMode(args.mode)
-    ga_spec = _parse_ga_token(args.policy, args.mode)
-    config = _ga_config(args, ga_spec, args.seed) if ga_spec else None
+    policy = _policy(args.policy, args.mode)
+    config = _ga_config(args, policy, args.seed)
+    arrival = (args.initial_policy or "fcfs") if config else args.policy
     out_dir = _out_dir(args)
 
-    if config and args.epoch > 0:
-        return _run_online(args, env, jobs, config, out_dir)
+    if args.epoch > 0:
+        return _run_online(args, env, jobs, arrival, config, out_dir)
 
-    arrival = args.initial_policy if config else args.policy
-    sim = Simulator(jobs, env, make_policy(arrival, env, seed=int(args.seed)),
-                    keep_trace=args.trace)
-    sim.run(until_external_arrivals=len(jobs))
-    snapshot = sim.snapshot()
-
-    initial = total_penalty(snapshot, mode)
-    history = []
-    evaluations = 0
-    if config:
-        result = evolve(snapshot, config)
-        enhanced = total_penalty(snapshot, mode, schedule=result.best_schedule)
-        history = result.history
-        evaluations = result.evaluations
-    else:
-        enhanced = initial
-
+    sim, snapshot, initial, enhanced, result = _frozen(
+        jobs, env, arrival, policy[1], config, int(args.seed), args.trace)
     summary = _write_run_summary(
         out_dir, args, arrival,
         {"snapshot_clock": snapshot.clock,
          "counts": _snapshot_counts(snapshot),
-         "decisions": int(config is not None)},
-        initial, enhanced, evaluations)
+         "decisions": int(result is not None)},
+        initial, enhanced, result.evaluations if result else 0)
     _write_jsonl(out_dir / "jobs.jsonl",
                  _job_records(initial, snapshot, "initial")
                  + _job_records(enhanced, snapshot, "enhanced"))
-    if history:
+    if result and result.history:
         _write_jsonl(out_dir / "history.jsonl", (
             {"schema": "tiersched.history/1", "generation": h.generation,
-             "best": h.best, "mean": h.mean} for h in history))
+             "best": h.best, "mean": h.mean} for h in result.history))
     if args.trace:
         _write_trace(out_dir, sim)
 
-    print(f"policy {args.policy} mode {mode.value} "
+    print(f"policy {args.policy} mode {args.mode} "
           f"({summary['counts']['resident']} resident jobs at "
           f"t={snapshot.clock:.3f})")
     print(f"{'':14}{'violation':>12} {'penalty':>10} {'max':>10}")
@@ -377,9 +386,9 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _run_online(args, env, jobs, config: GAConfig, out_dir: Path) -> int:
+def _run_online(args, env, jobs, arrival: str, config: GAConfig,
+                out_dir: Path) -> int:
     """Online variant: re-run the genetic search at a fixed event cadence."""
-    arrival = args.initial_policy
     seed = int(args.seed)
 
     evaluations: list[int] = []  # each decision's search budget
@@ -429,9 +438,10 @@ def cmd_compare(args) -> int:
             raise ValueError(f"{'--seeds' if args.seeds else '--seed'} must "
                              f"be nonnegative, got {seed}")
     specs = [_workload_spec(args, seed) for seed in seeds]
-    ga_specs = {token: _parse_ga_token(token) for token in args.policies}
+    policies = {token: _policy(token) for token in args.policies}
     # 'ga-virtualized' and 'ga-virtualized:total' name one (variant, mode) row.
-    rows = [ga_specs[token] or token for token in args.policies]
+    rows = [(policies[token][0] or token, policies[token][1])
+            for token in args.policies]
     for flag, values, keys in (("policies", args.policies, rows),
                                ("seeds", seeds, seeds)):
         repeated = sorted({v for v, key in zip(values, keys)
@@ -439,40 +449,28 @@ def cmd_compare(args) -> int:
         if repeated:
             raise SystemExit2(f"{flag} given more than once: "
                               f"{', '.join(map(str, repeated))}")
-    configs = {(token, spec.seed): _ga_config(args, ga_spec, spec.seed)
-               for token, ga_spec in ga_specs.items() if ga_spec
-               for spec in specs}
+    if args.initial_policy is not None and not any(
+            variant for variant, _ in policies.values()):
+        raise SystemExit2("--initial-policy needs a genetic --policies "
+                          "entry, not only baselines")
+    configs = {(token, spec.seed): _ga_config(args, policy, spec.seed)
+               for token, policy in policies.items() for spec in specs}
     out_dir = _out_dir(args)
 
     run_records = []
     job_records = []
-    per_policy: dict[str, list[dict]] = {p: [] for p in args.policies}
     for spec in specs:
         seed = spec.seed
         jobs = generate(spec, env)
-        ga_snapshot = None
-        for token in args.policies:
-            config = configs.get((token, seed))
-            if config is None:
-                snapshot = simulate_to_snapshot(
-                    jobs, env, make_policy(token, env, seed=int(seed)))
-                bd = total_penalty(snapshot, AllowanceMode.TOTAL)
-                row_mode = AllowanceMode.TOTAL
-            else:
-                if ga_snapshot is None:
-                    ga_snapshot = simulate_to_snapshot(
-                        jobs, env,
-                        make_policy(args.initial_policy, env, seed=int(seed)))
-                snapshot = ga_snapshot
-                row_mode = config.mode
-                result = evolve(snapshot, config)
-                bd = total_penalty(snapshot, row_mode,
-                                   schedule=result.best_schedule)
+        for token, (_, mode) in policies.items():
+            config = configs[token, seed]
+            arrival = (args.initial_policy or "fcfs") if config else token
+            bd = _frozen(jobs, env, arrival, mode, config, int(seed))[3]
             entry = {
                 "schema": "tiersched.compare-run/1",
                 "policy": token,
                 "seed": int(seed),
-                "mode": row_mode.value,
+                "mode": mode.value,
                 "violation_total": bd.total_violation,
                 "violation_mean": bd.mean_violation,
                 "violation_max": bd.max_violation,
@@ -480,7 +478,6 @@ def cmd_compare(args) -> int:
                 "jobs": bd.job_count,
             }
             run_records.append(entry)
-            per_policy[token].append(entry)
             for jid in sorted(bd.per_job):
                 v = bd.per_job[jid]
                 job_records.append({
@@ -495,7 +492,7 @@ def cmd_compare(args) -> int:
     header = f"{'policy':<28}{'total':>12}{'mean':>10}{'max':>10}"
     lines = [header, "-" * len(header)]
     for token in args.policies:
-        entries = per_policy[token]
+        entries = [e for e in run_records if e["policy"] == token]
         total = statistics.median(e["violation_total"] for e in entries)
         mean = statistics.median(e["violation_mean"] for e in entries)
         worst = statistics.median(e["violation_max"] for e in entries)

@@ -82,6 +82,11 @@ CONTRACT = {
     "compare-mode-flag": (
         ("compare", *GEN, "--policies", "ga-virtualized", "--mode",
          "per-tier"), 2, "unrecognized arguments: --mode per-tier"),
+    "compare-initial-policy-without-genetic-row": (
+        ("compare", *GEN, "--policies", "fcfs", "wlc", "--initial-policy",
+         "random"), 2,
+        "--initial-policy needs a genetic --policies entry, not only "
+        "baselines"),
     "compare-epoch": (
         ("compare", *GEN, "--policies", "fcfs", "ga-virtualized", "--epoch",
          "50"), 2, "unrecognized arguments: --epoch 50"),
@@ -102,6 +107,12 @@ CONTRACT = {
     "run-epoch-with-baseline-policy": (
         ("run", *GEN, "--policy", "wlc", "--epoch", "5"), 2,
         "--epoch needs a genetic --policy, not 'wlc'"),
+    "run-initial-policy-with-baseline-policy": (
+        ("run", *GEN, "--policy", "wlc", "--initial-policy", "random"), 2,
+        "--initial-policy needs a genetic --policy, not 'wlc'"),
+    "run-initial-policy-with-default-policy": (
+        ("run", *GEN, "--initial-policy", "fcfs"), 2,
+        "--initial-policy needs a genetic --policy, not 'fcfs'"),
     "run-negative-epoch": (
         ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "-5"), 2,
         "--epoch must be 0 or more, not -5"),
@@ -469,21 +480,220 @@ class TestCompare:
                      "--out-dir", str(tmp_path / "x")), 2, capsys)
 
 
-class TestPinnedJobRecords:
-    """``jobs.jsonl`` digests recorded while expected waits still came from a
-    per-job queue scan; the evaluator's breakdown must reproduce them byte
-    for byte."""
+# A small overloaded stream and search budget for the pinned invocations.
+SMALL = ("--jobs", "40", "--lambda", "5", "--seed", "3")
+GENS = ("--generations", "20")
+# The two frozen genetic runs whose ``jobs.jsonl`` was first pinned.
+PINNED_110 = ("--jobs", "110", "--lambda", "7", "--seed", "3",
+              "--generations", "50")
 
-    @pytest.mark.parametrize("argv, digest", [
-        (("--policy", "ga-virtualized"),
-         "8f65a807772b80ead5222bb1b87cc94d07d9687e3389580dc1ba53127730b19d"),
-        (("--policy", "ga-segmented", "--mode", "per-tier"),
-         "6a48f098df608d27f781befd98b7326b58c15e90b9bd20d025be3d4635ef461f"),
-    ])
-    def test_job_records_digest(self, tmp_path, argv, digest):
-        out = tmp_path / "run"
-        assert run_cli("run", "--jobs", "110", "--lambda", "7", "--seed", "3",
-                       "--generations", "50", *argv,
-                       "--out-dir", str(out)) == 0
-        data = (out / "jobs.jsonl").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
+# argv -> sha256 of every file the invocation writes, and of its stdout
+# with the output directory written as ``OUT``.
+PINNED = {
+    "run-fcfs": (("run", *SMALL, "--policy", "fcfs"), {
+        "jobs.jsonl":
+            "491cdecf0167ffd3bf2196c66d9f42085c44630e7bb4818711e67aba7fca4fc5",
+        "stdout":
+            "6b4393f7b1e29ff8cf2f81842d8136b2ca4f8c37d027c9d96e2a7037386940ed",
+        "summary.json":
+            "854e8cfb004d386435b185ee490048607503369bb68ebc5f1202dbe707d8951c",
+    }),
+    "run-wrr-trace": (("run", *SMALL, "--policy", "wrr", "--trace"), {
+        "jobs.jsonl":
+            "b65bb6a4e6491cef82ad8fd21ceee1d3b399523208664eb3633ce676f634fa93",
+        "stdout":
+            "1a567a8e8f8eb6b33d6ff4c438773352b4c76a02bb4c8f8fa13ff91073807f6b",
+        "summary.json":
+            "db0c3470e6bf6ebe1eca4cb3fb0837aeee2fd0bb7a59ceb813e1864925d7cdb2",
+        "trace.txt":
+            "9693a7faf6c2b97df362ce7553c4692f34dae7abaa57f13d76a515c16a59e1a0",
+    }),
+    "run-random": (("run", *SMALL, "--policy", "random"), {
+        "jobs.jsonl":
+            "cec20d6946bf18efaffba39a428bb044d7cb45bd2890a791eb9f51365a20076e",
+        "stdout":
+            "6c8d761225d94b3600b912e1b66e492795abc748a298f517d342052a97c2e95d",
+        "summary.json":
+            "a66359ce08526b4e86b66c098384992df90780344ff0fb4bf2268fd442712ed6",
+    }),
+    "run-wlc-per-tier": (
+        ("run", *SMALL, "--policy", "wlc", "--mode", "per-tier"), {
+        "jobs.jsonl":
+            "1d0447c0514b8460fd487cc96dab1606b912528620c15c81fc4bc8663cda53b8",
+        "stdout":
+            "69b49a15e19c7189016495a5d5d798e8c3b7d6f73aa780f941c034ea74cc10d2",
+        "summary.json":
+            "be23d5d96a53c314324d2c37f7b73c443b8a354295f96e62f07624eac69d5738",
+    }),
+    "run-ga-virtualized-trace": (
+        ("run", *SMALL, *GENS, "--policy", "ga-virtualized", "--trace"), {
+        "history.jsonl":
+            "bf040024b570f36e0f283699a1d3335997b169e68dde29735418ba65962c369b",
+        "jobs.jsonl":
+            "2960b1f3545580b764729e948a8d565a0359332da69db531afa58e82f58dd7e6",
+        "stdout":
+            "84a058ca1b6f98a10f7679f7782873a5fabc2f3924cb3ca60a73ba29406698d3",
+        "summary.json":
+            "11b81fbdfe1e0201b54f81c579d3df3fbfc2990da8498185ab00086fea104f01",
+        "trace.txt":
+            "fbbef499332013c534243ccbaa6d708d3664b0338fd5d3b85eaaadd210ce20ff",
+    }),
+    "run-ga-segmented-per-tier-from-wlc": (
+        ("run", *SMALL, *GENS, "--policy", "ga-segmented", "--mode",
+         "per-tier", "--initial-policy", "wlc"), {
+        "history.jsonl":
+            "d733143d16061455be71fac8799ef649fab63bcab8b7dd49c3e9a569d84644c1",
+        "jobs.jsonl":
+            "e68cf1aa4efb6e15334ab2c103d8551e3278b3315544a5e6b46fa2ebcfab12d7",
+        "stdout":
+            "0629af84ca52ed2b896f4c7ad069f09b425d22894e4d0603f11a9a8623f9b193",
+        "summary.json":
+            "03ec2d2d4abf810207184c9bc93121cca52e21e649a2d4ae0d46b0827423cea3",
+    }),
+    "run-ga-virtualized-ga-seed-from-random": (
+        ("run", *SMALL, *GENS, "--policy", "ga-virtualized", "--ga-seed", "9",
+         "--initial-policy", "random"), {
+        "history.jsonl":
+            "02036eea80fad994a46bb026ce00fde2ff15fed7c20a88947b5bb0bf7dfe5bc5",
+        "jobs.jsonl":
+            "5fffef4bbedd27aef0aa2c49dfaacfbcc2ab272561e40d0e66e33d0f1692b8d2",
+        "stdout":
+            "9a0a3f3c5dfe2fe529c555c4495dbf13b8c3dc7c74a5d37a39639404794d9cc0",
+        "summary.json":
+            "a3c8295f7ab60bc03ed6cb34a9eb8d4b0178816311b415482bd5b9e6f7656fa0",
+    }),
+    "run-ga-virtualized-110": (
+        ("run", *PINNED_110, "--policy", "ga-virtualized"), {
+        "history.jsonl":
+            "f0fbfcc20ac22f581242bd2103b66c520f930e621e8f0969af6afe21b1cbf20a",
+        "jobs.jsonl":
+            "8f65a807772b80ead5222bb1b87cc94d07d9687e3389580dc1ba53127730b19d",
+        "stdout":
+            "cf222c22005ff68392c77e9e278146bdb374a1452331e4e358e8ef78e4b0d3aa",
+        "summary.json":
+            "5252649a4488384f1d6ac763616394f8224127cfa34d7c511c5136cde4121695",
+    }),
+    "run-ga-segmented-per-tier-110": (
+        ("run", *PINNED_110, "--policy", "ga-segmented", "--mode",
+         "per-tier"), {
+        "history.jsonl":
+            "bd75892d12a9b275e4d1111e5e4f822f4b32ea080197aa3eb88f371dc81a132d",
+        "jobs.jsonl":
+            "6a48f098df608d27f781befd98b7326b58c15e90b9bd20d025be3d4635ef461f",
+        "stdout":
+            "0c118b483a7ff4bbe3f42a570da3d1e2ac4e201e457025d4f4a81fe1d5876b40",
+        "summary.json":
+            "f5870a356dfae834bba8eec9ed65e453295b6d4a690450fe7b774a908a8a7975",
+    }),
+    "online-ga-virtualized-epoch-7-trace": (
+        ("run", *SMALL, *GENS, "--policy", "ga-virtualized", "--epoch", "7",
+         "--trace"), {
+        "jobs.jsonl":
+            "0c1d2e8adb16adeb90b4b872079d4baee0639dd33975dda58827486e5c8233e1",
+        "stdout":
+            "2704f31ab3b95fb5d96b893e65475c9c23fb11ee4735f0596627778197df116c",
+        "summary.json":
+            "b6eee964ba01434d5ac27979313acf970d705f41ba98c724e97345245ef66450",
+        "trace.txt":
+            "77a0196ecbf22e9becf82272a989bd2e8345884127e030dc86b98c88d47d88de",
+    }),
+    "online-ga-segmented-per-tier-epoch-11-from-wrr": (
+        ("run", *SMALL, *GENS, "--policy", "ga-segmented", "--mode",
+         "per-tier", "--epoch", "11", "--initial-policy", "wrr"), {
+        "jobs.jsonl":
+            "983da540a1144cd81b03d8ec923bd7480541cc88e0b3c3359b59291b711d61f9",
+        "stdout":
+            "e9019f4644a04a4e2d1841276fdd52df3d9f5294e4cbdf90baf8cf49e5894057",
+        "summary.json":
+            "218c2b5200beeb6c7e57ae59d918b59fa16d6ebe722843bfd9875d777b5e8de0",
+    }),
+    "compare-every-policy": (
+        ("compare", *SMALL, *GENS, "--seeds", "1", "2", "3", "--policies",
+         "fcfs", "wrr", "wlc", "random", "ga-virtualized",
+         "ga-virtualized:per-tier", "ga-segmented:total",
+         "ga-segmented:per-tier"), {
+        "jobs.jsonl":
+            "f5be730890ee6bee789c9499d04fe7867b09224e5a4a81a48d7f0afd7a2d9f2b",
+        "runs.jsonl":
+            "defdb573b821a1b7e3e641a7ec4e7372218de47d784fe8b98059f508b53316d3",
+        "stdout":
+            "09944270b7f709d11a9241768c58cdb84a03589f8b5c88e5082f1de92f5b3e7d",
+        "table.txt":
+            "7962019845a617a00704ff281e869509717da3b633c4beacc8264f5356de1d34",
+    }),
+    "compare-wlc": (("compare", *SMALL, "--policies", "wlc"), {
+        "jobs.jsonl":
+            "16caa3c202db22b6bd78d1ec10f1ec38a5d93e8b3574c8db35160df82f013076",
+        "runs.jsonl":
+            "7a66c2fa7bee41e5f8cd4afd18193ff0113f3f34750227afb31d34a7559933b8",
+        "stdout":
+            "23a4d8de967e7230ac6ae0e3f082ec84d714644c38cf824c2bb867b2681343d1",
+        "table.txt":
+            "fdf0f9a76525cbd94e3955d1e4237966b5bca20892ce9be908694b10fde52e9d",
+    }),
+    "compare-segmented-and-wrr-from-random": (
+        ("compare", *SMALL, *GENS, "--policies", "ga-segmented", "wrr",
+         "--initial-policy", "random", "--ga-seed", "2"), {
+        "jobs.jsonl":
+            "3a3b120c71f0b2c6eb5b67372c58c3e96b6d80850ea0defb45c4b44b348a5591",
+        "runs.jsonl":
+            "a4e23b6ab6ad2400bbd97fa819084920a4426e66ff1737ab85a510cdba69b712",
+        "stdout":
+            "0300b533cafbfc009fb20cea6771de11996a35d5dd963047d242e72bf095bd8d",
+        "table.txt":
+            "c9a448bc8332307a4b1e789c12517f61074b62ba06640ae67cfb9e38828da707",
+    }),
+}
+
+
+class TestPinnedOutputs:
+    """Every output of every CLI path (frozen ``run``, online ``run --epoch``
+    and ``compare``) pinned byte for byte.  The two ``-110`` cases'
+    ``jobs.jsonl`` digests were recorded while expected waits still came
+    from a per-job queue scan; the evaluator's breakdown must reproduce
+    them."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_output_digests(self, case, tmp_path, capsys):
+        argv, digests = PINNED[case]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+        stdout = captured.out.replace(str(out), "OUT").encode("ascii")
+        got["stdout"] = hashlib.sha256(stdout).hexdigest()
+        assert got == digests
+
+
+@pytest.mark.parametrize("argv, searches", [
+    (("run", *SMALL, "--policy", "wlc"), []),
+    (("run", *SMALL, *GENS, "--policy", "ga-segmented", "--mode", "per-tier",
+      "--initial-policy", "wrr"), [("segmented", "per-tier", 3)]),
+    (("compare", *SMALL, "--seeds", "1", "2", "--policies", "fcfs", "wlc"),
+     []),
+    (("compare", *SMALL, *GENS, "--seeds", "1", "2", "--policies", "fcfs",
+      "ga-virtualized", "wrr", "ga-segmented:per-tier"),
+     [("virtualized", "total", 1), ("segmented", "per-tier", 1),
+      ("virtualized", "total", 2), ("segmented", "per-tier", 2)]),
+], ids=["run-baseline", "run-genetic", "compare-baselines",
+        "compare-mixed"])
+def test_one_search_per_genetic_run_and_row(tmp_path, monkeypatch, argv,
+                                            searches):
+    """A frozen genetic ``run`` searches once, ``compare`` once per genetic
+    row and seed, a baseline never; every genetic row of one seed starts
+    from the same dispatched schedule."""
+    calls = []
+    plain = cli.evolve
+
+    def counted(snapshot, config):
+        calls.append((config, snapshot.schedule))
+        return plain(snapshot, config)
+
+    monkeypatch.setattr(cli, "evolve", counted)
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == 0
+    assert [(c.variant, c.mode.value, c.seed) for c, _ in calls] == searches
+    starts = {}
+    for config, schedule in calls:
+        assert starts.setdefault(config.seed, schedule) == schedule
