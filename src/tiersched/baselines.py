@@ -1,8 +1,9 @@
 """Arrival-assignment policies used as scheduling baselines.
 
 A policy decides, the moment a job reaches a tier's dispatcher, which
-resource queue it joins.  Baselines always append at the tail and never
-touch jobs that are already queued; any reordering is left to an optimizer.
+resource queue it joins; the simulator appends the job at that queue's tail.
+Baselines never touch jobs that are already queued; any reordering is left
+to an optimizer.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ class PolicyKind(Enum):
 
 
 class AssignmentPolicy:
-    """Chooses (resource, position) for a job arriving at a tier."""
+    """Names the resource queue a job arriving at a tier joins.  ``seed``
+    feeds the policies that draw at random; the others ignore it."""
 
     kind: PolicyKind
 
-    def assign(self, sim, job_id: int, tier: int) -> tuple[int, int]:
-        k = self.pick(sim, job_id, tier)
-        return k, sim.queue_count(tier, k)
+    def __init__(self, env: EnvironmentConfig, seed: int = 0):
+        self.env = env
+
+    def assign(self, sim, job_id: int, tier: int) -> int:
+        return self.pick(sim, job_id, tier)
 
     def pick(self, sim, job_id: int, tier: int) -> int:
         raise NotImplementedError
@@ -41,9 +45,6 @@ class LeastBacklogPolicy(AssignmentPolicy):
     than 1e-12, so the scan ends at the first backlog of at most 1e-12."""
 
     kind = PolicyKind.FCFS
-
-    def __init__(self, env: EnvironmentConfig):
-        self.env = env
 
     def pick(self, sim, job_id: int, tier: int) -> int:
         best, best_load = 0, None
@@ -61,8 +62,8 @@ class WeightedRoundRobinPolicy(AssignmentPolicy):
 
     kind = PolicyKind.WRR
 
-    def __init__(self, env: EnvironmentConfig):
-        self.env = env
+    def __init__(self, env: EnvironmentConfig, seed: int = 0):
+        super().__init__(env)
         self._cursor = [0] * env.num_tiers
 
     def pick(self, sim, job_id: int, tier: int) -> int:
@@ -75,9 +76,6 @@ class WeightedLeastConnectionPolicy(AssignmentPolicy):
     """Fewest resident jobs (unit weights); ties go to the lowest index."""
 
     kind = PolicyKind.WLC
-
-    def __init__(self, env: EnvironmentConfig):
-        self.env = env
 
     def pick(self, sim, job_id: int, tier: int) -> int:
         best, fewest = 0, None
@@ -94,20 +92,18 @@ class RandomAssignPolicy(AssignmentPolicy):
     kind = PolicyKind.RANDOM
 
     def __init__(self, env: EnvironmentConfig, seed: int = 0):
-        self.env = env
+        super().__init__(env)
         self._rng = np.random.default_rng(seed)
 
     def pick(self, sim, job_id: int, tier: int) -> int:
         return int(self._rng.integers(self.env.resources_per_tier[tier]))
 
 
+_POLICIES = {policy.kind: policy for policy in (
+    LeastBacklogPolicy, WeightedRoundRobinPolicy,
+    WeightedLeastConnectionPolicy, RandomAssignPolicy)}
+
+
 def make_policy(kind: PolicyKind | str, env: EnvironmentConfig,
                 seed: int = 0) -> AssignmentPolicy:
-    kind = PolicyKind(kind) if not isinstance(kind, PolicyKind) else kind
-    if kind is PolicyKind.FCFS:
-        return LeastBacklogPolicy(env)
-    if kind is PolicyKind.WRR:
-        return WeightedRoundRobinPolicy(env)
-    if kind is PolicyKind.WLC:
-        return WeightedLeastConnectionPolicy(env)
-    return RandomAssignPolicy(env, seed=seed)
+    return _POLICIES[PolicyKind(kind)](env, seed)

@@ -69,13 +69,24 @@ def _add_env_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--population", type=int, default=10)
-    p.add_argument("--generations", type=int, default=1000)
-    p.add_argument("--ga-seed", type=int, default=None,
+    # Each defaults to None, so that one given without a genetic policy to
+    # read it can be refused.
+    p.add_argument("--population", type=int,
+                   help="chromosomes per generation (default 10)")
+    p.add_argument("--generations", type=int,
+                   help="generations per search (default 1000)")
+    p.add_argument("--ga-seed", type=int,
                    help="genetic search seed (defaults to the workload seed)")
-    p.add_argument("--initial-policy", default=None, choices=BASELINES,
+    p.add_argument("--initial-policy", choices=BASELINES,
                    help="arrival assignment behind every genetic policy's "
                         "starting schedule (default fcfs)")
+
+
+def _ga_flags_given(args) -> list[str]:
+    return [flag for flag, value in (
+        ("--population", args.population), ("--generations", args.generations),
+        ("--ga-seed", args.ga_seed), ("--initial-policy", args.initial_policy))
+        if value is not None]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seeds", nargs="+", type=int, default=None,
                        help="workload seeds (defaults to --seed)")
     p_cmp.add_argument("--out-dir", default="compare-out")
-    p_cmp.set_defaults(func=cmd_compare)
+    # A --seed default would hide one given beside --seeds.
+    p_cmp.set_defaults(func=cmd_compare, seed=None)
     return parser
 
 
@@ -214,12 +226,13 @@ def _ga_config(args, policy, seed: int) -> GAConfig | None:
     variant, mode = policy
     if variant is None:
         return None
+    sizes = {name: int(value) for name in ("population", "generations")
+             if (value := getattr(args, name)) is not None}
     return GAConfig(
-        population=int(args.population),
-        generations=int(args.generations),
         variant=variant,
         mode=mode,
         seed=int(args.ga_seed if args.ga_seed is not None else seed),
+        **sizes,
     )
 
 
@@ -333,11 +346,10 @@ def cmd_run(args) -> int:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.epoch < 0:
         raise SystemExit2(f"--epoch must be 0 or more, not {args.epoch}")
-    for flag, given in (("--epoch", args.epoch > 0),
-                        ("--initial-policy", args.initial_policy is not None)):
-        if given and args.policy in BASELINES:
-            raise SystemExit2(f"{flag} needs a genetic --policy, not "
-                              f"{args.policy!r}")
+    unread = (["--epoch"] if args.epoch > 0 else []) + _ga_flags_given(args)
+    if unread and args.policy in BASELINES:
+        raise SystemExit2(f"{unread[0]} needs a genetic --policy, not "
+                          f"{args.policy!r}")
     env = _environment(args)
     jobs = _workload(args, env)
     # One arrival and one completion per job and tier.
@@ -430,8 +442,10 @@ def _run_online(args, env, jobs, arrival: str, config: GAConfig,
 
 
 def cmd_compare(args) -> int:
+    if args.seeds and args.seed is not None:
+        raise SystemExit2("--seed and --seeds cannot both be given")
     env = _environment(args)
-    seeds = args.seeds if args.seeds else [int(args.seed)]
+    seeds = args.seeds or [int(args.seed or 0)]
     # Every input is checked before the first row runs or a file is written.
     for seed in seeds:
         if seed < 0:
@@ -449,10 +463,10 @@ def cmd_compare(args) -> int:
         if repeated:
             raise SystemExit2(f"{flag} given more than once: "
                               f"{', '.join(map(str, repeated))}")
-    if args.initial_policy is not None and not any(
-            variant for variant, _ in policies.values()):
-        raise SystemExit2("--initial-policy needs a genetic --policies "
-                          "entry, not only baselines")
+    unread = _ga_flags_given(args)
+    if unread and not any(variant for variant, _ in policies.values()):
+        raise SystemExit2(f"{unread[0]} needs a genetic --policies entry, "
+                          f"not only baselines")
     configs = {(token, spec.seed): _ga_config(args, policy, spec.seed)
                for token, policy in policies.items() for spec in specs}
     out_dir = _out_dir(args)

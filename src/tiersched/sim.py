@@ -4,20 +4,20 @@ The simulator is a single-writer state machine.  Two event kinds drive it:
 external or inter-tier arrivals, and service completions.  At equal
 timestamps completions are processed before arrivals, and lower job ids
 first, which makes every run a deterministic function of its inputs.  An
-assignment policy places each arriving job; an optional optimizer callback
-may reorder the waiting jobs between events via frozen snapshots.
+assignment policy names the queue each arriving job joins at its tail; an
+optional optimizer callback may reorder the waiting jobs between events via
+frozen snapshots.
 
-External arrivals are read from the arrival-ordered job set as they fall
-due; the event heap holds only what is in progress, one completion per busy
-resource and one hand-off per job moving between tiers, so an event's cost
-does not grow with the length of the stream.
+Every pending event sits in one heap: one completion per busy resource, one
+hand-off per job moving between tiers, and the next external arrival, read
+from the arrival-ordered job set when the one before it is processed.  So
+an event's cost does not grow with the length of the stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import pairwise
+from itertools import islice, pairwise
 from typing import NamedTuple
 
 from .baselines import AssignmentPolicy, PolicyKind, make_policy
@@ -40,8 +40,7 @@ _ARRIVAL = 1
 TRACE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One line of the replay log (tiers and resources are 1-based here)."""
 
     time: float
@@ -114,8 +113,9 @@ class Simulator:
         self.clock = 0.0
         self._queues: list[list[list[int]]] = [
             [[] for _ in range(m)] for m in env.resources_per_tier]
-        # (job_id, end) per resource while mid-service
-        self._busy: list[list[tuple[int, float] | None]] = [
+        # The service end of each resource's queue head while it is served;
+        # the job in service is the queue head.
+        self._busy: list[list[float | None]] = [
             [None] * m for m in env.resources_per_tier]
         # The queues are the only record of where a job is.  Its timings
         # sit in flat lists indexed by job id (slot 0 unused); arrivals and
@@ -127,10 +127,6 @@ class Simulator:
         # exec[tier][jid]: execution time of a job at a tier
         self._exec = [[0.0] + [job.exec_times[t] for job in jobs]
                       for t in range(tiers)]
-        # Completions and hand-offs; every event is (time, rank, job, tier,
-        # resource), the resource -1 for an arrival, which the policy places.
-        # No two pending events share their first four fields.
-        self._events: list[tuple[float, int, int, int, int]] = []
         # External arrivals in the heap's order, (arrival, id).  Ids follow
         # arrivals except where the job set lets one run back by TIME_EPS.
         ordered = jobs.jobs
@@ -138,10 +134,14 @@ class Simulator:
             ordered = sorted(ordered, key=lambda job: (job.arrival, job.id))
         self._arrivals = ((job.arrival, _ARRIVAL, job.id, 0, -1)
                           for job in ordered)
-        self._next_arrival = next(self._arrivals, None)
+        # Completions, hand-offs and the next external arrival; every event
+        # is (time, rank, job, tier, resource), the resource -1 for an
+        # arrival, whose queue the policy names.  No two pending events
+        # share their first four fields.
+        self._events: list[tuple[float, int, int, int, int]] = list(
+            islice(self._arrivals, 1))
         self.arrived = [0] * env.num_tiers
         self.departed = 0
-        self.external_arrivals = 0
         self._in_flight = [0] * env.num_tiers
         self._since_reschedule = 0
 
@@ -150,7 +150,7 @@ class Simulator:
 
     @property
     def done(self) -> bool:
-        return not self._events and self._next_arrival is None
+        return not self._events
 
     def queue(self, tier: int, k: int) -> tuple[int, ...]:
         return tuple(self._queues[tier][k])
@@ -162,11 +162,11 @@ class Simulator:
         """Unfinished work in a queue: in-service residual plus waiting work,
         summed in queue order."""
         queue = self._queues[tier][k]
-        entry = self._busy[tier][k]
-        if entry is None:
+        end = self._busy[tier][k]
+        if end is None:
             total = 0.0
         else:
-            total = entry[1] - self.clock
+            total = end - self.clock
             total = total if total > 0.0 else 0.0  # max(0.0, ·), no call
             queue = queue[1:]
         exec_times = self._exec[tier]
@@ -181,21 +181,17 @@ class Simulator:
         """Process the next pending event, a completion or an arrival, in
         one body; then an idle resource of the event with jobs queued starts
         its head.  False when no event remains."""
-        events, arrival = self._events, self._next_arrival
-        if events and (arrival is None or events[0] < arrival):
-            time, rank, job_id, tier, k = heappop(events)
-        elif arrival is not None:
-            time, rank, job_id, tier, k = arrival
-            self._next_arrival = next(self._arrivals, None)
-        else:
+        events = self._events
+        if not events:
             return False
+        time, rank, job_id, tier, k = heappop(events)
         if time < self.clock - TIME_EPS:
             raise AssertionError("event times must not decrease")
         self.clock = time
         tiers, busy = self.env.num_tiers, self._busy[tier]
         if rank == _COMPLETION:
-            entry, queue = busy[k], self._queues[tier][k]
-            if entry is None or entry[0] != job_id:
+            queue = self._queues[tier][k]
+            if busy[k] is None:
                 raise AssertionError("completion out of order")
             if not queue or queue[0] != job_id:
                 raise AssertionError("completing job is not the queue head")
@@ -215,18 +211,19 @@ class Simulator:
             if tier:
                 self._in_flight[tier - 1] -= 1
             else:
-                self.external_arrivals += 1
+                following = next(self._arrivals, None)
+                if following is not None:
+                    heappush(events, following)
             self._arrive[job_id * tiers + tier] = time
             self.arrived[tier] += 1
-            k, pos = self.policy.assign(self, job_id, tier)
+            k = self.policy.assign(self, job_id, tier)
             queues = self._queues[tier]
-            if not (0 <= k < len(queues)
-                    and (busy[k] is not None) <= pos <= len(queues[k])):
+            if not 0 <= k < len(queues):
                 raise InvalidScheduleError(
-                    f"policy returned invalid placement ({k}, {pos}) for job "
-                    f"{job_id} at tier {tier}")
+                    f"policy returned invalid queue {k} for job {job_id} at "
+                    f"tier {tier}")
             queue = queues[k]
-            queue.insert(pos, job_id)
+            queue.append(job_id)
             if self.keep_trace:
                 self._trace("arrive", job_id, tier, k)
         if queue and busy[k] is None:
@@ -237,10 +234,10 @@ class Simulator:
 
     def run(self, *, until_external_arrivals: int | None = None) -> "Simulator":
         """Process events until drained or a stopping condition is met."""
-        while self._events or self._next_arrival is not None:
+        while self._events:
             self.step()
             if (until_external_arrivals is not None
-                    and self.external_arrivals >= until_external_arrivals):
+                    and self.arrived[0] >= until_external_arrivals):
                 break
         return self
 
@@ -254,7 +251,7 @@ class Simulator:
         slot = head * self.env.num_tiers + tier
         self._wait[slot] = clock - self._arrive[slot]
         end = clock + self._exec[tier][head]
-        self._busy[tier][k] = (head, end)
+        self._busy[tier][k] = end
         heappush(self._events, (end, _COMPLETION, head, tier, k))
         if self.keep_trace:
             self._trace("start", head, tier, k)
@@ -305,8 +302,8 @@ class Simulator:
                 self._trace("reject", 0, -1, -1)
             return False
         for tier, k in self.env.iter_queues():
-            entry = self._busy[tier][k]
-            head = [entry[0]] if entry is not None else []
+            queue = self._queues[tier][k]
+            head = queue[:1] if self._busy[tier][k] is not None else []
             self._queues[tier][k] = head + list(schedule.waiting(tier, k))
         for tier, k in self.env.iter_queues():
             if self._queues[tier][k] and self._busy[tier][k] is None:
@@ -334,10 +331,10 @@ class Simulator:
         for tier, (tier_queues, tier_busy) in enumerate(
                 zip(self._queues, self._busy)):
             orders.append(tuple(tuple(q) for q in tier_queues))
-            busy.append(tuple(None if b is None else max(0.0, b[1] - clock)
-                              for b in tier_busy))
-            for queue, b in zip(tier_queues, tier_busy):
-                in_service = b is not None
+            busy.append(tuple(None if end is None else max(0.0, end - clock)
+                              for end in tier_busy))
+            for queue, end in zip(tier_queues, tier_busy):
+                in_service = end is not None
                 for jid in queue:
                     first = jid * tiers
                     slot = first + tier
@@ -353,20 +350,18 @@ class Simulator:
 
     def assert_invariants(self) -> None:
         """Raise if conservation or work-conservation is broken, or if the
-        pending events are not exactly one completion per busy resource plus
-        one hand-off per job moving between tiers."""
-        busy = sum(entry is not None
-                   for tier_busy in self._busy for entry in tier_busy)
+        pending events are not exactly one completion per busy resource, one
+        hand-off per job moving between tiers and, while external arrivals
+        remain, the next one."""
+        busy = sum(end is not None
+                   for tier_busy in self._busy for end in tier_busy)
         moving = sum(self._in_flight)
-        if len(self._events) != busy + moving:
+        arriving = int(self.arrived[0] < len(self.jobs))
+        if len(self._events) != busy + moving + arriving:
             raise AssertionError(
                 f"{len(self._events)} pending events for {busy} busy "
-                f"resources + {moving} hand-offs")
-        if (self._next_arrival is None) != (
-                self.external_arrivals == len(self.jobs)):
-            raise AssertionError(
-                f"{self.external_arrivals} of {len(self.jobs)} external "
-                f"arrivals processed, next {self._next_arrival}")
+                f"resources + {moving} hand-offs + {arriving} external "
+                f"arrivals")
         for tier in range(self.env.num_tiers):
             resident = sum(len(q) for q in self._queues[tier])
             in_flight = self._in_flight[tier]
@@ -378,14 +373,13 @@ class Simulator:
                     f"{resident} resident + {in_flight} in flight + "
                     f"{passed_on} moved on")
             for k, queue in enumerate(self._queues[tier]):
-                busy = self._busy[tier][k]
-                if queue and busy is None:
+                busy = self._busy[tier][k] is not None
+                if queue and not busy:
                     raise AssertionError(
                         f"tier {tier} resource {k}: idle with waiting jobs")
-                if busy is not None and (not queue or queue[0] != busy[0]):
+                if busy and not queue:
                     raise AssertionError(
-                        f"tier {tier} resource {k}: in-service job is not "
-                        f"the queue head")
+                        f"tier {tier} resource {k}: busy with an empty queue")
 
     def report(self) -> ViolationBreakdown:
         """Realized ``JobOutcome`` of every completed job plus their totals;

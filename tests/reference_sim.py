@@ -38,14 +38,9 @@ class ReferenceSimulator(Simulator):
 
     def step(self) -> bool:
         """Process the next pending event; False when none remain."""
-        events, arrival = self._events, self._next_arrival
-        if events and (arrival is None or events[0] < arrival):
-            time, rank, job_id, tier, k = heapq.heappop(events)
-        elif arrival is not None:
-            time, rank, job_id, tier, k = arrival
-            self._next_arrival = next(self._arrivals, None)
-        else:
+        if not self._events:
             return False
+        time, rank, job_id, tier, k = heapq.heappop(self._events)
         if time < self.clock - TIME_EPS:
             raise AssertionError("event times must not decrease")
         self.clock = time
@@ -59,31 +54,26 @@ class ReferenceSimulator(Simulator):
 
     def _handle_arrival(self, job_id: int, tier: int) -> None:
         if tier == 0:
-            self.external_arrivals += 1
+            for following in self._arrivals:
+                heapq.heappush(self._events, following)
+                break
         else:
             self._in_flight[tier - 1] -= 1
         self._arrive[job_id * self.env.num_tiers + tier] = self.clock
         self.arrived[tier] += 1
 
-        k, pos = self.policy.assign(self, job_id, tier)
-        queue = None
-        if 0 <= k < self.env.resources_per_tier[tier]:
-            queue = self._queues[tier][k]
-            min_pos = 1 if self._busy[tier][k] is not None else 0
-            if not min_pos <= pos <= len(queue):
-                queue = None
-        if queue is None:
+        k = self.policy.assign(self, job_id, tier)
+        if k not in range(self.env.resources_per_tier[tier]):
             raise InvalidScheduleError(
-                f"policy returned invalid placement ({k}, {pos}) for job "
-                f"{job_id} at tier {tier}")
-        queue.insert(pos, job_id)
+                f"policy returned invalid queue {k} for job {job_id} at "
+                f"tier {tier}")
+        self._queues[tier][k].append(job_id)
         if self.keep_trace:
             self._trace("arrive", job_id, tier, k)
         self._try_start(tier, k)
 
     def _handle_completion(self, job_id: int, tier: int, k: int) -> None:
-        entry = self._busy[tier][k]
-        if entry is None or entry[0] != job_id:
+        if self._busy[tier][k] is None:
             raise AssertionError("completion out of order")
         queue = self._queues[tier][k]
         if not queue or queue[0] != job_id:
@@ -114,7 +104,7 @@ class ReferenceSimulator(Simulator):
         slot = head * self.env.num_tiers + tier
         self._wait[slot] = clock - self._arrive[slot]
         end = clock + self._exec[tier][head]
-        self._busy[tier][k] = (head, end)
+        self._busy[tier][k] = end
         heapq.heappush(self._events, (end, _COMPLETION, head, tier, k))
         if self.keep_trace:
             self._trace("start", head, tier, k)

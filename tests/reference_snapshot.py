@@ -82,10 +82,10 @@ def reference_progress(sim: Simulator) -> dict[int, JobProgress]:
     (job, tier, in service) locations of a walk over the queues."""
     clock = sim.clock
     located = sorted(
-        (jid, tier, pos == 0 and b is not None)
+        (jid, tier, pos == 0 and end is not None)
         for tier, (tier_queues, tier_busy) in enumerate(
             zip(sim._queues, sim._busy))
-        for queue, b in zip(tier_queues, tier_busy)
+        for queue, end in zip(tier_queues, tier_busy)
         for pos, jid in enumerate(queue))
     tiers, arrive, wait = sim.env.num_tiers, sim._arrive, sim._wait
     progress: dict[int, JobProgress] = {}

@@ -87,6 +87,19 @@ CONTRACT = {
          "random"), 2,
         "--initial-policy needs a genetic --policies entry, not only "
         "baselines"),
+    "compare-population-without-genetic-row": (
+        ("compare", *GEN, "--policies", "fcfs", "wlc", "--population", "20"),
+        2, "--population needs a genetic --policies entry, not only "
+        "baselines"),
+    "compare-generations-without-genetic-row": (
+        ("compare", *GEN, "--policies", "wrr", "--generations", "7"), 2,
+        "--generations needs a genetic --policies entry, not only baselines"),
+    "compare-ga-seed-without-genetic-row": (
+        ("compare", *GEN, "--policies", "random", "--ga-seed", "5"), 2,
+        "--ga-seed needs a genetic --policies entry, not only baselines"),
+    "compare-seed-with-seeds": (
+        ("compare", *GEN, "--policies", "wlc", "--seeds", "1", "2",
+         "--seed", "9"), 2, "--seed and --seeds cannot both be given"),
     "compare-epoch": (
         ("compare", *GEN, "--policies", "fcfs", "ga-virtualized", "--epoch",
          "50"), 2, "unrecognized arguments: --epoch 50"),
@@ -113,6 +126,20 @@ CONTRACT = {
     "run-initial-policy-with-default-policy": (
         ("run", *GEN, "--initial-policy", "fcfs"), 2,
         "--initial-policy needs a genetic --policy, not 'fcfs'"),
+    # The value is the default, but given, so still refused.
+    "run-population-with-baseline-policy": (
+        ("run", *GEN, "--policy", "wlc", "--population", "10"), 2,
+        "--population needs a genetic --policy, not 'wlc'"),
+    "run-generations-with-baseline-policy": (
+        ("run", *GEN, "--policy", "wrr", "--generations", "7"), 2,
+        "--generations needs a genetic --policy, not 'wrr'"),
+    "run-ga-seed-with-default-policy": (
+        ("run", *GEN, "--ga-seed", "5"), 2,
+        "--ga-seed needs a genetic --policy, not 'fcfs'"),
+    # The first unread flag in help order is named.
+    "run-ga-seed-and-generations-with-baseline-policy": (
+        ("run", *GEN, "--policy", "wlc", "--ga-seed", "5", "--generations",
+         "7"), 2, "--generations needs a genetic --policy, not 'wlc'"),
     "run-negative-epoch": (
         ("run", *GEN, "--policy", "ga-virtualized", "--epoch", "-5"), 2,
         "--epoch must be 0 or more, not -5"),
@@ -481,7 +508,9 @@ class TestCompare:
 
 
 # A small overloaded stream and search budget for the pinned invocations.
-SMALL = ("--jobs", "40", "--lambda", "5", "--seed", "3")
+# A sweep over ``--seeds`` takes the stream without its ``--seed``.
+STREAM = ("--jobs", "40", "--lambda", "5")
+SMALL = (*STREAM, "--seed", "3")
 GENS = ("--generations", "20")
 # The two frozen genetic runs whose ``jobs.jsonl`` was first pinned.
 PINNED_110 = ("--jobs", "110", "--lambda", "7", "--seed", "3",
@@ -608,7 +637,7 @@ PINNED = {
             "218c2b5200beeb6c7e57ae59d918b59fa16d6ebe722843bfd9875d777b5e8de0",
     }),
     "compare-every-policy": (
-        ("compare", *SMALL, *GENS, "--seeds", "1", "2", "3", "--policies",
+        ("compare", *STREAM, *GENS, "--seeds", "1", "2", "3", "--policies",
          "fcfs", "wrr", "wlc", "random", "ga-virtualized",
          "ga-virtualized:per-tier", "ga-segmented:total",
          "ga-segmented:per-tier"), {
@@ -671,9 +700,9 @@ class TestPinnedOutputs:
     (("run", *SMALL, "--policy", "wlc"), []),
     (("run", *SMALL, *GENS, "--policy", "ga-segmented", "--mode", "per-tier",
       "--initial-policy", "wrr"), [("segmented", "per-tier", 3)]),
-    (("compare", *SMALL, "--seeds", "1", "2", "--policies", "fcfs", "wlc"),
+    (("compare", *STREAM, "--seeds", "1", "2", "--policies", "fcfs", "wlc"),
      []),
-    (("compare", *SMALL, *GENS, "--seeds", "1", "2", "--policies", "fcfs",
+    (("compare", *STREAM, *GENS, "--seeds", "1", "2", "--policies", "fcfs",
       "ga-virtualized", "wrr", "ga-segmented:per-tier"),
      [("virtualized", "total", 1), ("segmented", "per-tier", 1),
       ("virtualized", "total", 2), ("segmented", "per-tier", 2)]),

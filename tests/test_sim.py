@@ -29,7 +29,7 @@ from tiersched import (
 )
 from tiersched.baselines import AssignmentPolicy
 from tiersched.penalty import JobViolation, ViolationBreakdown, violation_totals
-from tiersched.sim import JobOutcome, Simulator
+from tiersched.sim import _ARRIVAL, JobOutcome, Simulator
 
 from conftest import job
 from reference_sim import ReferenceSimulator, reference_violation_totals
@@ -98,20 +98,37 @@ class TestInvariants:
             sim.assert_invariants()
         assert sim.departed == len(jobs)
 
-    @pytest.mark.parametrize("tamper", ["lost", "duplicated", "external"])
+    @pytest.mark.parametrize(
+        "tamper", ["lost", "duplicated", "external", "external-lost"])
     def test_pending_events_match_busy_and_moving(self, env_2x3, tamper):
         jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=25, seed=13),
                         env_2x3)
         sim = Simulator(jobs, env_2x3)
         sim.run(until_external_arrivals=10)
         sim.assert_invariants()
+        # The one pending external arrival (job 11 reaching tier 1).
+        external = [e for e in sim._events if e[1] == _ARRIVAL and e[3] == 0]
+        assert [e[2] for e in external] == [11]
         if tamper == "lost":
             heapq.heappop(sim._events)
         elif tamper == "duplicated":
             heapq.heappush(sim._events, sim._events[0])
+        elif tamper == "external":
+            heapq.heappush(sim._events, external[0])
         else:
-            heapq.heappush(sim._events, sim._next_arrival)
+            sim._events.remove(external[0])
+            heapq.heapify(sim._events)
         with pytest.raises(AssertionError, match="pending events"):
+            sim.assert_invariants()
+
+    def test_in_service_job_is_the_queue_head(self, env_2x3):
+        sim = Simulator(JobSet((job(1, (1.0, 1.0)),)), env_2x3)
+        sim.step()
+        sim.assert_invariants()
+        # Move job 1 away from the resource that is serving it.
+        sim._queues[0][1].append(sim._queues[0][0].pop())
+        with pytest.raises(AssertionError, match="resource 0: busy with an "
+                                                 "empty queue"):
             sim.assert_invariants()
 
     def test_determinism_identical_traces(self, env_2x3):
@@ -345,26 +362,19 @@ class TestInvariantsUnderOptimize:
 
 class TestPolicyContract:
     def test_invalid_placement_halts(self, env_2x3):
-        class BrokenPolicy(AssignmentPolicy):
-            def assign(self, sim, job_id, tier):
-                return 99, 0
+        # A tier of three queues: 3 and 99 are out of range, and -1 would
+        # otherwise index the last queue.
+        for k in (3, 99, -1):
+            class BrokenPolicy(AssignmentPolicy):
+                def pick(self, sim, job_id, tier, k=k):
+                    return k
 
-        jobs = JobSet((job(1, (1.0, 1.0)),))
-        sim = Simulator(jobs, env_2x3, BrokenPolicy())
-        with pytest.raises(InvalidScheduleError, match="invalid placement"):
-            sim.run()
-
-    def test_placement_ahead_of_the_in_service_head_halts(self, env_1x1):
-        class FrontPolicy(AssignmentPolicy):
-            def assign(self, sim, job_id, tier):
-                return 0, 0
-
-        jobs = JobSet((job(1, (1.0,)), job(2, (1.0,), arrival=0.5)))
-        sim = Simulator(jobs, env_1x1, FrontPolicy())
-        sim.step()
-        with pytest.raises(InvalidScheduleError,
-                           match=r"invalid placement \(0, 0\) for job 2"):
-            sim.run()
+            jobs = JobSet((job(1, (1.0, 1.0)),))
+            sim = Simulator(jobs, env_2x3, BrokenPolicy(env_2x3))
+            with pytest.raises(InvalidScheduleError,
+                               match=rf"invalid queue {k} for job 1 at tier 0"):
+                sim.run()
+            assert all(sim.queue(0, q) == () for q in range(3))
 
 
 class TestTrace:
@@ -378,6 +388,15 @@ class TestTrace:
         assert kinds == ["arrive", "start", "finish", "depart"]
         # time kind job tier resource
         assert all(len(line.split()) == 5 for line in lines[1:])
+
+    def test_records_carry_no_instance_dict(self, env_2x3):
+        sim = Simulator(JobSet((job(1, (1.0, 1.0)),)), env_2x3,
+                        keep_trace=True)
+        sim.run()
+        sim.install_schedule(sim.snapshot().schedule)
+        assert not any(hasattr(ev, "__dict__") for ev in sim.trace)
+        assert [ev.line() for ev in sim.trace[-2:]] == [
+            "2.0 depart 1 2 1", "2.0 reschedule - - -"]
 
 
 def outcome_digest(report) -> str:
@@ -685,6 +704,11 @@ class TestStreamProperties:
                         reschedule_every=cadence or 1)
         while sim.step():
             sim.assert_invariants()
+            # The heap holds the next external arrival, and only it, while
+            # external arrivals remain.
+            external = [e[2] for e in sim._events
+                        if e[1] == _ARRIVAL and e[3] == 0]
+            assert len(external) == (sim.arrived[0] < len(jobs))
             queued = sorted(jid for t in range(env.num_tiers)
                             for k in range(env.resources_per_tier[t])
                             for jid in sim.queue(t, k))
