@@ -26,7 +26,6 @@ from .penalty import (
     ScheduleEvaluator,
     ViolationBreakdown,
     differentiated_allowance,
-    penalty,
     total_penalty,
 )
 from .sim import Simulator, simulate_to_snapshot
@@ -62,7 +61,6 @@ __all__ = [
     "generate",
     "load",
     "make_policy",
-    "penalty",
     "save",
     "simulate_to_snapshot",
     "total_penalty",

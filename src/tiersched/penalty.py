@@ -71,16 +71,24 @@ class JobViolation(NamedTuple):
 
 
 def violation_totals(records) -> dict[str, float]:
-    """Aggregates of expected or realized per-job records (any re-iterable
-    collection of objects with ``alpha`` and ``cost``), summed left to right
-    in record order from lists built once."""
-    alphas = [r.alpha for r in records]
-    violations = [max(a, 0.0) for a in alphas]
+    """Aggregates of expected or realized per-job records (any iterable of
+    objects with ``alpha`` and ``cost``) in one pass that builds no list:
+    sums left to right in record order from the int 0."""
+    signed = violation = cost = 0
+    peak = None
+    for r in records:
+        alpha = r.alpha
+        v = 0.0 if alpha < 0.0 else alpha  # max(alpha, 0.0), no call
+        signed += alpha
+        violation += v
+        cost += r.cost
+        if peak is None or v > peak:  # the first of equal maxima, as max()
+            peak = v
     return {
-        "total_signed": ordered_sum(alphas),
-        "total_violation": ordered_sum(violations),
-        "total_cost": ordered_sum([r.cost for r in records]),
-        "max_violation": max(violations, default=0.0),
+        "total_signed": signed,
+        "total_violation": violation,
+        "total_cost": cost,
+        "max_violation": 0.0 if peak is None else peak,
     }
 
 

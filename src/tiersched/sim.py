@@ -59,9 +59,10 @@ class TraceEvent(NamedTuple):
 class JobOutcome(NamedTuple):
     """Realized timings of one completed job.
 
-    The violation time is mode-independent once a job is done: the per-tier
-    allowance shares sum to the total allowance, so both formulations reduce
-    to total wait minus total allowance.
+    Only what a record cannot derive is stored; ``total_wait`` and
+    ``response_time`` are computed on read.  The violation time is
+    mode-independent once a job is done: the per-tier allowance shares sum
+    to the total allowance, so both reduce to total wait minus allowance.
     """
 
     job_id: int
@@ -69,10 +70,16 @@ class JobOutcome(NamedTuple):
     completion: float
     total_exec: float
     waits: tuple[float, ...]
-    total_wait: float
-    response_time: float
     alpha: float
     cost: float
+
+    @property
+    def total_wait(self) -> float:
+        return ordered_sum(self.waits)  # left to right, as report() adds
+
+    @property
+    def response_time(self) -> float:
+        return self.completion - self.arrival
 
 
 class Simulator:
@@ -382,8 +389,8 @@ class Simulator:
                         f"tier {tier} resource {k}: busy with an empty queue")
 
     def report(self) -> ViolationBreakdown:
-        """Realized ``JobOutcome`` of every completed job plus their totals;
-        each alpha is the total wait less the job's allowance."""
+        """Realized ``JobOutcome`` of every completed job, each fact stored
+        once, plus their totals; alpha is the total wait less the allowance."""
         chi, nu = self.env.chi, self.env.nu
         tiers = self.env.num_tiers
         wait, completions = self._wait, self._completion
@@ -396,12 +403,9 @@ class Simulator:
                 continue
             first = jid * tiers
             waits = tuple(wait[first:first + tiers])
-            total_wait = ordered_sum(waits)
-            arrival = job.arrival
-            alpha = total_wait - job.allowance
+            alpha = ordered_sum(waits) - job.allowance
             outcomes[jid] = outcome(JobOutcome, (
-                jid, arrival, completion, job.total_exec, waits,
-                total_wait, completion - arrival, alpha,
+                jid, job.arrival, completion, job.total_exec, waits, alpha,
                 penalty(alpha, chi, nu)))
         return ViolationBreakdown(per_job=outcomes,
                                   **violation_totals(outcomes.values()))

@@ -4,29 +4,39 @@
 each event kind had a handler of its own: ``step`` dispatches to
 ``_handle_arrival`` or ``_handle_completion``, and both end in ``_try_start``,
 which checks for itself that the resource is idle and its queue non-empty.
-Its ``report`` prices each job from ``Job``'s fields and builds the records
-through ``JobOutcome``'s constructor, and ``reference_violation_totals`` sums
-generator passes over the records.  The package runs both kinds of event in
-one step body and reads each job's stored allowance; the tests hold the
-two to each other, state after state.
+Its ``report`` prices each job from ``Job``'s fields, builds the records
+through ``JobOutcome``'s constructor and keeps each job's total wait and
+response time, computed here, in ``derived``; ``reference_violation_totals``
+sums generator passes over the records.  Every sum adds left to right from
+the int 0 on any Python version (``sum()`` compensates floats from 3.12).
+The package runs both kinds of event in one step body, reads each job's
+stored allowance and derives the two times on read; the tests hold the two
+to each other, state after state.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import add
 
 from tiersched.model import TIME_EPS, InvalidScheduleError
 from tiersched.penalty import ViolationBreakdown, penalty
 from tiersched.sim import _ARRIVAL, _COMPLETION, JobOutcome, Simulator
 
 
+def left_sum(values):
+    """``values`` added left to right from the int 0."""
+    return reduce(add, values, 0)
+
+
 def reference_violation_totals(records) -> dict[str, float]:
     """Aggregates of expected or realized per-job records (any re-iterable
     collection of objects with ``alpha`` and ``cost``)."""
     return {
-        "total_signed": sum(r.alpha for r in records),
-        "total_violation": sum(max(r.alpha, 0.0) for r in records),
-        "total_cost": sum(r.cost for r in records),
+        "total_signed": left_sum(r.alpha for r in records),
+        "total_violation": left_sum(max(r.alpha, 0.0) for r in records),
+        "total_cost": left_sum(r.cost for r in records),
         "max_violation": max((max(r.alpha, 0.0) for r in records),
                              default=0.0),
     }
@@ -110,11 +120,13 @@ class ReferenceSimulator(Simulator):
             self._trace("start", head, tier, k)
 
     def report(self) -> ViolationBreakdown:
-        """Realized outcomes for every completed job."""
+        """Realized outcomes for every completed job; ``derived`` maps each
+        one's id to its ``(total_wait, response_time)``."""
         chi, nu = self.env.chi, self.env.nu
         tiers = self.env.num_tiers
         wait, completions = self._wait, self._completion
         outcomes: dict[int, JobOutcome] = {}
+        self.derived: dict[int, tuple[float, float]] = {}
         for job in self.jobs.jobs:
             jid = job.id
             completion = completions[jid]
@@ -122,13 +134,14 @@ class ReferenceSimulator(Simulator):
                 continue
             first = jid * tiers
             waits = tuple(wait[first:first + tiers])
-            total_wait = sum(waits)
+            total_wait = left_sum(waits)
             arrival = job.arrival
             # Job.total_exec and Job.allowance, with one sum between them.
-            total_exec = sum(job.exec_times)
+            total_exec = left_sum(job.exec_times)
             alpha = total_wait - ((job.target_completion - arrival) - total_exec)
             outcomes[jid] = JobOutcome(
-                jid, arrival, completion, total_exec, waits, total_wait,
-                completion - arrival, alpha, penalty(alpha, chi, nu))
+                jid, arrival, completion, total_exec, waits, alpha,
+                penalty(alpha, chi, nu))
+            self.derived[jid] = (total_wait, completion - arrival)
         return ViolationBreakdown(
             per_job=outcomes, **reference_violation_totals(outcomes.values()))

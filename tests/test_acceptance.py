@@ -25,7 +25,6 @@ from tiersched import (
     exhaustive_best,
     generate,
     make_policy,
-    penalty,
     simulate_to_snapshot,
     total_penalty,
 )
@@ -35,6 +34,7 @@ from tiersched.ga import (
     mutation_layout,
     random_chromosome,
 )
+from tiersched.penalty import penalty
 from tiersched.cli import main as cli_main
 
 from conftest import fresh_snapshot, genome_valid, job, loaded_snapshot

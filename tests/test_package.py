@@ -36,7 +36,6 @@ def test_public_surface_is_pinned():
         "generate",
         "load",
         "make_policy",
-        "penalty",
         "save",
         "simulate_to_snapshot",
         "total_penalty",

@@ -19,9 +19,9 @@ from tiersched import (
     differentiated_allowance,
     evolve,
     generate,
-    penalty,
     total_penalty,
 )
+from tiersched.penalty import penalty
 from tiersched.sim import Simulator
 
 from conftest import fresh_snapshot, job, loaded_snapshot

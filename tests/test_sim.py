@@ -8,7 +8,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tiersched
@@ -72,6 +72,15 @@ class TestBasicDynamics:
             assert outcome.total_wait == pytest.approx(sum(outcome.waits))
             assert outcome.response_time == pytest.approx(
                 outcome.total_exec + outcome.total_wait, abs=1e-9)
+
+    def test_outcome_stores_seven_fields_and_derives_two(self):
+        # Left to right, 1e16 + 1.0 rounds back to 1e16 twice; a reversed
+        # or compensated sum gives 1e16 + 2.0.
+        outcome = JobOutcome(1, 2.0, 9.5, 1.0, (1e16, 1.0, 1.0), 0.0, 0.0)
+        assert JobOutcome._fields == ("job_id", "arrival", "completion",
+                                      "total_exec", "waits", "alpha", "cost")
+        assert outcome.total_wait == 1e16
+        assert outcome.response_time == 7.5
 
     def test_empty_job_set(self, env_2x3):
         report = Simulator(JobSet(), env_2x3).run().report()
@@ -723,6 +732,12 @@ def reverse_waiting(snap):
         [order[::-1] for order in snap.schedule.flat_waiting()])
 
 
+# Finite floats, with signed zeros, ties and cancelling magnitudes frequent.
+TOTALS_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestAgainstReference:
     """The one-body step and the table-reading report against the
     handler-per-kind reference in ``reference_sim.py``."""
@@ -748,6 +763,11 @@ class TestAgainstReference:
         assert sim.trace_lines() == ref.trace_lines()
         got, want = sim.report(), ref.report()
         assert repr(got.per_job) == repr(want.per_job)
+        assert got.per_job.keys() == ref.derived.keys()
+        for jid, outcome in got.per_job.items():
+            total_wait, response_time = ref.derived[jid]
+            assert outcome.total_wait.hex() == total_wait.hex()
+            assert outcome.response_time.hex() == response_time.hex()
         assert (repr((got.total_signed, got.total_violation, got.total_cost,
                       got.max_violation))
                 == repr((want.total_signed, want.total_violation,
@@ -759,6 +779,17 @@ class TestAgainstReference:
     ])
     def test_violation_totals_keep_signed_zeros(self, alphas):
         records = [JobViolation(a, max(a, 0.0) / 2, 0.0) for a in alphas]
+        assert (repr(violation_totals(records))
+                == repr(reference_violation_totals(records)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(JobViolation, TOTALS_FLOATS, TOTALS_FLOATS,
+                              TOTALS_FLOATS)))
+    @example([])
+    @example([JobViolation(a, 0.0, 0.0) for a in (1e16, 1.0, -1e16)])
+    @example([JobViolation(a, a, 0.0) for a in (-0.0, 2.0, 0.0, 2.0)])
+    @example([JobViolation(a, 0.0, 0.0) for a in (-1.0, -0.0, 0.0)])
+    def test_violation_totals_match_the_reference(self, records):
         assert (repr(violation_totals(records))
                 == repr(reference_violation_totals(records)))
 
