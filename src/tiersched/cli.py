@@ -352,6 +352,10 @@ def cmd_run(args) -> int:
                           f"{args.policy!r}")
     env = _environment(args)
     jobs = _workload(args, env)
+    if jobs.num_tiers != env.num_tiers:  # only a loaded file can differ
+        raise ValueError(
+            f"--workload {args.workload} has {jobs.num_tiers} "
+            f"tier{'s' * (jobs.num_tiers != 1)}, --tiers is {env.num_tiers}")
     # One arrival and one completion per job and tier.
     events = 2 * env.num_tiers * len(jobs)
     if args.epoch > 0 and args.epoch >= events:

@@ -443,79 +443,58 @@ def evolve(snapshot: Snapshot, config: GAConfig | None = None) -> EvolveResult:
     incumbent.  Deterministic for a fixed seed.
     """
     config = config or GAConfig()
-    if config.variant == QueueVariant.SEGMENTED:
-        return _evolve_segmented(snapshot, config)
     evaluator = ScheduleEvaluator(snapshot, config.mode)
-    best_c, best_f, initial, history, evaluations = _run_ga(
-        seeded=snapshot.schedule.flat_waiting(),
-        queues=tuple(range(snapshot.env.num_queues)),
-        sample_random=lambda r: random_chromosome(snapshot, r),
-        evaluator=evaluator,
-        base=evaluator.pinned_total,
-        config=config,
-        rng=np.random.default_rng(config.seed),
-    )
-    return EvolveResult(
-        best_schedule=snapshot.schedule.with_waiting(best_c),
-        best_fitness=best_f,
-        initial_fitness=initial,
-        history=tuple(history),
-        evaluations=evaluations,
-    )
+    seeded = snapshot.schedule.flat_waiting()
+    if config.variant == QueueVariant.SEGMENTED:
+        run = _evolve_segmented(seeded, evaluator, config)
+    else:
+        run = _run_ga(seeded, tuple(range(len(seeded))),
+                      lambda r: random_chromosome(snapshot, r), evaluator,
+                      evaluator.pinned_total, config,
+                      np.random.default_rng(config.seed))
+    best, best_f, initial, history, evaluations = run
+    return EvolveResult(snapshot.schedule.with_waiting(best), best_f, initial,
+                        tuple(history), evaluations)
 
 
-def _evolve_segmented(snapshot: Snapshot, config: GAConfig) -> EvolveResult:
+def _evolve_segmented(seeded: Genome, evaluator: ScheduleEvaluator,
+                      config: GAConfig):
     """Independent genetic search per resource queue (reorder only).
 
-    Each queue with at least two waiting jobs gets its own full run over the
-    permutations of that queue; queues with fewer stay as they are.  Queue
-    scores are independent, so the concatenation of per-queue winners is the
-    variant's best schedule and the per-generation histories add up.
+    Each queue with at least two waiting jobs gets its own full run over its
+    permutations; queues with fewer stay as they are.  Queue scores are
+    independent, so the per-queue winners make up the best genome and the
+    per-generation histories add up.  Returns :func:`_run_ga`'s tuple.
     """
-    evaluator = ScheduleEvaluator(snapshot, config.mode)
-    initial_orders = snapshot.schedule.flat_waiting()
-    initial = evaluator.fitness(initial_orders)
-
-    best_orders: list[tuple[int, ...]] = []
+    initial = evaluator.fitness(seeded)
+    best: list[tuple[int, ...]] = []
     fixed_total = evaluator.pinned_total
     histories: list[list[GenerationStats]] = []
     evaluations = 0
-    for qi, order in enumerate(initial_orders):
+    for qi, order in enumerate(seeded):
         if len(order) < 2:
-            best_orders.append(order)
+            best.append(order)
             fixed_total += evaluator.queue_score(qi, order)
             continue
 
         def sample(r: np.random.Generator, order=order) -> Genome:
             return (tuple(order[int(i)] for i in r.permutation(len(order))),)
 
-        best_c, best_f, _, history, evals = _run_ga(
-            seeded=(order,),
-            queues=(qi,),
-            sample_random=sample,
-            evaluator=evaluator,
-            base=0.0,
-            config=config,
-            rng=np.random.default_rng((config.seed, qi)),
-        )
-        best_orders.append(best_c[0])
+        best_c, _, _, history, evals = _run_ga(
+            (order,), (qi,), sample, evaluator, 0.0, config,
+            np.random.default_rng((config.seed, qi)))
+        best.append(best_c[0])
         histories.append(history)
         evaluations += evals
 
     combined: list[GenerationStats] = []
     for gen in range(config.generations):
         # Left to right, as ``sum()`` adds before Python 3.12.
-        best = mean = 0.0
+        low = mean = 0.0
         for h in histories:
-            best += h[gen].best
+            low += h[gen].best
             mean += h[gen].mean
         combined.append(
-            GenerationStats(gen, fixed_total + best, fixed_total + mean))
-
-    return EvolveResult(
-        best_schedule=snapshot.schedule.with_waiting(best_orders),
-        best_fitness=evaluator.fitness(best_orders),
-        initial_fitness=initial,
-        history=tuple(combined),
-        evaluations=evaluations,
-    )
+            GenerationStats(gen, fixed_total + low, fixed_total + mean))
+    return (tuple(best), evaluator.fitness(best), initial, combined,
+            evaluations)

@@ -62,10 +62,6 @@ class EnvironmentConfig:
         if not 0 < self.nu < math.inf:
             raise ValueError("scaling factor nu must be positive and finite")
 
-    @property
-    def num_queues(self) -> int:
-        return sum(self.resources_per_tier)
-
     def queue_offset(self, tier: int) -> int:
         """Flat index of the tier's first queue (tier-major ordering)."""
         return sum(self.resources_per_tier[:tier])
@@ -184,9 +180,6 @@ class JobSet:
 
     def __iter__(self) -> Iterator[Job]:
         return iter(self.jobs)
-
-    def __bool__(self) -> bool:
-        return bool(self.jobs)
 
     @property
     def num_tiers(self) -> int:

@@ -287,21 +287,18 @@ class Simulator:
     # ------------------------------------------------------------------
     # rescheduling
 
-    def install_schedule(self, schedule: Schedule,
-                         snapshot: Snapshot | None = None) -> bool:
+    def install_schedule(self, schedule: Schedule, snapshot: Snapshot) -> bool:
         """Replace the waiting orders with those of a candidate schedule.
 
-        ``validate_schedule`` checks the candidate against ``snapshot``, a
-        snapshot of the current state (the one the candidate was computed
-        from; a fresh one is taken when omitted): the layout, each tier's
-        waiting set, and the pinned in-service heads with their residuals.
-        The snapshot is structurally valid by construction, so these checks
-        also rule out unknown, duplicated and cross-tier ids.
+        ``validate_schedule`` checks the candidate against ``snapshot``, the
+        snapshot of the current state it was computed from: the layout, each
+        tier's waiting set, and the pinned in-service heads with their
+        residuals.  The snapshot is structurally valid by construction, so
+        these checks also rule out unknown, duplicated and cross-tier ids.
         Invalid candidates are rejected (logged, previous schedule kept).
-        Newly non-empty queues on idle resources begin service immediately.
+        One walk over the queues rebuilds each and starts its head if the
+        resource is idle; a start touches only its own queue.
         """
-        if snapshot is None:
-            snapshot = self.snapshot()
         report = validate_schedule(schedule, self.env, self.jobs,
                                    snapshot=snapshot)
         if not report.ok:
@@ -309,11 +306,10 @@ class Simulator:
                 self._trace("reject", 0, -1, -1)
             return False
         for tier, k in self.env.iter_queues():
-            queue = self._queues[tier][k]
-            head = queue[:1] if self._busy[tier][k] is not None else []
-            self._queues[tier][k] = head + list(schedule.waiting(tier, k))
-        for tier, k in self.env.iter_queues():
-            if self._queues[tier][k] and self._busy[tier][k] is None:
+            queues, idle = self._queues[tier], self._busy[tier][k] is None
+            waiting = list(schedule.waiting(tier, k))
+            queues[k] = waiting if idle else queues[k][:1] + waiting
+            if idle and waiting:
                 self._start_head(tier, k)
         if self.keep_trace:
             self._trace("reschedule", 0, -1, -1)

@@ -59,18 +59,21 @@ def generate(spec: WorkloadSpec, env: EnvironmentConfig) -> JobSet:
     ``allowance_fraction`` of its total execution time.
     """
     n = spec.num_jobs
-    arrivals = np.cumsum(
-        _stream(spec.seed, 0).exponential(1.0 / spec.arrival_rate, n))
-    execs = [
-        _stream(spec.seed, 1 + j).exponential(1.0 / spec.service_rate, n)
-        for j in range(env.num_tiers)
-    ]
-    # Elementwise adds in tier order: each job's total is its execution
-    # times added left to right, as ``Job`` adds them.
-    totals = execs[0]
-    for column in execs[1:]:
-        totals = totals + column
-    targets = arrivals + totals + spec.allowance_fraction * totals
+    # An overflow gives inf, which ``Job`` refuses as not finite; numpy's
+    # warning would only repeat that refusal on stderr.
+    with np.errstate(over="ignore"):
+        arrivals = np.cumsum(
+            _stream(spec.seed, 0).exponential(1.0 / spec.arrival_rate, n))
+        execs = [
+            _stream(spec.seed, 1 + j).exponential(1.0 / spec.service_rate, n)
+            for j in range(env.num_tiers)
+        ]
+        # Elementwise adds in tier order: each job's total is its execution
+        # times added left to right, as ``Job`` adds them.
+        totals = execs[0]
+        for column in execs[1:]:
+            totals = totals + column
+        targets = arrivals + totals + spec.allowance_fraction * totals
     return JobSet(tuple(map(
         Job, range(1, n + 1), arrivals.tolist(),
         zip(*[column.tolist() for column in execs]), targets.tolist())))

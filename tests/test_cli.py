@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -19,15 +21,22 @@ def run_cli(*argv):
 
 
 def assert_exit(argv, code, capsys) -> str:
-    """Run the CLI and hold it to its contract: the documented exit code and
-    no traceback.  Returns stderr."""
-    try:
-        got = main(list(argv))
-    except SystemExit as err:  # argparse rejects before main's handlers
-        got = err.code
-    err = capsys.readouterr().err
+    """Run the CLI and hold it to its contract: the documented exit code, no
+    traceback and no warning.  Returns stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = main(list(argv))
+        except SystemExit as err:  # argparse rejects before main's handlers
+            got = err.code
+    # pytest records warnings; put them back on stderr, where a plain run
+    # prints them.
+    err = capsys.readouterr().err + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+        for w in caught)
     assert got == code, err
     assert "Traceback" not in err
+    assert "Warning" not in err
     return err
 
 
@@ -38,6 +47,8 @@ WORKLOAD = "{workload}"
 DIRECTORY = "{directory}"
 # Stands for a workload file that holds its 3-line header and no job.
 HEADER_ONLY = "{header-only}"
+# Stands for a generated workload file of one tier.
+ONE_TIER = "{one-tier}"
 
 # argv -> exit code, and a fragment of the message on stderr.
 CONTRACT = {
@@ -191,6 +202,21 @@ CONTRACT = {
     "run-workload-without-jobs-online": (
         ("run", "--workload", HEADER_ONLY, "--policy", "ga-virtualized",
          "--epoch", "1"), 3, "input error: {header-only}: no job lines"),
+    # The default --tiers is 2; refused before --out-dir is created.
+    "run-workload-tier-count-differs": (
+        ("run", "--workload", ONE_TIER, "--policy", "fcfs"), 3,
+        "input error: --workload {one-tier} has 1 tier, --tiers is 2"),
+    "run-workload-tier-count-differs-online": (
+        ("run", "--workload", ONE_TIER, "--policy", "ga-virtualized",
+         "--epoch", "1"), 3,
+        "input error: --workload {one-tier} has 1 tier, --tiers is 2"),
+    # Overflowing columns are refused by Job, without a numpy warning.
+    "run-overflowing-allowance": (
+        ("run", "--jobs", "20", "--lambda", "2", "--allowance", "1e308"), 3,
+        "input error: job 1: arrival and target completion must be finite"),
+    "run-overflowing-mean-service-time": (
+        ("run", "--jobs", "20", "--lambda", "2", "--mu", "1e-308"), 3,
+        "input error: job 1: arrival and target completion must be finite"),
     "run-workload-is-a-directory": (
         ("run", "--workload", DIRECTORY, "--policy", "fcfs"), 3,
         "input error: [Errno 21] Is a directory"),
@@ -230,6 +256,12 @@ def test_exit_code_contract(case, tmp_path, capsys):
                         "arrival exec_1 exec_2 target_completion\n")
         argv = tuple(a.replace(HEADER_ONLY, str(path)) for a in argv)
         message = message.replace(HEADER_ONLY, str(path))
+    if any(ONE_TIER in a for a in argv):
+        path = tmp_path / "one-tier.txt"
+        assert run_cli("generate", *GEN, "--tiers", "1", "--out",
+                       str(path)) == 0
+        argv = tuple(a.replace(ONE_TIER, str(path)) for a in argv)
+        message = message.replace(ONE_TIER, str(path))
     argv = tuple(a.replace(DIRECTORY, str(tmp_path)) for a in argv)
     out = tmp_path / "out"
     if "--out-dir" not in argv:
@@ -373,6 +405,24 @@ class TestRun:
                            "--out-dir", str(out)), 3, capsys)
         assert f"input error: line 5: job 2: {message}" in err
         assert not out.exists()
+
+    def test_invalid_search_result_is_internal_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        plain = cli.evolve
+
+        def emptied(snapshot, config):
+            # Every waiting job dropped: the waiting sets change.
+            result = plain(snapshot, config)
+            best = snapshot.schedule.with_waiting(
+                [()] * len(snapshot.schedule.flat_waiting()))
+            return dataclasses.replace(result, best_schedule=best)
+
+        monkeypatch.setattr(cli, "evolve", emptied)
+        err = assert_exit(("run", "--jobs", "40", "--lambda", "6",
+                           "--policy", "ga-virtualized", "--generations", "2",
+                           "--out-dir", str(tmp_path / "out")), 4, capsys)
+        assert err.startswith("internal error: tier 0: waiting job set "
+                              "changed")
 
     def test_online_mode(self, tmp_path, monkeypatch):
         decisions = []

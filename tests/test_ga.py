@@ -335,6 +335,15 @@ class TestGAConfig:
         with pytest.raises(ValueError, match="GA seed must be nonnegative"):
             GAConfig(seed=-1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(population=1), "population must hold at least two"),
+        (dict(generations=0), "need at least one generation"),
+        (dict(variant="hybrid"), "unknown variant 'hybrid'"),
+    ])
+    def test_bad_size_or_variant_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            GAConfig(**kwargs)
+
     def test_elite_is_not_a_setting(self):
         with pytest.raises(TypeError):
             GAConfig(elite=1)
@@ -545,7 +554,7 @@ class TestScoringWork:
     def test_virtualized_scores_only_offspring(self, counted, extra):
         runs, fitness_calls = counted
         snap = loaded_snapshot(6.0, 30, seed=16)
-        queues = snap.env.num_queues
+        queues = sum(snap.env.resources_per_tier)
         config = GAConfig(generations=60, seed=3, **extra)
         result = evolve(snap, config)
         self.check_operators(runs, config)

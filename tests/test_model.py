@@ -39,7 +39,6 @@ class TestEnvironmentConfig:
     def test_scalar_resources_broadcast(self):
         env = EnvironmentConfig(num_tiers=3, resources_per_tier=2)
         assert env.resources_per_tier == (2, 2, 2)
-        assert env.num_queues == 6
         assert env.queue_offset(2) == 4
 
     @pytest.mark.parametrize("kwargs", [
@@ -227,6 +226,19 @@ class TestJobSet:
             stream(0.0, -0.9e-9, -1.8e-9)
 
 
+class TestSchedule:
+    @pytest.mark.parametrize("orders, busy, message", [
+        ((((1,),),), (), "busy map must mirror the queue layout"),
+        ((((1,), ()),), ((None,),), "busy map must mirror the queue layout"),
+        ((((), ()),), ((None, 0.5),), "tier 0 resource 1: busy with an "
+                                      "empty queue"),
+        ((((1,),),), ((-1.0,),), "tier 0 resource 0: negative residual"),
+    ])
+    def test_refuses_inconsistent_busy_map(self, orders, busy, message):
+        with pytest.raises(ValueError, match=message):
+            Schedule(orders=orders, busy=busy)
+
+
 class TestValidateSchedule:
     def test_empty_snapshot_passes(self, env_2x3):
         snap = fresh_snapshot(
@@ -242,6 +254,14 @@ class TestValidateSchedule:
             report = validate_schedule(snap.schedule, env, jobs, snapshot=snap)
             assert report.violations == (
                 "environment or job set differs from the snapshot's",)
+
+    def test_layout_unlike_the_environment_reported(self, env_2x3):
+        snap = loaded_snapshot(4.0, 30, seed=7)
+        one_tier = Schedule(orders=snap.schedule.orders[:1],
+                            busy=snap.schedule.busy[:1])
+        report = validate_schedule(one_tier, env_2x3, snap.jobs,
+                                   snapshot=snap)
+        assert report.violations == ("layout does not match the environment",)
 
     def test_simulator_snapshot_is_valid(self, env_2x3):
         snap = loaded_snapshot(4.0, 30, seed=7)

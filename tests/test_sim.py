@@ -87,6 +87,20 @@ class TestBasicDynamics:
         assert report.per_job == {}
         assert report.total_violation == 0.0
 
+    def test_refuses_jobs_with_another_tier_count(self, env_2x3):
+        with pytest.raises(ValueError, match="job tier count does not match"):
+            Simulator(JobSet((job(1, (1.0,)),)), env_2x3)
+
+    def test_report_before_the_drain_skips_unfinished_jobs(self, env_1x1):
+        jobs = JobSet((job(1, (2.0,)), job(2, (1.0,), arrival=0.5)))
+        sim = Simulator(jobs, env_1x1)
+        while not sim.departed:
+            sim.step()
+        report = sim.report()
+        assert sorted(report.per_job) == [1]
+        assert report.job_count == 1
+        assert report.per_job[1].completion == 2.0
+
     def test_report_is_a_breakdown_of_outcomes(self, env_2x3):
         jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=30, seed=2),
                         env_2x3)
@@ -303,7 +317,7 @@ class TestRescheduleHook:
         snap = sim.snapshot()
         before = total_penalty(snap, AllowanceMode.TOTAL)
         result = evolve(snap, GAConfig(generations=120, seed=1))
-        assert sim.install_schedule(result.best_schedule)
+        assert sim.install_schedule(result.best_schedule, snap)
         after = total_penalty(sim.snapshot(), AllowanceMode.TOTAL)
         assert after.total_signed <= before.total_signed + 1e-9
 
@@ -322,21 +336,32 @@ class TestRescheduleHook:
                      snap.schedule.queue(0, 1)),),
             busy=((None, snap.schedule.busy[0][1]),))
         before = [sim.queue(0, k) for k in range(2)]
-        assert not sim.install_schedule(tampered)
+        assert not sim.install_schedule(tampered, snap)
         assert [sim.queue(0, k) for k in range(2)] == before
         assert any(ev.kind == "reject" for ev in sim.trace)
 
     def test_migration_to_idle_resource_starts_service(self):
         env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
-        jobs = JobSet((job(1, (4.0,)), job(2, (3.0,), arrival=0.1)))
-        sim = Simulator(jobs, env)
-        sim.run(until_external_arrivals=1)
-        # Job 2 has not arrived; park job 1's successor manually afterwards.
-        sim.run(until_external_arrivals=2)
+        jobs = JobSet((job(1, (4.0,)), job(2, (1.0,), arrival=0.1),
+                       job(3, (2.0,), arrival=0.2)))
+        # Round robin queues job 3 behind job 1; job 2 then leaves resource
+        # 2 idle at t=1.1 while job 3 still waits.
+        sim = Simulator(jobs, env, "wrr", keep_trace=True)
+        sim.run(until_external_arrivals=3)
+        sim.step()
         snap = sim.snapshot()
-        assert snap.schedule.in_service_id(0, 1) == 2  # least backlog
-        # Both busy; nothing waiting, so install is a no-op round trip.
-        assert sim.install_schedule(snap.schedule)
+        assert snap.clock == 1.1
+        assert snap.schedule.orders == (((1, 3), ()),)
+        assert snap.schedule.busy == ((2.9, None),)
+        moved = snap.schedule.with_waiting(((), (3,)))
+        assert sim.install_schedule(moved, snap)
+        assert [sim.queue(0, k) for k in range(2)] == [(1,), (3,)]
+        assert [ev.line() for ev in sim.trace[-2:]] == [
+            "1.1 start 3 1 2", "1.1 reschedule - - -"]
+        sim.assert_invariants()
+        sim.run()
+        (wait,) = sim.report().per_job[3].waits
+        assert wait == 1.1 - 0.2
 
 
 class TestInvariantsUnderOptimize:
@@ -402,7 +427,8 @@ class TestTrace:
         sim = Simulator(JobSet((job(1, (1.0, 1.0)),)), env_2x3,
                         keep_trace=True)
         sim.run()
-        sim.install_schedule(sim.snapshot().schedule)
+        snap = sim.snapshot()
+        sim.install_schedule(snap.schedule, snap)
         assert not any(hasattr(ev, "__dict__") for ev in sim.trace)
         assert [ev.line() for ev in sim.trace[-2:]] == [
             "2.0 depart 1 2 1", "2.0 reschedule - - -"]

@@ -173,6 +173,35 @@ class TestFileFormat:
                            match=re.escape(f"{path}: no job lines")):
             load(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("# tier 2\n# columns id arrival exec_1 exec_2 target_completion",
+         "line 2: expected '# tiers N'"),
+        ("# tiers two\n# columns id arrival exec_1 target_completion",
+         "line 2: tier count must be an integer"),
+        ("# tiers 0\n# columns id arrival target_completion",
+         "line 2: tier count must be at least 1"),
+        ("# tiers 3\n# columns id arrival exec_1 exec_2 target_completion",
+         "line 3: column list does not match the tier count"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "header.txt"
+        path.write_text(f"# tiersched-workload 1\n{header}\n1 0.0 1.0 1.5\n")
+        with pytest.raises(WorkloadFormatError, match=re.escape(message)):
+            load(path)
+
+    def test_job_set_refusal_names_the_file(self, tmp_path):
+        path = tmp_path / "gap.txt"
+        path.write_text(
+            "# tiersched-workload 1\n"
+            "# tiers 1\n"
+            "# columns id arrival exec_1 target_completion\n"
+            "1 0.0 1.0 1.5\n"
+            "3 0.5 1.0 2.0\n")
+        with pytest.raises(WorkloadFormatError, match=re.escape(
+                f"{path}: job ids must be dense and arrival-ordered; "
+                f"expected id 2, found 3")):
+            load(path)
+
     def test_not_a_workload_file(self, tmp_path):
         path = tmp_path / "noise.txt"
         path.write_text("hello\nworld\nmore\n")
