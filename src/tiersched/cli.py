@@ -47,14 +47,23 @@ def _parse_resources(text: str, tiers: int) -> tuple[int, ...]:
     return counts
 
 
+# These flags have no argparse default, so one not given reads None: a run
+# that would not read it refuses it, and the object it configures holds the
+# default.  The generation flags map to WorkloadSpec fields, in help order.
+SPEC_FIELDS = {"--jobs": "num_jobs", "--lambda": "arrival_rate",
+               "--mu": "service_rate", "--allowance": "allowance_fraction"}
+GA_FLAGS = ("--population", "--generations", "--ga-seed", "--initial-policy")
+
+
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, help="number of jobs to draw")
-    p.add_argument("--lambda", dest="arrival_rate", type=float,
+    p.add_argument("--lambda", type=float,
                    help="Poisson arrival rate (jobs per time unit)")
-    p.add_argument("--mu", type=float, default=1.0,
-                   help="exponential service rate per resource")
-    p.add_argument("--allowance", type=float, default=0.20,
-                   help="waiting allowance as a fraction of total execution time")
+    p.add_argument("--mu", type=float,
+                   help="exponential service rate per resource (default 1.0)")
+    p.add_argument("--allowance", type=float,
+                   help="waiting allowance as a fraction of total execution "
+                        "time (default 0.2)")
     p.add_argument("--seed", type=int, default=0, help="workload seed")
 
 
@@ -62,15 +71,13 @@ def _add_env_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tiers", type=int, default=2)
     p.add_argument("--resources", default="3",
                    help="resources per tier: one count or a comma list")
-    p.add_argument("--nu", type=float, default=0.01,
-                   help="penalty curve scaling factor")
-    p.add_argument("--chi", type=float, default=1.0,
-                   help="penalty curve monetary ceiling")
+    p.add_argument("--nu", type=float,
+                   help="penalty curve scaling factor (default 0.01)")
+    p.add_argument("--chi", type=float,
+                   help="penalty curve monetary ceiling (default 1.0)")
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    # Each defaults to None, so that one given without a genetic policy to
-    # read it can be refused.
     p.add_argument("--population", type=int,
                    help="chromosomes per generation (default 10)")
     p.add_argument("--generations", type=int,
@@ -82,11 +89,11 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
                         "starting schedule (default fcfs)")
 
 
-def _ga_flags_given(args) -> list[str]:
-    return [flag for flag, value in (
-        ("--population", args.population), ("--generations", args.generations),
-        ("--ga-seed", args.ga_seed), ("--initial-policy", args.initial_policy))
-        if value is not None]
+def _given(args, *flags: str) -> dict:
+    """The given ones among ``flags``, in the order named, with their
+    values."""
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in flags}
+    return {flag: value for flag, value in values.items() if value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--epoch", type=int, default=0,
                        help="online rescheduling cadence in events; 0 "
                             "optimizes one frozen snapshot")
-    p_run.add_argument("--workload", help="workload file (overrides generation flags)")
+    p_run.add_argument("--workload",
+                       help="workload file, in place of the generation flags")
     p_run.add_argument("--policy", default="fcfs",
                        choices=BASELINES + GA_POLICIES)
     p_run.add_argument("--mode", default="total", choices=["total", "per-tier"],
@@ -140,35 +148,25 @@ class SystemExit2(Exception):
     """Usage error discovered after argparse (still exits with code 2)."""
 
 
-def _require_workload_flags(args) -> None:
-    missing = []
-    if args.jobs is None:
-        missing.append("--jobs")
-    if args.arrival_rate is None:
-        missing.append("--lambda")
+def _workload_spec(args, seed=None) -> WorkloadSpec:
+    """The given generation flags as a spec; ``seed`` overrides ``--seed``."""
+    given = _given(args, *SPEC_FIELDS)
+    missing = [flag for flag in ("--jobs", "--lambda") if flag not in given]
     if missing:
         raise SystemExit2(f"missing required flags: {', '.join(missing)}")
-
-
-def _workload_spec(args, seed=None) -> WorkloadSpec:
-    """Generation flags as a spec; ``seed`` overrides ``--seed``."""
-    _require_workload_flags(args)
-    return WorkloadSpec(
-        arrival_rate=float(args.arrival_rate),
-        num_jobs=int(args.jobs),
-        service_rate=float(args.mu),
-        allowance_fraction=float(args.allowance),
-        seed=int(args.seed if seed is None else seed),
-    )
+    return WorkloadSpec(**{SPEC_FIELDS[flag]: v for flag, v in given.items()},
+                        seed=int(args.seed if seed is None else seed))
 
 
 def _workload(args, env: EnvironmentConfig):
-    if getattr(args, "workload", None):
-        try:
-            return load(args.workload)
-        except OSError as err:  # missing, a directory, unreadable
-            raise WorkloadFormatError(str(err)) from None
-    return generate(_workload_spec(args), env)
+    if not _given(args, "--workload"):  # an empty path is given, too
+        return generate(_workload_spec(args), env)
+    if given := [*_given(args, *SPEC_FIELDS)]:
+        raise SystemExit2(f"{given[0]} and --workload cannot both be given")
+    try:
+        return load(args.workload)
+    except OSError as err:  # missing, a directory, unreadable
+        raise WorkloadFormatError(str(err)) from None
 
 
 def _out_dir(args) -> Path:
@@ -186,9 +184,7 @@ def _environment(args) -> EnvironmentConfig:
     return EnvironmentConfig(
         num_tiers=tiers,
         resources_per_tier=_parse_resources(args.resources, tiers),
-        chi=float(args.chi),
-        nu=float(args.nu),
-    )
+        **{flag[2:]: v for flag, v in _given(args, "--nu", "--chi").items()})
 
 
 def cmd_generate(args) -> int:
@@ -226,13 +222,12 @@ def _ga_config(args, policy, seed: int) -> GAConfig | None:
     variant, mode = policy
     if variant is None:
         return None
-    sizes = {name: int(value) for name in ("population", "generations")
-             if (value := getattr(args, name)) is not None}
+    given = _given(args, "--population", "--generations", "--ga-seed")
     return GAConfig(
         variant=variant,
         mode=mode,
-        seed=int(args.ga_seed if args.ga_seed is not None else seed),
-        **sizes,
+        seed=given.pop("--ga-seed", seed),
+        **{flag[2:]: v for flag, v in given.items()},
     )
 
 
@@ -346,7 +341,7 @@ def cmd_run(args) -> int:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.epoch < 0:
         raise SystemExit2(f"--epoch must be 0 or more, not {args.epoch}")
-    unread = (["--epoch"] if args.epoch > 0 else []) + _ga_flags_given(args)
+    unread = ["--epoch"] * (args.epoch > 0) + [*_given(args, *GA_FLAGS)]
     if unread and args.policy in BASELINES:
         raise SystemExit2(f"{unread[0]} needs a genetic --policy, not "
                           f"{args.policy!r}")
@@ -446,7 +441,7 @@ def _run_online(args, env, jobs, arrival: str, config: GAConfig,
 
 
 def cmd_compare(args) -> int:
-    if args.seeds and args.seed is not None:
+    if len(_given(args, "--seed", "--seeds")) == 2:
         raise SystemExit2("--seed and --seeds cannot both be given")
     env = _environment(args)
     seeds = args.seeds or [int(args.seed or 0)]
@@ -467,7 +462,7 @@ def cmd_compare(args) -> int:
         if repeated:
             raise SystemExit2(f"{flag} given more than once: "
                               f"{', '.join(map(str, repeated))}")
-    unread = _ga_flags_given(args)
+    unread = [*_given(args, *GA_FLAGS)]
     if unread and not any(variant for variant, _ in policies.values()):
         raise SystemExit2(f"{unread[0]} needs a genetic --policies entry, "
                           f"not only baselines")
@@ -531,7 +526,9 @@ def main(argv=None) -> int:
     except SystemExit2 as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (WorkloadFormatError, FileNotFoundError, ValueError) as err:
+    # numpy refuses a job stream too large to allocate as MemoryError.
+    except (WorkloadFormatError, FileNotFoundError, ValueError,
+            MemoryError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (InvalidScheduleError, AssertionError) as err:

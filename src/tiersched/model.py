@@ -295,8 +295,11 @@ class Schedule:
 class ValidationReport:
     """Outcome of a structural schedule check."""
 
-    ok: bool
     violations: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def validate_schedule(schedule: Schedule,
@@ -315,10 +318,10 @@ def validate_schedule(schedule: Schedule,
     needs a walk of its own.
     """
     if env != snapshot.env or jobs != snapshot.jobs:
-        return ValidationReport(ok=False, violations=(
+        return ValidationReport(violations=(
             "environment or job set differs from the snapshot's",))
     if tuple(len(tier) for tier in schedule.orders) != env.resources_per_tier:
-        return ValidationReport(ok=False, violations=(
+        return ValidationReport(violations=(
             "layout does not match the environment",))
 
     violations: list[str] = []
@@ -341,7 +344,7 @@ def validate_schedule(schedule: Schedule,
             violations.append(
                 f"tier {tier} resource {k}: in-service residual changed")
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(violations=tuple(violations))
 
 
 @dataclass(frozen=True)

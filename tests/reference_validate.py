@@ -38,7 +38,7 @@ def reference_validate(schedule: Schedule,
             schedule.resources_in(t) != env.resources_per_tier[t]
             for t in range(schedule.num_tiers)):
         violations.append("layout does not match the environment")
-        return ValidationReport(ok=False, violations=tuple(violations))
+        return ValidationReport(violations=tuple(violations))
 
     seen_tier: dict[int, int] = {}
     for tier in range(schedule.num_tiers):
@@ -90,4 +90,4 @@ def reference_validate(schedule: Schedule,
                 violations.append(
                     f"tier {tier} resource {k}: in-service residual changed")
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(violations=tuple(violations))

@@ -217,6 +217,33 @@ CONTRACT = {
     "run-overflowing-mean-service-time": (
         ("run", "--jobs", "20", "--lambda", "2", "--mu", "1e-308"), 3,
         "input error: job 1: arrival and target completion must be finite"),
+    # A loaded workload would not read a generation flag; the first given,
+    # in help order, is named.
+    "run-workload-with-jobs": (
+        ("run", "--workload", WORKLOAD, "--jobs", "500"), 2,
+        "usage error: --jobs and --workload cannot both be given"),
+    "run-workload-with-lambda": (
+        ("run", "--workload", WORKLOAD, "--policy", "ga-virtualized",
+         "--lambda", "9"), 2,
+        "usage error: --lambda and --workload cannot both be given"),
+    "run-workload-with-mu": (
+        ("run", "--workload", WORKLOAD, "--allowance", "3", "--mu", "0.5"), 2,
+        "usage error: --mu and --workload cannot both be given"),
+    "run-workload-with-allowance": (
+        ("run", "--workload", WORKLOAD, "--allowance", "0.2"), 2,
+        "usage error: --allowance and --workload cannot both be given"),
+    # An empty path is a given --workload, not a missing one; it reads as
+    # the current directory.
+    "run-empty-workload-path-with-jobs": (
+        ("run", "--workload", "", *GEN), 2,
+        "usage error: --jobs and --workload cannot both be given"),
+    "run-empty-workload-path": (
+        ("run", "--workload", ""), 3,
+        "input error: [Errno 21] Is a directory: '.'"),
+    # numpy refuses the 7 PiB arrays at once, allocating nothing.
+    "run-unallocatable-job-count": (
+        ("run", "--jobs", "1000000000000000", "--lambda", "1"), 3,
+        "input error: Unable to allocate"),
     "run-workload-is-a-directory": (
         ("run", "--workload", DIRECTORY, "--policy", "fcfs"), 3,
         "input error: [Errno 21] Is a directory"),
@@ -310,6 +337,13 @@ class TestGenerate:
 
     def test_unknown_flag_exits_two(self, capsys):
         assert_exit(("generate", "--frobnicate"), 2, capsys)
+
+    def test_unallocatable_job_count_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "w.txt"
+        err = assert_exit(("generate", "--jobs", "1000000000000000",
+                           "--lambda", "1", "--out", str(out)), 3, capsys)
+        assert "input error: Unable to allocate" in err
+        assert not out.exists()
 
     def test_out_path_that_cannot_be_written_is_usage_error(self, tmp_path,
                                                             capsys):

@@ -19,6 +19,7 @@ from tiersched import (
     JobSet,
     Schedule,
     Snapshot,
+    ValidationReport,
     WorkloadSpec,
     generate,
     load,
@@ -240,6 +241,10 @@ class TestSchedule:
 
 
 class TestValidateSchedule:
+    def test_ok_is_read_from_the_violations(self):
+        assert ValidationReport().ok
+        assert not ValidationReport(violations=("x",)).ok
+
     def test_empty_snapshot_passes(self, env_2x3):
         snap = fresh_snapshot(
             env_2x3, JobSet(),

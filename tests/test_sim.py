@@ -154,6 +154,59 @@ class TestInvariants:
                                                  "empty queue"):
             sim.assert_invariants()
 
+    @staticmethod
+    def one_server_backlog():
+        """Jobs 1 and 2 reach one resource at 0: 1 in service, 2 waiting."""
+        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(1,))
+        sim = Simulator(JobSet((job(1, (1.0,)), job(2, (1.0,)))), env)
+        sim.step()
+        sim.step()
+        sim.assert_invariants()
+        assert sim.queue(0, 0) == (1, 2)
+        return sim
+
+    def test_event_before_the_clock_is_refused(self, env_2x3):
+        jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=25, seed=13),
+                        env_2x3)
+        sim = Simulator(jobs, env_2x3)
+        sim.run(until_external_arrivals=10)
+        _, *rest = sim._events[0]
+        heapq.heappush(sim._events, (sim.clock - 1.0, *rest))
+        with pytest.raises(AssertionError,
+                           match="event times must not decrease"):
+            sim.step()
+
+    def test_completing_job_must_be_the_queue_head(self):
+        sim = self.one_server_backlog()
+        # Job 2 jumps ahead of job 1, whose completion is pending.
+        sim._queues[0][0].reverse()
+        with pytest.raises(AssertionError,
+                           match="completing job is not the queue head"):
+            sim.step()
+
+    def test_lost_waiting_job_breaks_conservation(self):
+        sim = self.one_server_backlog()
+        del sim._queues[0][0][1]
+        with pytest.raises(AssertionError,
+                           match=r"^tier 0: 2 arrived but 1 resident \+ 0 in "
+                                 r"flight \+ 0 moved on$"):
+            sim.assert_invariants()
+
+    def test_waiting_job_on_an_idle_resource(self):
+        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
+        jobs = JobSet((job(1, (1.0,)), job(2, (5.0,)), job(3, (1.0,)),
+                       job(4, (1.0,))))
+        sim = Simulator(jobs, env, "wrr")
+        for _ in range(6):  # four arrivals, then jobs 1 and 3 complete
+            sim.step()
+        sim.assert_invariants()
+        assert (sim.queue(0, 0), sim.queue(0, 1)) == ((), (2, 4))
+        # Counts and pending events still agree once job 4 moves.
+        sim._queues[0][0].append(sim._queues[0][1].pop())
+        with pytest.raises(AssertionError, match="^tier 0 resource 0: idle "
+                                                 "with waiting jobs$"):
+            sim.assert_invariants()
+
     def test_determinism_identical_traces(self, env_2x3):
         jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=30, seed=4),
                         env_2x3)
