@@ -166,7 +166,8 @@ def _workload(args, env: EnvironmentConfig):
     try:
         return load(args.workload)
     except OSError as err:  # missing, a directory, unreadable
-        raise WorkloadFormatError(str(err)) from None
+        raise WorkloadFormatError(
+            f"--workload {args.workload}: {err.strerror}") from None
 
 
 def _out_dir(args) -> Path:
@@ -400,8 +401,6 @@ def cmd_run(args) -> int:
 def _run_online(args, env, jobs, arrival: str, config: GAConfig,
                 out_dir: Path) -> int:
     """Online variant: re-run the genetic search at a fixed event cadence."""
-    seed = int(args.seed)
-
     evaluations: list[int] = []  # each decision's search budget
 
     def optimizer(snapshot: Snapshot):
@@ -409,9 +408,9 @@ def _run_online(args, env, jobs, arrival: str, config: GAConfig,
         evaluations.append(result.evaluations)
         return result.best_schedule
 
-    baseline = Simulator(jobs, env, make_policy(arrival, env, seed=seed)
+    baseline = Simulator(jobs, env, make_policy(arrival, env, seed=args.seed)
                          ).run().report()
-    sim = Simulator(jobs, env, make_policy(arrival, env, seed=seed),
+    sim = Simulator(jobs, env, make_policy(arrival, env, seed=args.seed),
                     optimizer=optimizer, reschedule_every=int(args.epoch),
                     keep_trace=args.trace)
     optimized = sim.run().report()
@@ -441,11 +440,13 @@ def _run_online(args, env, jobs, arrival: str, config: GAConfig,
 
 
 def cmd_compare(args) -> int:
+    """Every input is checked, and every run built, before ``--out-dir``
+    exists: each GAConfig first, then each seed's stream, all held until the
+    sweep ends (the sweeps run here are at most 10 seeds of 1,000 jobs)."""
     if len(_given(args, "--seed", "--seeds")) == 2:
         raise SystemExit2("--seed and --seeds cannot both be given")
     env = _environment(args)
     seeds = args.seeds or [int(args.seed or 0)]
-    # Every input is checked before the first row runs or a file is written.
     for seed in seeds:
         if seed < 0:
             raise ValueError(f"{'--seeds' if args.seeds else '--seed'} must "
@@ -466,37 +467,35 @@ def cmd_compare(args) -> int:
     if unread and not any(variant for variant, _ in policies.values()):
         raise SystemExit2(f"{unread[0]} needs a genetic --policies entry, "
                           f"not only baselines")
-    configs = {(token, spec.seed): _ga_config(args, policy, spec.seed)
-               for token, policy in policies.items() for spec in specs}
+    searches = [[(token, mode, _ga_config(args, (variant, mode), spec.seed))
+                 for token, (variant, mode) in policies.items()]
+                for spec in specs]
+    runs = [(spec.seed, generate(spec, env), row)
+            for spec, row in zip(specs, searches)]
     out_dir = _out_dir(args)
 
     run_records = []
     job_records = []
-    for spec in specs:
-        seed = spec.seed
-        jobs = generate(spec, env)
-        for token, (_, mode) in policies.items():
-            config = configs[token, seed]
+    for seed, jobs, row in runs:
+        for token, mode, config in row:
             arrival = (args.initial_policy or "fcfs") if config else token
-            bd = _frozen(jobs, env, arrival, mode, config, int(seed))[3]
-            entry = {
+            bd = _frozen(jobs, env, arrival, mode, config, seed)[3]
+            run_records.append({
                 "schema": "tiersched.compare-run/1",
                 "policy": token,
-                "seed": int(seed),
+                "seed": seed,
                 "mode": mode.value,
                 "violation_total": bd.total_violation,
                 "violation_mean": bd.mean_violation,
                 "violation_max": bd.max_violation,
                 "penalty_total": bd.total_cost,
                 "jobs": bd.job_count,
-            }
-            run_records.append(entry)
+            })
             for jid in sorted(bd.per_job):
                 v = bd.per_job[jid]
                 job_records.append({
                     "schema": "tiersched.compare-job/1", "policy": token,
-                    "seed": int(seed), "job": jid, "alpha": v.alpha,
-                    "cost": v.cost,
+                    "seed": seed, "job": jid, "alpha": v.alpha, "cost": v.cost,
                 })
 
     _write_jsonl(out_dir / "runs.jsonl", run_records)
@@ -527,8 +526,7 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     # numpy refuses a job stream too large to allocate as MemoryError.
-    except (WorkloadFormatError, FileNotFoundError, ValueError,
-            MemoryError) as err:
+    except (ValueError, MemoryError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (InvalidScheduleError, AssertionError) as err:

@@ -239,14 +239,26 @@ CONTRACT = {
         "usage error: --jobs and --workload cannot both be given"),
     "run-empty-workload-path": (
         ("run", "--workload", ""), 3,
-        "input error: [Errno 21] Is a directory: '.'"),
+        "input error: --workload : Is a directory"),
     # numpy refuses the 7 PiB arrays at once, allocating nothing.
     "run-unallocatable-job-count": (
         ("run", "--jobs", "1000000000000000", "--lambda", "1"), 3,
         "input error: Unable to allocate"),
     "run-workload-is-a-directory": (
         ("run", "--workload", DIRECTORY, "--policy", "fcfs"), 3,
-        "input error: [Errno 21] Is a directory"),
+        "input error: --workload {directory}: Is a directory"),
+    "run-missing-workload-file": (
+        ("run", "--workload", f"{DIRECTORY}/missing.txt"), 3,
+        "input error: --workload {directory}/missing.txt: No such file or "
+        "directory"),
+    # compare generates every seed's stream before --out-dir exists.
+    "compare-unallocatable-job-count": (
+        ("compare", "--jobs", "1000000000000000", "--lambda", "1",
+         "--policies", "fcfs"), 3, "input error: Unable to allocate"),
+    "compare-overflowing-allowance": (
+        ("compare", "--jobs", "20", "--lambda", "2", "--allowance", "1e308",
+         "--policies", "fcfs"), 3,
+        "input error: job 1: arrival and target completion must be finite"),
     "run-out-dir-under-a-file": (
         ("run", *GEN, "--out-dir", f"{WORKLOAD}/out"), 2,
         "usage error: --out-dir"),
@@ -290,6 +302,7 @@ def test_exit_code_contract(case, tmp_path, capsys):
         argv = tuple(a.replace(ONE_TIER, str(path)) for a in argv)
         message = message.replace(ONE_TIER, str(path))
     argv = tuple(a.replace(DIRECTORY, str(tmp_path)) for a in argv)
+    message = message.replace(DIRECTORY, str(tmp_path))
     out = tmp_path / "out"
     if "--out-dir" not in argv:
         argv = (*argv, "--out-dir", str(out))

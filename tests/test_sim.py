@@ -32,6 +32,7 @@ from tiersched.penalty import JobViolation, ViolationBreakdown, violation_totals
 from tiersched.sim import _ARRIVAL, JobOutcome, Simulator
 
 from conftest import job
+from reference_queue import recursion_waits
 from reference_sim import ReferenceSimulator, reference_violation_totals
 
 
@@ -254,6 +255,42 @@ class TestQueueingOracles:
         report = Simulator(jobs, env).run().report()
         mean = sum(o.waits[0] for o in report.per_job.values()) / len(jobs)
         assert mean == pytest.approx(expected, rel=0.05)
+
+
+class TestSamplePath:
+    """Every per-tier wait of a plain FCFS drain equals the Kiefer-Wolfowitz
+    recursion's (``tests/reference_queue.py``), with ``==``.
+
+    The recursion shares no code with the simulator, so this checks its
+    dispatch, its event order and its hand-offs between tiers.  It does not
+    apply once an optimizer reorders queues: the recursion serves each tier
+    in arrival order.
+    """
+
+    @staticmethod
+    def assert_waits_equal(resources, rate, seed, num_jobs):
+        env = EnvironmentConfig(num_tiers=len(resources),
+                                resources_per_tier=resources)
+        jobs = generate(WorkloadSpec(arrival_rate=rate, num_jobs=num_jobs,
+                                     seed=seed), env)
+        report = Simulator(jobs, env).run().report()
+        expected = recursion_waits(jobs, resources)
+        assert report.per_job.keys() == expected.keys()
+        differ = [(jid, o.waits, expected[jid])
+                  for jid, o in report.per_job.items()
+                  if o.waits != expected[jid]]
+        assert differ == []
+
+    # mu = 1, so the tier with the fewest resources runs at rho = load.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("load", [0.5, 0.83])
+    @pytest.mark.parametrize("resources", [(3, 3), (2, 3, 1), (1,), (4, 2)],
+                             ids=lambda r: "-".join(map(str, r)))
+    def test_fcfs_drain(self, resources, load, seed):
+        self.assert_waits_equal(resources, load * min(resources), seed, 5_000)
+
+    def test_long_stream(self):
+        self.assert_waits_equal((3, 3), 2.5, 1, 50_000)
 
 
 class TestRescheduleHook:
