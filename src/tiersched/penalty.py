@@ -11,6 +11,7 @@ saturates at the monetary ceiling.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -70,18 +71,17 @@ class JobViolation(NamedTuple):
     wait: float
 
 
-def violation_totals(records) -> dict[str, float]:
-    """Aggregates of expected or realized per-job records (any iterable of
-    objects with ``alpha`` and ``cost``) in one pass that builds no list:
-    sums left to right in record order from the int 0."""
+def violation_totals(alphas, costs) -> dict[str, float]:
+    """Aggregates of expected or realized per-job figures, given as two
+    equally long iterables of violation times and costs in record order, in
+    one pass that builds no list: sums left to right from the int 0."""
     signed = violation = cost = 0
     peak = None
-    for r in records:
-        alpha = r.alpha
+    for alpha, c in zip(alphas, costs):
         v = 0.0 if alpha < 0.0 else alpha  # max(alpha, 0.0), no call
         signed += alpha
         violation += v
-        cost += r.cost
+        cost += c
         if peak is None or v > peak:  # the first of equal maxima, as max()
             peak = v
     return {
@@ -98,14 +98,15 @@ class ViolationBreakdown:
 
     ``per_job`` maps job ids to their records: the expected
     ``JobViolation`` of each resident of a snapshot, or the realized
-    ``JobOutcome`` of each job a simulation completed.  ``total_signed``
+    ``JobOutcome`` of each job a simulation completed, which a drain
+    report builds only when it is read.  ``total_signed``
     sums the raw signed violation times (the optimizer's objective);
     ``total_violation`` counts only positive parts (the reported SLA
     violation time, since a satisfied client violates nothing);
     ``total_cost`` is the summed penalty payable by the provider.
     """
 
-    per_job: dict[int, JobViolation | JobOutcome]
+    per_job: Mapping[int, JobViolation | JobOutcome]
     total_signed: float
     total_violation: float
     total_cost: float
@@ -229,8 +230,9 @@ class ScheduleEvaluator:
                     ordered_sum(prog.completed_waits)
                     + (prog.elapsed_wait + run))
                 run += self._exec[jid]
-        return ViolationBreakdown(violations,
-                                  **violation_totals(violations.values()))
+        records = violations.values()
+        return ViolationBreakdown(violations, **violation_totals(
+            (v.alpha for v in records), (v.cost for v in records)))
 
 
 def total_penalty(snapshot: Snapshot, mode: AllowanceMode,

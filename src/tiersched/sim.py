@@ -16,6 +16,8 @@ an event's cost does not grow with the length of the stream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from heapq import heappop, heappush
 from itertools import islice, pairwise
 from typing import NamedTuple
@@ -80,6 +82,46 @@ class JobOutcome(NamedTuple):
     @property
     def response_time(self) -> float:
         return self.completion - self.arrival
+
+
+class _Outcomes(Mapping):
+    """A drain report's ``per_job``: the ``JobOutcome`` of each completed
+    job by id, built when read.
+
+    It keeps the completed ids, in id order, with their alpha and cost
+    columns, and copies of the simulator's wait and completion tables, so a
+    report taken mid-run does not change as the simulator steps on.  It
+    compares equal to, and prints as, the equivalent dict.
+    """
+
+    __slots__ = ("_jobs", "_tiers", "_wait", "_completion", "_ids",
+                 "_alphas", "_costs")
+
+    def __init__(self, jobs, tiers, wait, completion, ids, alphas, costs):
+        self._jobs, self._tiers = jobs, tiers
+        self._wait, self._completion = wait, completion
+        self._ids, self._alphas, self._costs = ids, alphas, costs
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __getitem__(self, jid) -> JobOutcome:
+        ids = self._ids
+        i = bisect_left(ids, jid) if isinstance(jid, int) else len(ids)
+        if i == len(ids) or ids[i] != jid:
+            raise KeyError(jid)
+        jid = ids[i]
+        job, first = self._jobs[jid - 1], jid * self._tiers
+        return tuple.__new__(JobOutcome, (  # skips the Python-level __new__
+            jid, job.arrival, self._completion[jid], job.total_exec,
+            tuple(self._wait[first:first + self._tiers]), self._alphas[i],
+            self._costs[i]))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class Simulator:
@@ -385,26 +427,29 @@ class Simulator:
                         f"tier {tier} resource {k}: busy with an empty queue")
 
     def report(self) -> ViolationBreakdown:
-        """Realized ``JobOutcome`` of every completed job, each fact stored
-        once, plus their totals; alpha is the total wait less the allowance."""
+        """Realized outcomes of every completed job plus their totals; alpha
+        is the total wait less the allowance.
+
+        One walk over the jobs keeps each completed job's alpha and cost in
+        columns, which ``violation_totals`` adds; ``per_job`` builds a job's
+        ``JobOutcome`` only when it is read."""
         chi, nu = self.env.chi, self.env.nu
         tiers = self.env.num_tiers
-        wait, completions = self._wait, self._completion
-        outcome = tuple.__new__  # skips JobOutcome's Python-level __new__
-        outcomes: dict[int, JobOutcome] = {}
+        wait, completions = self._wait[:], self._completion[:]
+        ids, alphas, costs = [], [], []
         for job in self.jobs.jobs:
             jid = job.id
-            completion = completions[jid]
-            if completion is None:
+            if completions[jid] is None:
                 continue
             first = jid * tiers
-            waits = tuple(wait[first:first + tiers])
-            alpha = ordered_sum(waits) - job.allowance
-            outcomes[jid] = outcome(JobOutcome, (
-                jid, job.arrival, completion, job.total_exec, waits, alpha,
-                penalty(alpha, chi, nu)))
-        return ViolationBreakdown(per_job=outcomes,
-                                  **violation_totals(outcomes.values()))
+            alpha = ordered_sum(wait[first:first + tiers]) - job.allowance
+            ids.append(jid)
+            alphas.append(alpha)
+            costs.append(penalty(alpha, chi, nu))
+        return ViolationBreakdown(
+            per_job=_Outcomes(self.jobs.jobs, tiers, wait, completions, ids,
+                              alphas, costs),
+            **violation_totals(alphas, costs))
 
     def trace_lines(self) -> list[str]:
         return [f"# tiersched-trace {TRACE_VERSION}"] + [

@@ -103,9 +103,14 @@ def save(jobs: JobSet, path) -> None:
 
 def load(path) -> JobSet:
     """Read a workload file back; ``load(save(x)) == x``.  A file with no
-    job lines is refused, as ``WorkloadSpec`` refuses zero jobs."""
-    text = Path(path).read_text(encoding="ascii")
+    job lines is refused, as ``WorkloadSpec`` refuses zero jobs, and so is
+    a byte outside ASCII, by its line."""
+    text = Path(path).read_bytes().decode("ascii", errors="replace")
     lines = text.splitlines()
+    if not text.isascii():
+        lineno = next(n for n, line in enumerate(lines, start=1)
+                      if not line.isascii())
+        raise WorkloadFormatError(f"{path}: line {lineno}: not ASCII text")
     if len(lines) < 3:
         raise WorkloadFormatError(f"{path}: truncated header")
 

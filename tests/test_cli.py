@@ -49,6 +49,8 @@ DIRECTORY = "{directory}"
 HEADER_ONLY = "{header-only}"
 # Stands for a generated workload file of one tier.
 ONE_TIER = "{one-tier}"
+# Stands for a workload file whose one job line ends in byte 0xe9.
+NON_ASCII = "{non-ascii}"
 
 # argv -> exit code, and a fragment of the message on stderr.
 CONTRACT = {
@@ -244,6 +246,9 @@ CONTRACT = {
     "run-unallocatable-job-count": (
         ("run", "--jobs", "1000000000000000", "--lambda", "1"), 3,
         "input error: Unable to allocate"),
+    "run-non-ascii-workload": (
+        ("run", "--workload", NON_ASCII, "--policy", "fcfs"), 3,
+        "input error: {non-ascii}: line 4: not ASCII text"),
     "run-workload-is-a-directory": (
         ("run", "--workload", DIRECTORY, "--policy", "fcfs"), 3,
         "input error: --workload {directory}: Is a directory"),
@@ -295,6 +300,13 @@ def test_exit_code_contract(case, tmp_path, capsys):
                         "arrival exec_1 exec_2 target_completion\n")
         argv = tuple(a.replace(HEADER_ONLY, str(path)) for a in argv)
         message = message.replace(HEADER_ONLY, str(path))
+    if any(NON_ASCII in a for a in argv):
+        path = tmp_path / "non-ascii.txt"
+        path.write_bytes(b"# tiersched-workload 1\n# tiers 2\n# columns id "
+                         b"arrival exec_1 exec_2 target_completion\n"
+                         b"1 0.0 1.0 1.0 2.5\xe9\n")
+        argv = tuple(a.replace(NON_ASCII, str(path)) for a in argv)
+        message = message.replace(NON_ASCII, str(path))
     if any(ONE_TIER in a for a in argv):
         path = tmp_path / "one-tier.txt"
         assert run_cli("generate", *GEN, "--tiers", "1", "--out",

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,69 @@ class TestBasicDynamics:
         assert report.job_count == 30
         assert all(type(o) is JobOutcome for o in report.per_job.values())
         assert report.mean_violation == report.total_violation / 30
+
+
+class TestReportContract:
+    """A drain report's ``per_job`` builds each record when read and reads
+    like the dict of every completed job's ``JobOutcome``."""
+
+    @pytest.fixture
+    def mid_run(self, env_2x3):
+        jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=40, seed=5),
+                        env_2x3)
+        sim = Simulator(jobs, env_2x3)
+        while sim.departed < 20:
+            sim.step()
+        return sim, sim.report()
+
+    def test_mid_run_report_does_not_move_with_the_simulator(self, mid_run):
+        sim, report = mid_run
+        before = repr(report)
+        sim.run()
+        assert repr(report) == before
+        assert report.job_count == 20 < sim.report().job_count
+
+    def test_unknown_and_unfinished_ids_raise_key_error(self, mid_run):
+        sim, report = mid_run
+        unfinished = next(job.id for job in sim.jobs
+                          if job.id not in report.per_job)
+        for key in (0, len(sim.jobs) + 1, unfinished, "1", 1.5, None):
+            with pytest.raises(KeyError):
+                report.per_job[key]
+            assert key not in report.per_job
+
+    def test_reads_as_the_dict_of_its_records(self, mid_run):
+        sim, report = mid_run
+        per_job = report.per_job
+        ids = list(per_job)
+        assert ids == sorted(ids) and len(ids) == len(per_job) == 20
+        assert all(jid in per_job for jid in ids)
+        as_dict = {jid: per_job[jid] for jid in ids}
+        assert per_job == as_dict and as_dict == per_job
+        assert per_job != {**as_dict, 0: as_dict[ids[0]]}
+        assert repr(per_job) == repr(as_dict)
+        assert list(per_job.items()) == list(as_dict.items())
+        for jid, outcome in per_job.items():
+            assert type(outcome) is JobOutcome
+            assert outcome.job_id == jid
+            assert outcome.completion == sim._completion[jid]
+
+    def test_report_builds_no_records(self, env_2x3):
+        """``report()`` peaks well below a report that builds every record:
+        the reference's, measured here on the same drain."""
+        jobs = generate(WorkloadSpec(arrival_rate=2.5, num_jobs=20_000,
+                                     seed=1), env_2x3)
+        peaks = []
+        for cls in (Simulator, ReferenceSimulator):
+            sim = cls(jobs, env_2x3).run()
+            tracemalloc.start()
+            try:
+                report = sim.report()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.job_count == len(jobs)
+        assert peaks[0] < 0.4 * peaks[1], peaks
 
 
 class TestInvariants:
@@ -854,6 +918,13 @@ TOTALS_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False))
 
 
+def record_totals(records):
+    """``violation_totals`` of records' alpha and cost columns, read as
+    ``ScheduleEvaluator.breakdown`` passes them."""
+    return violation_totals((r.alpha for r in records),
+                            (r.cost for r in records))
+
+
 class TestAgainstReference:
     """The one-body step and the table-reading report against the
     handler-per-kind reference in ``reference_sim.py``."""
@@ -895,7 +966,7 @@ class TestAgainstReference:
     ])
     def test_violation_totals_keep_signed_zeros(self, alphas):
         records = [JobViolation(a, max(a, 0.0) / 2, 0.0) for a in alphas]
-        assert (repr(violation_totals(records))
+        assert (repr(record_totals(records))
                 == repr(reference_violation_totals(records)))
 
     @settings(max_examples=300, deadline=None)
@@ -906,10 +977,10 @@ class TestAgainstReference:
     @example([JobViolation(a, a, 0.0) for a in (-0.0, 2.0, 0.0, 2.0)])
     @example([JobViolation(a, 0.0, 0.0) for a in (-1.0, -0.0, 0.0)])
     def test_violation_totals_match_the_reference(self, records):
-        assert (repr(violation_totals(records))
+        assert (repr(record_totals(records))
                 == repr(reference_violation_totals(records)))
 
     def test_violation_totals_add_left_to_right(self):
         # A compensated sum (Python 3.12's sum()) gives 1.0 here.
         records = [JobViolation(a, 0.0, 0.0) for a in (1e16, 1.0, -1e16)]
-        assert violation_totals(records)["total_signed"] == 0.0
+        assert record_totals(records)["total_signed"] == 0.0

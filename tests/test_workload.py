@@ -202,6 +202,18 @@ class TestFileFormat:
                 f"expected id 2, found 3")):
             load(path)
 
+    @pytest.mark.parametrize("lineno, tail", [(4, b"1 0.0 1.0 1.5\xe9\n"),
+                                              (5, b"1 0.0 1.0 1.5\r\n\xff")])
+    def test_non_ascii_byte_rejected_with_path_and_line(self, tmp_path,
+                                                         lineno, tail):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"# tiersched-workload 1\n# tiers 1\n"
+                         b"# columns id arrival exec_1 target_completion\n"
+                         + tail)
+        with pytest.raises(WorkloadFormatError, match=re.escape(
+                f"{path}: line {lineno}: not ASCII text")):
+            load(path)
+
     def test_not_a_workload_file(self, tmp_path):
         path = tmp_path / "noise.txt"
         path.write_text("hello\nworld\nmore\n")
