@@ -190,8 +190,8 @@ def _environment(args) -> EnvironmentConfig:
 
 def cmd_generate(args) -> int:
     spec = _workload_spec(args)
-    env = EnvironmentConfig(num_tiers=int(args.tiers),
-                            resources_per_tier=1)
+    tiers = int(args.tiers)
+    env = EnvironmentConfig(num_tiers=tiers, resources_per_tier=(1,) * tiers)
     jobs = generate(spec, env)
     try:
         save(jobs, args.out)
@@ -426,9 +426,10 @@ def _run_online(args, env, jobs, arrival: str, config: GAConfig,
         for jid in sorted(report.per_job):
             o = report.per_job[jid]
             records.append({
-                "schema": "tiersched.job/1", "phase": phase, "job": jid,
-                "status": "departed", "alpha": o.alpha, "cost": o.cost,
-                "response_time": o.response_time, "total_wait": o.total_wait,
+                "schema": "tiersched.drained-job/1", "phase": phase,
+                "job": jid, "status": "departed", "alpha": o.alpha,
+                "cost": o.cost, "response_time": o.response_time,
+                "total_wait": o.total_wait,
             })
     _write_jsonl(out_dir / "jobs.jsonl", records)
     if args.trace:

@@ -1,13 +1,14 @@
 """Permutation genetic search over frozen queue snapshots.
 
-The genome is the cascade of every resource queue's waiting order, tier-major
-("one virtual queue"): exactly :meth:`Schedule.flat_waiting`, a tuple with one
-tuple of job ids per queue (a segment), which :meth:`Schedule.with_waiting`
-turns back into a schedule.  Genes never cross tier boundaries, and
-in-service jobs are pinned in the snapshot rather than encoded, so every
-operator maps valid genomes to valid genomes by construction.  Moving a gene
-within its segment reorders a queue; moving it to another segment of the same
-tier migrates the job to a sibling resource.
+The genome is each tier's waiting orders, concatenated: exactly
+:meth:`Schedule.flat_waiting`, one tuple of job ids per queue (a segment),
+which :meth:`Schedule.with_waiting` turns back into a schedule.  A job has a
+gene only for the tier it waits in, so nothing places a future-tier task or
+keeps a dependency: this is not the paper's task-level chromosome.  Genes
+never cross tier boundaries, and in-service jobs are pinned in the snapshot,
+not encoded, so every operator maps valid genomes to valid genomes.  Moving a
+gene within its segment reorders a queue; moving it to another segment of
+the same tier migrates the job to a sibling resource.
 
 Two search variants share the same machinery: the virtualized variant evolves
 the whole cascade at once (reorder + migrate), the segmented variant evolves
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Schedule, Snapshot
+from .model import Schedule, Snapshot, ordered_sum
 from .penalty import AllowanceMode, ScheduleEvaluator
 
 #: One waiting order per queue, tier-major, as ``Schedule.flat_waiting()``.
@@ -145,16 +146,14 @@ def roulette_wheel(raws) -> list[float]:
     the score falls below the generation's worst.  A tiny epsilon keeps
     degenerate (all-equal) populations on a uniform wheel.  The last entry is
     pinned to 1 so rounding never leaves a draw past the end.  The weights
-    are added left to right, as ``sum()`` does before Python 3.12 (it
-    compensates from 3.12 on), so the wheel is the same on every version.
+    are totalled by ``ordered_sum``, so the wheel is the same on every
+    Python version.
     """
     worst = max(raws)
     # max(1, worst, -min) is max(1, max |r|) without a pass over abs().
     eps = 1e-12 * max(1.0, worst, -min(raws))
     weights = [(worst - r) + eps for r in raws]
-    total = 0.0
-    for w in weights:
-        total += w
+    total = ordered_sum(weights)
     # Running sums of the shares, added as ``accumulate`` adds them.
     wheel = []
     share = 0.0
@@ -413,11 +412,8 @@ def _run_ga(seeded: Genome, queues: tuple[int, ...], sample_random,
         low = min(fits)
         if low < best_f:
             best, best_f = population[fits.index(low)], low
-        # Left to right, as ``sum()`` adds before Python 3.12.
-        total = 0.0
-        for fit in fits:
-            total += fit
-        history.append(stats(GenerationStats, (gen, best_f, total / n)))
+        history.append(
+            stats(GenerationStats, (gen, best_f, ordered_sum(fits) / n)))
         if gen == last:
             break
         wheel = roulette_wheel(fits)
@@ -487,14 +483,9 @@ def _evolve_segmented(seeded: Genome, evaluator: ScheduleEvaluator,
         histories.append(history)
         evaluations += evals
 
-    combined: list[GenerationStats] = []
-    for gen in range(config.generations):
-        # Left to right, as ``sum()`` adds before Python 3.12.
-        low = mean = 0.0
-        for h in histories:
-            low += h[gen].best
-            mean += h[gen].mean
-        combined.append(
-            GenerationStats(gen, fixed_total + low, fixed_total + mean))
+    combined = [GenerationStats(
+        gen, fixed_total + ordered_sum(h[gen].best for h in histories),
+        fixed_total + ordered_sum(h[gen].mean for h in histories))
+        for gen in range(config.generations)]
     return (tuple(best), evaluator.fitness(best), initial, combined,
             evaluations)

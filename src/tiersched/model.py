@@ -44,13 +44,8 @@ class EnvironmentConfig:
     nu: float = 0.01
 
     def __post_init__(self) -> None:
-        if isinstance(self.resources_per_tier, int):
-            object.__setattr__(
-                self, "resources_per_tier",
-                (self.resources_per_tier,) * self.num_tiers)
-        else:
-            object.__setattr__(
-                self, "resources_per_tier", tuple(self.resources_per_tier))
+        object.__setattr__(
+            self, "resources_per_tier", tuple(self.resources_per_tier))
         if self.num_tiers < 1:
             raise ValueError("environment needs at least one tier")
         if len(self.resources_per_tier) != self.num_tiers:
@@ -275,7 +270,8 @@ class Schedule:
             for k in range(len(tier_queues)))
 
     def with_waiting(self, flat_orders: Sequence[Sequence[int]]) -> "Schedule":
-        """Rebuild with new waiting orders, keeping the pinned heads."""
+        """Rebuild with new waiting orders, keeping the pinned heads; the ids
+        are kept as given."""
         if len(flat_orders) != sum(len(t) for t in self.orders):
             raise ValueError("need one waiting order per queue")
         new_orders = []
@@ -285,7 +281,7 @@ class Schedule:
             for k in range(len(tier_queues)):
                 head = self.in_service_id(tier, k)
                 prefix = (head,) if head is not None else ()
-                row.append(prefix + tuple(int(j) for j in flat_orders[idx]))
+                row.append(prefix + tuple(flat_orders[idx]))
                 idx += 1
             new_orders.append(tuple(row))
         return Schedule(orders=tuple(new_orders), busy=self.busy)
@@ -427,9 +423,6 @@ class Snapshot:
             raise ValueError("schedule and progress must cover the same jobs")
         object.__setattr__(self, "in_service_ids", frozenset(serving))
         object.__setattr__(self, "_waiting_by_tier", tuple(by_tier))
-
-    def resident_ids(self) -> list[int]:
-        return sorted(self.progress)
 
     def waiting_ids(self, tier: int | None = None) -> list[int]:
         if tier is None:

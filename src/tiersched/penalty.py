@@ -147,7 +147,7 @@ class ScheduleEvaluator:
         progress, serving = snapshot.progress, snapshot.in_service_ids
         total_mode = mode is AllowanceMode.TOTAL
         pinned: dict[int, JobViolation] = {}
-        for jid in snapshot.resident_ids():
+        for jid in sorted(progress):
             waits, elapsed = progress[jid]
             tier = len(waits)
             job = by_position[jid - 1]

@@ -22,7 +22,7 @@ from heapq import heappop, heappush
 from itertools import islice, pairwise
 from typing import NamedTuple
 
-from .baselines import AssignmentPolicy, PolicyKind, make_policy
+from .baselines import AssignmentPolicy, LeastBacklogPolicy
 from .model import (
     TIME_EPS,
     EnvironmentConfig,
@@ -127,8 +127,9 @@ class _Outcomes(Mapping):
 class Simulator:
     """Drives a job set through the tiered environment.
 
-    ``policy`` assigns arriving jobs to queues (least-backlog FCFS by
-    default).  ``optimizer``, when given, is called with a frozen snapshot
+    ``policy`` assigns arriving jobs to queues: an ``AssignmentPolicy``
+    (``make_policy`` builds one from a name), or None for least-backlog
+    FCFS.  ``optimizer``, when given, is called with a frozen snapshot
     every ``reschedule_every`` events and may return a replacement schedule;
     invalid schedules are rejected and logged, never installed.  A decision
     in which no waiting job could move is skipped: the current schedule is
@@ -137,7 +138,7 @@ class Simulator:
     """
 
     def __init__(self, jobs: JobSet, env: EnvironmentConfig,
-                 policy: AssignmentPolicy | PolicyKind | str | None = None,
+                 policy: AssignmentPolicy | None = None,
                  *,
                  optimizer=None,
                  reschedule_every: int = 1,
@@ -147,9 +148,10 @@ class Simulator:
         self.jobs = jobs
         self.env = env
         if policy is None:
-            policy = PolicyKind.FCFS
-        if not isinstance(policy, AssignmentPolicy):
-            policy = make_policy(policy, env)
+            policy = LeastBacklogPolicy(env)
+        elif not isinstance(policy, AssignmentPolicy):
+            raise TypeError(f"policy must be an AssignmentPolicy or None, not "
+                            f"{policy!r}; make_policy builds one from a name")
         self.policy = policy
         self.optimizer = optimizer
         if reschedule_every < 1:
@@ -457,7 +459,7 @@ class Simulator:
 
 
 def simulate_to_snapshot(jobs: JobSet, env: EnvironmentConfig,
-                         policy=None) -> Snapshot:
+                         policy: AssignmentPolicy | None = None) -> Snapshot:
     """Run until every external arrival has been processed, then freeze.
 
     This is the canonical way to produce optimization instances: the stream

@@ -75,7 +75,7 @@ class TestCriterion1Equations:
         checks.append(abs(fwd - ((-0.4) + (2.0 - 1.0))) <= 1e-12)
 
         # Per-tier allowance shares reassemble the total allowance.
-        env3 = EnvironmentConfig(num_tiers=3, resources_per_tier=1)
+        env3 = EnvironmentConfig(num_tiers=3, resources_per_tier=(1, 1, 1))
         drawn = generate(WorkloadSpec(arrival_rate=1.0, num_jobs=10_000,
                                       seed=101), env3)
         worst = max(abs(sum(differentiated_allowance(j, t) for t in range(3))

@@ -386,6 +386,16 @@ class TestRun:
         assert summary["initial"] == summary["enhanced"]
         assert summary["improvement"]["violation_pct"] == 0.0
 
+    def test_one_resource_count_is_broadcast_to_every_tier(self, tmp_path):
+        out = tmp_path / "broadcast"
+        assert run_cli("run", "--jobs", "40", "--lambda", "6.0", "--tiers",
+                       "3", "--resources", "2", "--trace",
+                       "--out-dir", str(out)) == 0
+        lines = (out / "trace.txt").read_text().splitlines()[1:]
+        used = {tuple(map(int, line.split()[3:5])) for line in lines
+                if line.split()[1] == "start"}
+        assert used == {(t, k) for t in (1, 2, 3) for k in (1, 2)}
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]
         for d in dirs:
@@ -727,7 +737,7 @@ PINNED = {
         ("run", *SMALL, *GENS, "--policy", "ga-virtualized", "--epoch", "7",
          "--trace"), {
         "jobs.jsonl":
-            "0c1d2e8adb16adeb90b4b872079d4baee0639dd33975dda58827486e5c8233e1",
+            "06824e6498257741301ad0c414b1d7a3f0dee749278dd223dbb46885734fdf65",
         "stdout":
             "2704f31ab3b95fb5d96b893e65475c9c23fb11ee4735f0596627778197df116c",
         "summary.json":
@@ -739,7 +749,7 @@ PINNED = {
         ("run", *SMALL, *GENS, "--policy", "ga-segmented", "--mode",
          "per-tier", "--epoch", "11", "--initial-policy", "wrr"), {
         "jobs.jsonl":
-            "983da540a1144cd81b03d8ec923bd7480541cc88e0b3c3359b59291b711d61f9",
+            "a1fc7e74de1a1f9b6975f111410d228c51fc17b51e61c34dabe187bee5b5dc85",
         "stdout":
             "e9019f4644a04a4e2d1841276fdd52df3d9f5294e4cbdf90baf8cf49e5894057",
         "summary.json":
@@ -803,6 +813,25 @@ class TestPinnedOutputs:
         stdout = captured.out.replace(str(out), "OUT").encode("ascii")
         got["stdout"] = hashlib.sha256(stdout).hexdigest()
         assert got == digests
+
+
+def test_one_record_shape_per_schema(tmp_path, capsys):
+    """Every ``.jsonl`` record the pinned invocations write has the key set
+    of its ``schema``: frozen and drained per-job records are two shapes, so
+    they are two schema names."""
+    shapes: dict[str, set[frozenset[str]]] = {}
+    for case, (argv, _) in sorted(PINNED.items()):
+        out = tmp_path / case
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+        for path in sorted(out.glob("*.jsonl")):
+            for record in read_jsonl(path):
+                shapes.setdefault(record["schema"], set()).add(
+                    frozenset(record))
+    capsys.readouterr()
+    assert {schema: len(keys) for schema, keys in shapes.items()} == {
+        "tiersched.job/1": 1, "tiersched.drained-job/1": 1,
+        "tiersched.history/1": 1, "tiersched.compare-run/1": 1,
+        "tiersched.compare-job/1": 1}
 
 
 @pytest.mark.parametrize("argv, searches", [

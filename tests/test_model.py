@@ -23,6 +23,7 @@ from tiersched import (
     WorkloadSpec,
     generate,
     load,
+    make_policy,
     save,
     simulate_to_snapshot,
     validate_schedule,
@@ -37,10 +38,16 @@ from reference_workload import reference_job_checks, reference_jobset_checks
 
 
 class TestEnvironmentConfig:
-    def test_scalar_resources_broadcast(self):
-        env = EnvironmentConfig(num_tiers=3, resources_per_tier=2)
+    def test_resources_are_one_count_per_tier(self):
+        # Any iterable of counts is kept as a tuple; only the CLI broadcasts
+        # a single count (tests/test_cli.py).
+        env = EnvironmentConfig(num_tiers=3, resources_per_tier=[2, 2, 2])
         assert env.resources_per_tier == (2, 2, 2)
         assert env.queue_offset(2) == 4
+
+    def test_scalar_resources_refused(self):
+        with pytest.raises(TypeError):
+            EnvironmentConfig(num_tiers=3, resources_per_tier=2)
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_tiers=0),
@@ -418,7 +425,8 @@ def simulators(draw):
         arrival_rate=draw(st.sampled_from([2.0, 6.0])),
         num_jobs=draw(st.integers(1, 30)), seed=draw(st.integers(0, 999))),
         env)
-    sim = Simulator(jobs, env, draw(st.sampled_from(["fcfs", "wlc", "wrr"])))
+    sim = Simulator(jobs, env, make_policy(
+        draw(st.sampled_from(["fcfs", "wlc", "wrr"])), env))
     for _ in range(draw(st.integers(0, 2 * env.num_tiers * len(jobs)))):
         sim.step()
     return sim

@@ -45,7 +45,7 @@ class TestDifferentiatedAllowance:
         assert differentiated_allowance(j, 1) == 0.0
 
     def test_shares_sum_to_total_allowance(self):
-        env = EnvironmentConfig(num_tiers=3, resources_per_tier=1)
+        env = EnvironmentConfig(num_tiers=3, resources_per_tier=(1, 1, 1))
         jobs = generate(WorkloadSpec(arrival_rate=1.0, num_jobs=10_000, seed=9),
                         env)
         for j in jobs:

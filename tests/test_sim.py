@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import math
 import os
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -28,12 +29,12 @@ from tiersched import (
     simulate_to_snapshot,
     total_penalty,
 )
-from tiersched.baselines import AssignmentPolicy
+from tiersched.baselines import AssignmentPolicy, PolicyKind
 from tiersched.penalty import JobViolation, ViolationBreakdown, violation_totals
 from tiersched.sim import _ARRIVAL, JobOutcome, Simulator
 
 from conftest import job
-from reference_queue import recursion_waits
+from reference_queue import erlang_c_wait, erlang_gi_m1_wait, recursion_waits
 from reference_sim import ReferenceSimulator, reference_violation_totals
 
 
@@ -92,6 +93,15 @@ class TestBasicDynamics:
     def test_refuses_jobs_with_another_tier_count(self, env_2x3):
         with pytest.raises(ValueError, match="job tier count does not match"):
             Simulator(JobSet((job(1, (1.0,)),)), env_2x3)
+
+    @pytest.mark.parametrize("policy", ["wrr", PolicyKind.WRR])
+    def test_refuses_a_policy_name(self, env_2x3, policy):
+        # Only make_policy turns a name or a kind into a policy.
+        jobs = JobSet((job(1, (1.0, 1.0)),))
+        with pytest.raises(TypeError, match="make_policy"):
+            Simulator(jobs, env_2x3, policy)
+        with pytest.raises(TypeError, match="make_policy"):
+            simulate_to_snapshot(jobs, env_2x3, policy)
 
     def test_report_before_the_drain_skips_unfinished_jobs(self, env_1x1):
         jobs = JobSet((job(1, (2.0,)), job(2, (1.0,), arrival=0.5)))
@@ -261,7 +271,7 @@ class TestInvariants:
         env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
         jobs = JobSet((job(1, (1.0,)), job(2, (5.0,)), job(3, (1.0,)),
                        job(4, (1.0,))))
-        sim = Simulator(jobs, env, "wrr")
+        sim = Simulator(jobs, env, make_policy("wrr", env))
         for _ in range(6):  # four arrivals, then jobs 1 and 3 complete
             sim.step()
         sim.assert_invariants()
@@ -309,16 +319,74 @@ class TestQueueingOracles:
         # Erlang-C oracle for M/M/c; least-backlog routing with per-queue
         # FIFO realizes the same start times as one shared FCFS queue.
         lam, mu, c = 2.4, 1.0, 3
-        a = lam / mu
-        block = a**c / (math.factorial(c) * (1 - a / c))
-        p_wait = block / (sum(a**k / math.factorial(k) for k in range(c)) + block)
-        expected = p_wait / (c * mu - lam)
+        expected = erlang_c_wait(lam, mu, c)
         env = EnvironmentConfig(num_tiers=1, resources_per_tier=(c,))
         jobs = generate(WorkloadSpec(arrival_rate=lam, num_jobs=100_000,
                                      seed=3, service_rate=mu), env)
         report = Simulator(jobs, env).run().report()
         mean = sum(o.waits[0] for o in report.per_job.values()) / len(jobs)
         assert mean == pytest.approx(expected, rel=0.05)
+
+
+class TestSteadyStateMeans:
+    """Batch means of each tier's waits in a long drain against queueing
+    theory (``tests/reference_queue.py``): Erlang C for every FCFS tier, and
+    E_3/M/1 for round robin's first tier.
+
+    Fixed before the first run: a 2x3 layout at mu = 1, workload seed 1,
+    50,000 jobs, the first 10% dropped as warm-up, the rest in id order cut
+    into 20 batches, and a bound of 4 standard errors of the batch means.
+    Observed z-scores, (mean - theory) / standard error, on that run:
+
+    ====  ======  =====  ==========
+    run   lambda  tier   z
+    ====  ======  =====  ==========
+    fcfs  2.5     1      +0.33
+    fcfs  2.5     2      +0.82
+    fcfs  1.5     1      +1.09
+    fcfs  1.5     2      +0.67
+    wrr   2.5     1      +0.39
+    ====  ======  =====  ==========
+    """
+
+    JOBS, WARM_UP, BATCHES, BOUND = 50_000, 5_000, 20, 4.0
+
+    @classmethod
+    def z_scores(cls, policy: str, lam: float, theory: float) -> list[float]:
+        """Each tier's (batch mean - theory) / standard error in one drain."""
+        env = EnvironmentConfig(num_tiers=2, resources_per_tier=(3, 3))
+        jobs = generate(WorkloadSpec(arrival_rate=lam, num_jobs=cls.JOBS,
+                                     seed=1), env)
+        report = Simulator(jobs, env, make_policy(policy, env)).run().report()
+        kept = [report.per_job[jid].waits
+                for jid in range(cls.WARM_UP + 1, cls.JOBS + 1)]
+        size = len(kept) // cls.BATCHES
+        scores = []
+        for tier in range(env.num_tiers):
+            means = [statistics.fmean(w[tier] for w in kept[i:i + size])
+                     for i in range(0, size * cls.BATCHES, size)]
+            error = statistics.stdev(means) / math.sqrt(cls.BATCHES)
+            scores.append((statistics.fmean(means) - theory) / error)
+        return scores
+
+    def test_theory(self):
+        assert erlang_c_wait(2.5, 1.0, 3) == pytest.approx(1.4045, abs=1e-4)
+        assert erlang_c_wait(1.5, 1.0, 3) == pytest.approx(0.1579, abs=1e-4)
+        assert erlang_gi_m1_wait(2.5, 1.0, 3) == pytest.approx(3.1233,
+                                                              abs=1e-4)
+        # One resource: E_1/M/1 is M/M/1, and so is Erlang C with c = 1.
+        assert erlang_gi_m1_wait(0.5, 1.0, 1) == pytest.approx(1.0)
+        assert erlang_c_wait(0.5, 1.0, 1) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lam", [2.5, 1.5])
+    def test_fcfs_tiers_are_erlang_c(self, lam):
+        scores = self.z_scores("fcfs", lam, erlang_c_wait(lam, 1.0, 3))
+        assert all(abs(z) <= self.BOUND for z in scores), scores
+
+    def test_wrr_first_tier_is_erlang_gi_m1(self):
+        # Round robin's second tier has no closed form.
+        z = self.z_scores("wrr", 2.5, erlang_gi_m1_wait(2.5, 1.0, 3))[0]
+        assert abs(z) <= self.BOUND, z
 
 
 class TestSamplePath:
@@ -500,7 +568,7 @@ class TestRescheduleHook:
                        job(3, (2.0,), arrival=0.2)))
         # Round robin queues job 3 behind job 1; job 2 then leaves resource
         # 2 idle at t=1.1 while job 3 still waits.
-        sim = Simulator(jobs, env, "wrr", keep_trace=True)
+        sim = Simulator(jobs, env, make_policy("wrr", env), keep_trace=True)
         sim.run(until_external_arrivals=3)
         sim.step()
         snap = sim.snapshot()

@@ -51,10 +51,10 @@ class TestGenerate:
 
     def test_tier_count_does_not_perturb_arrivals(self, spec):
         # Arrival draws live on their own substream.
-        two = generate(spec, EnvironmentConfig(num_tiers=2,
-                                               resources_per_tier=1))
-        three = generate(spec, EnvironmentConfig(num_tiers=3,
-                                                 resources_per_tier=1))
+        two = generate(spec, EnvironmentConfig(
+            num_tiers=2, resources_per_tier=(1, 1)))
+        three = generate(spec, EnvironmentConfig(
+            num_tiers=3, resources_per_tier=(1, 1, 1)))
         assert [j.arrival for j in two] == [j.arrival for j in three]
         assert [j.exec_times[0] for j in two] == [j.exec_times[0] for j in three]
 
