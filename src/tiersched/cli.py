@@ -155,7 +155,7 @@ def _workload_spec(args, seed=None) -> WorkloadSpec:
     if missing:
         raise SystemExit2(f"missing required flags: {', '.join(missing)}")
     return WorkloadSpec(**{SPEC_FIELDS[flag]: v for flag, v in given.items()},
-                        seed=int(args.seed if seed is None else seed))
+                        seed=args.seed if seed is None else seed)
 
 
 def _workload(args, env: EnvironmentConfig):
@@ -181,17 +181,16 @@ def _out_dir(args) -> Path:
 
 
 def _environment(args) -> EnvironmentConfig:
-    tiers = int(args.tiers)
     return EnvironmentConfig(
-        num_tiers=tiers,
-        resources_per_tier=_parse_resources(args.resources, tiers),
+        num_tiers=args.tiers,
+        resources_per_tier=_parse_resources(args.resources, args.tiers),
         **{flag[2:]: v for flag, v in _given(args, "--nu", "--chi").items()})
 
 
 def cmd_generate(args) -> int:
     spec = _workload_spec(args)
-    tiers = int(args.tiers)
-    env = EnvironmentConfig(num_tiers=tiers, resources_per_tier=(1,) * tiers)
+    env = EnvironmentConfig(num_tiers=args.tiers,
+                            resources_per_tier=(1,) * args.tiers)
     jobs = generate(spec, env)
     try:
         save(jobs, args.out)
@@ -288,7 +287,7 @@ def _write_run_summary(out_dir: Path, args, arrival: str, state: dict,
         "policy": args.policy,
         "mode": args.mode,
         "arrival_policy": arrival,
-        "seed": int(args.seed),
+        "seed": args.seed,
         **state,
         "initial": _totals(initial),
         "enhanced": _totals(enhanced),
@@ -367,7 +366,7 @@ def cmd_run(args) -> int:
         return _run_online(args, env, jobs, arrival, config, out_dir)
 
     sim, snapshot, initial, enhanced, result = _frozen(
-        jobs, env, arrival, policy[1], config, int(args.seed), args.trace)
+        jobs, env, arrival, policy[1], config, args.seed, args.trace)
     summary = _write_run_summary(
         out_dir, args, arrival,
         {"snapshot_clock": snapshot.clock,
@@ -411,13 +410,13 @@ def _run_online(args, env, jobs, arrival: str, config: GAConfig,
     baseline = Simulator(jobs, env, make_policy(arrival, env, seed=args.seed)
                          ).run().report()
     sim = Simulator(jobs, env, make_policy(arrival, env, seed=args.seed),
-                    optimizer=optimizer, reschedule_every=int(args.epoch),
+                    optimizer=optimizer, reschedule_every=args.epoch,
                     keep_trace=args.trace)
     optimized = sim.run().report()
 
     summary = _write_run_summary(
         out_dir, args, arrival,
-        {"online_epoch": int(args.epoch),
+        {"online_epoch": args.epoch,
          "counts": {"completed": optimized.job_count},
          "decisions": len(evaluations)},
         baseline, optimized, sum(evaluations))
@@ -447,7 +446,7 @@ def cmd_compare(args) -> int:
     if len(_given(args, "--seed", "--seeds")) == 2:
         raise SystemExit2("--seed and --seeds cannot both be given")
     env = _environment(args)
-    seeds = args.seeds or [int(args.seed or 0)]
+    seeds = args.seeds or [args.seed or 0]
     for seed in seeds:
         if seed < 0:
             raise ValueError(f"{'--seeds' if args.seeds else '--seed'} must "

@@ -11,6 +11,7 @@ build new instances instead of mutating shared state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
@@ -44,8 +45,9 @@ class EnvironmentConfig:
     nu: float = 0.01
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "resources_per_tier", tuple(self.resources_per_tier))
+        object.__setattr__(self, "num_tiers", count("num_tiers", self.num_tiers))
+        object.__setattr__(self, "resources_per_tier", tuple(
+            count("resources_per_tier", m) for m in self.resources_per_tier))
         if self.num_tiers < 1:
             raise ValueError("environment needs at least one tier")
         if len(self.resources_per_tier) != self.num_tiers:
@@ -66,6 +68,14 @@ class EnvironmentConfig:
         for tier, count in enumerate(self.resources_per_tier):
             for k in range(count):
                 yield tier, k
+
+
+def count(name: str, value) -> int:
+    """``value`` as ``operator.index`` reads it, or a TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
 
 
 def ordered_sum(values):

@@ -16,10 +16,11 @@ an event's cost does not grow with the length of the stream.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from heapq import heappop, heappush
-from itertools import islice, pairwise
+from itertools import compress, islice, pairwise
 from typing import NamedTuple
 
 from .baselines import AssignmentPolicy, LeastBacklogPolicy
@@ -31,6 +32,7 @@ from .model import (
     JobSet,
     Schedule,
     Snapshot,
+    count,
     ordered_sum,
     validate_schedule,
 )
@@ -59,7 +61,7 @@ class TraceEvent(NamedTuple):
 
 
 class JobOutcome(NamedTuple):
-    """Realized timings of one completed job.
+    """Realized timings of one completed job, derived from service starts.
 
     Only what a record cannot derive is stored; ``total_wait`` and
     ``response_time`` are computed on read.  The violation time is
@@ -84,22 +86,31 @@ class JobOutcome(NamedTuple):
         return self.completion - self.arrival
 
 
+def _timings(start, first: int, job, tiers: int) -> tuple[list[float], float]:
+    """A job's waits at its first ``tiers`` tiers, from its service starts
+    ``start[first + t]``, and its arrival at the next (its completion after
+    the last): the events' own float operations, so bit for bit theirs."""
+    arrival, exec_times, waits = job.arrival, job.exec_times, []
+    for t in range(tiers):
+        began = start[first + t]
+        waits.append(began - arrival)
+        arrival = began + exec_times[t]
+    return waits, arrival
+
+
 class _Outcomes(Mapping):
     """A drain report's ``per_job``: the ``JobOutcome`` of each completed
     job by id, built when read.
 
-    It keeps the completed ids, in id order, with their alpha and cost
-    columns, and copies of the simulator's wait and completion tables, so a
-    report taken mid-run does not change as the simulator steps on.  It
-    compares equal to, and prints as, the equivalent dict.
+    It keeps typed columns (completed ids in id order, alphas, costs, a copy
+    of the start table): a report taken mid-run holds no simulator object
+    and does not move with it.  It reads as the equivalent dict.
     """
 
-    __slots__ = ("_jobs", "_tiers", "_wait", "_completion", "_ids",
-                 "_alphas", "_costs")
+    __slots__ = ("_jobs", "_tiers", "_start", "_ids", "_alphas", "_costs")
 
-    def __init__(self, jobs, tiers, wait, completion, ids, alphas, costs):
-        self._jobs, self._tiers = jobs, tiers
-        self._wait, self._completion = wait, completion
+    def __init__(self, jobs, tiers, start, ids, alphas, costs):
+        self._jobs, self._tiers, self._start = jobs, tiers, start
         self._ids, self._alphas, self._costs = ids, alphas, costs
 
     def __len__(self) -> int:
@@ -114,11 +125,11 @@ class _Outcomes(Mapping):
         if i == len(ids) or ids[i] != jid:
             raise KeyError(jid)
         jid = ids[i]
-        job, first = self._jobs[jid - 1], jid * self._tiers
+        job, tiers = self._jobs[jid - 1], self._tiers
+        waits, completion = _timings(self._start, jid * tiers, job, tiers)
         return tuple.__new__(JobOutcome, (  # skips the Python-level __new__
-            jid, job.arrival, self._completion[jid], job.total_exec,
-            tuple(self._wait[first:first + self._tiers]), self._alphas[i],
-            self._costs[i]))
+            jid, job.arrival, completion, job.total_exec, tuple(waits),
+            self._alphas[i], self._costs[i]))
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -134,7 +145,8 @@ class Simulator:
     invalid schedules are rejected and logged, never installed.  A decision
     in which no waiting job could move is skipped: the current schedule is
     then the only valid candidate.  Each event is one :meth:`step`, and
-    steps and installs start service alike.
+    steps and installs start service alike.  A job's times at each tier
+    all follow from the one recorded there, its service start (``_timings``).
     """
 
     def __init__(self, jobs: JobSet, env: EnvironmentConfig,
@@ -154,10 +166,10 @@ class Simulator:
                             f"{policy!r}; make_policy builds one from a name")
         self.policy = policy
         self.optimizer = optimizer
-        if reschedule_every < 1:
+        self.reschedule_every = count("reschedule_every", reschedule_every)
+        if self.reschedule_every < 1:
             raise ValueError(f"reschedule_every must be at least 1, not "
                              f"{reschedule_every!r}")
-        self.reschedule_every = int(reschedule_every)
         self.keep_trace = keep_trace
         self.trace: list[TraceEvent] = []
 
@@ -168,13 +180,12 @@ class Simulator:
         # the job in service is the queue head.
         self._busy: list[list[float | None]] = [
             [None] * m for m in env.resources_per_tier]
-        # The queues are the only record of where a job is.  Its timings
-        # sit in flat lists indexed by job id (slot 0 unused); arrivals and
-        # waits are job-major: entry ``jid * tiers + tier``.
+        # The queues are the only record of where a job is.  Its service
+        # starts sit in one job-major list, entry ``jid * tiers + tier``
+        # (job 0 unused), and a byte per job, in id order, marks it departed.
         n, tiers = len(jobs) + 1, env.num_tiers
-        self._completion: list[float | None] = [None] * n
-        self._arrive = [0.0] * (n * tiers)
-        self._wait = [0.0] * (n * tiers)
+        self._start = [0.0] * (n * tiers)
+        self._departed = bytearray(n - 1)
         # exec[tier][jid]: execution time of a job at a tier
         self._exec = [[0.0] + [job.exec_times[t] for job in jobs]
                       for t in range(tiers)]
@@ -239,7 +250,7 @@ class Simulator:
         if time < self.clock - TIME_EPS:
             raise AssertionError("event times must not decrease")
         self.clock = time
-        tiers, busy = self.env.num_tiers, self._busy[tier]
+        busy = self._busy[tier]
         if rank == _COMPLETION:
             queue = self._queues[tier][k]
             if busy[k] is None:
@@ -250,11 +261,11 @@ class Simulator:
             busy[k] = None
             if self.keep_trace:
                 self._trace("finish", job_id, tier, k)
-            if tier + 1 < tiers:
+            if tier + 1 < self.env.num_tiers:
                 self._in_flight[tier] += 1
                 heappush(events, (time, _ARRIVAL, job_id, tier + 1, -1))
             else:
-                self._completion[job_id] = time
+                self._departed[job_id - 1] = 1
                 self.departed += 1
                 if self.keep_trace:
                     self._trace("depart", job_id, tier, k)
@@ -265,7 +276,6 @@ class Simulator:
                 following = next(self._arrivals, None)
                 if following is not None:
                     heappush(events, following)
-            self._arrive[job_id * tiers + tier] = time
             self.arrived[tier] += 1
             k = self.policy.assign(self, job_id, tier)
             queues = self._queues[tier]
@@ -299,8 +309,7 @@ class Simulator:
         """Start serving the head of an idle resource's non-empty queue."""
         head = self._queues[tier][k][0]
         clock = self.clock
-        slot = head * self.env.num_tiers + tier
-        self._wait[slot] = clock - self._arrive[slot]
+        self._start[head * self.env.num_tiers + tier] = clock
         end = clock + self._exec[tier][head]
         self._busy[tier][k] = end
         heappush(self._events, (end, _COMPLETION, head, tier, k))
@@ -368,13 +377,11 @@ class Simulator:
         One walk over the queues copies their orders and builds each
         resident's progress record; the records are then keyed in id order.
         """
-        clock = self.clock
-        tiers, arrive, wait = self.env.num_tiers, self._arrive, self._wait
+        clock, jobs = self.clock, self.jobs.jobs
+        tiers, start = self.env.num_tiers, self._start
         orders, busy = [], []
         records: dict[int, JobProgress] = {}
-        # The tuple constructor skips the named tuple's Python-level
-        # ``__new__``; the records are the same.
-        record = tuple.__new__
+        record = tuple.__new__  # skips JobProgress's Python-level __new__
         for tier, (tier_queues, tier_busy) in enumerate(
                 zip(self._queues, self._busy)):
             orders.append(tuple(tuple(q) for q in tier_queues))
@@ -383,11 +390,10 @@ class Simulator:
             for queue, end in zip(tier_queues, tier_busy):
                 in_service = end is not None
                 for jid in queue:
-                    first = jid * tiers
-                    slot = first + tier
-                    records[jid] = record(JobProgress, (
-                        tuple(wait[first:slot]),
-                        wait[slot] if in_service else clock - arrive[slot]))
+                    row, job = jid * tiers, jobs[jid - 1]
+                    waits, arrival = _timings(start, row, job, tier)
+                    records[jid] = record(JobProgress, (tuple(waits), (
+                        start[row + tier] if in_service else clock) - arrival))
                     in_service = False
         progress = {jid: records[jid] for jid in sorted(records)}
         return Snapshot(env=self.env, jobs=self.jobs, clock=clock,
@@ -396,10 +402,10 @@ class Simulator:
                         progress=progress)
 
     def assert_invariants(self) -> None:
-        """Raise if conservation or work-conservation is broken, or if the
-        pending events are not exactly one completion per busy resource, one
-        hand-off per job moving between tiers and, while external arrivals
-        remain, the next one."""
+        """Raise if conservation or work-conservation is broken, if the
+        pending events are not one completion per busy resource, one hand-off
+        per job between tiers and, while external arrivals remain, the next
+        one, or if a recorded start lies after the clock or misses its end."""
         busy = sum(end is not None
                    for tier_busy in self._busy for end in tier_busy)
         moving = sum(self._in_flight)
@@ -420,36 +426,37 @@ class Simulator:
                     f"{resident} resident + {in_flight} in flight + "
                     f"{passed_on} moved on")
             for k, queue in enumerate(self._queues[tier]):
-                busy = self._busy[tier][k] is not None
-                if queue and not busy:
-                    raise AssertionError(
-                        f"tier {tier} resource {k}: idle with waiting jobs")
-                if busy and not queue:
-                    raise AssertionError(
-                        f"tier {tier} resource {k}: busy with an empty queue")
+                end, where = self._busy[tier][k], f"tier {tier} resource {k}"
+                if queue and end is None:
+                    raise AssertionError(f"{where}: idle with waiting jobs")
+                if end is not None and not queue:
+                    raise AssertionError(f"{where}: busy with an empty queue")
+                head = queue[0] if queue else 0
+                began = self._start[head * self.env.num_tiers + tier]
+                if queue and began + self._exec[tier][head] != end:
+                    raise AssertionError(f"{where}: head {head} started at "
+                                         f"{began!r}, ends at {end!r}")
+        if max(self._start) > self.clock:
+            raise AssertionError(f"a recorded start lies after {self.clock!r}")
 
     def report(self) -> ViolationBreakdown:
         """Realized outcomes of every completed job plus their totals; alpha
         is the total wait less the allowance.
 
-        One walk over the jobs keeps each completed job's alpha and cost in
-        columns, which ``violation_totals`` adds; ``per_job`` builds a job's
-        ``JobOutcome`` only when it is read."""
+        One walk over the jobs keeps each completed job's id, alpha and cost
+        in typed columns, which ``violation_totals`` adds; ``per_job`` builds
+        a job's ``JobOutcome`` only when it is read."""
         chi, nu = self.env.chi, self.env.nu
-        tiers = self.env.num_tiers
-        wait, completions = self._wait[:], self._completion[:]
-        ids, alphas, costs = [], [], []
-        for job in self.jobs.jobs:
-            jid = job.id
-            if completions[jid] is None:
-                continue
-            first = jid * tiers
-            alpha = ordered_sum(wait[first:first + tiers]) - job.allowance
-            ids.append(jid)
+        tiers, start, done = self.env.num_tiers, self._start, self._departed
+        ids = array("q", compress(range(1, len(done) + 1), done))
+        alphas, costs = array("d"), array("d")
+        for job in compress(self.jobs.jobs, done):
+            waits, _ = _timings(start, job.id * tiers, job, tiers)
+            alpha = ordered_sum(waits) - job.allowance
             alphas.append(alpha)
             costs.append(penalty(alpha, chi, nu))
         return ViolationBreakdown(
-            per_job=_Outcomes(self.jobs.jobs, tiers, wait, completions, ids,
+            per_job=_Outcomes(self.jobs.jobs, tiers, array("d", start), ids,
                               alphas, costs),
             **violation_totals(alphas, costs))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EnvironmentConfig, Job, JobSet
+from .model import EnvironmentConfig, Job, JobSet, count
 
 FORMAT_NAME = "tiersched-workload"
 FORMAT_VERSION = 1
@@ -34,6 +34,8 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_jobs", "seed"):
+            object.__setattr__(self, name, count(name, getattr(self, name)))
         if not 0 < self.arrival_rate < math.inf:
             raise ValueError("arrival_rate must be positive and finite")
         if not 0 < self.service_rate < math.inf:

@@ -4,14 +4,19 @@
 each event kind had a handler of its own: ``step`` dispatches to
 ``_handle_arrival`` or ``_handle_completion``, and both end in ``_try_start``,
 which checks for itself that the resource is idle and its queue non-empty.
-Its ``report`` prices each job from ``Job``'s fields, builds the records
-through ``JobOutcome``'s constructor and keeps each job's total wait and
-response time, computed here, in ``derived``; ``reference_violation_totals``
-sums generator passes over the records.  Every sum adds left to right from
-the int 0 on any Python version (``sum()`` compensates floats from 3.12).
-The package runs both kinds of event in one step body, reads each job's
-stored allowance and derives the two times on read; the tests hold the two
-to each other, state after state.
+Its handlers record each job's arrival and wait at every tier, and its
+completion, in tables of their own, as the simulator did before it kept only
+service starts.  Its ``_start_head`` starts a head without calling the
+package's, and records the wait, so heads that an install starts are
+recorded too.  Its ``report`` prices each job from these tables
+and ``Job``'s fields, builds the records through ``JobOutcome``'s
+constructor and keeps each job's total wait and response time, computed
+here, in ``derived``; ``reference_violation_totals`` sums generator passes
+over the records.  Every sum adds left to right from the int 0 on any
+Python version (``sum()`` compensates floats from 3.12).  The package runs
+both kinds of event in one step body, reads each job's stored allowance,
+derives every time from the service starts and derives the two times on
+read; the tests hold the two to each other, state after state.
 """
 
 from __future__ import annotations
@@ -44,7 +49,15 @@ def reference_violation_totals(records) -> dict[str, float]:
 
 class ReferenceSimulator(Simulator):
     """A ``Simulator`` whose events and report take the handler-per-kind
-    path; snapshots and installs are the package's own."""
+    path over recorded arrivals, waits and completions; snapshots and
+    installs are the package's own."""
+
+    def __init__(self, jobs, env, *args, **kwargs):
+        super().__init__(jobs, env, *args, **kwargs)
+        n, tiers = len(jobs) + 1, env.num_tiers
+        self._completion: list[float | None] = [None] * n
+        self._arrive = [0.0] * (n * tiers)
+        self._wait = [0.0] * (n * tiers)
 
     def step(self) -> bool:
         """Process the next pending event; False when none remain."""
@@ -109,10 +122,18 @@ class ReferenceSimulator(Simulator):
         queue = self._queues[tier][k]
         if not queue:
             return
-        head = queue[0]
+        self._start_head(tier, k)
+
+    def _start_head(self, tier: int, k: int) -> None:
+        """Start the head by this module's own rules: record its wait and
+        its service start (which the package's snapshots read), mark the
+        resource busy until the start plus the execution time, and push
+        that completion."""
+        head = self._queues[tier][k][0]
         clock = self.clock
         slot = head * self.env.num_tiers + tier
         self._wait[slot] = clock - self._arrive[slot]
+        self._start[slot] = clock
         end = clock + self._exec[tier][head]
         self._busy[tier][k] = end
         heapq.heappush(self._events, (end, _COMPLETION, head, tier, k))

@@ -4,10 +4,12 @@
 then walks the progress records to check each against its location, and
 gathers the in-service ids and each tier's sorted waiting ids from the
 locations.
-``reference_progress`` builds a simulator's progress records from a sorted
-list of queue locations.  The package does both in one walk each; the tests
-hold the two to each other: the same inputs refused, the same in-service and
-waiting ids, the same records in the same order.
+``reference_progress`` builds a ``ReferenceSimulator``'s progress records
+from a sorted list of queue locations and the waits and arrivals its
+handlers recorded.  The package does both in one walk each, and derives
+every time from the service starts; the tests hold the two to each other:
+the same inputs refused, the same in-service and waiting ids, the same
+records in the same order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from tiersched import (
     Schedule,
 )
 from tiersched.model import TIME_EPS
-from tiersched.sim import Simulator
+
+from reference_sim import ReferenceSimulator
 
 
 def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
@@ -77,9 +80,10 @@ def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
     return in_service, tuple(tuple(ids) for ids in by_tier)
 
 
-def reference_progress(sim: Simulator) -> dict[int, JobProgress]:
+def reference_progress(sim: ReferenceSimulator) -> dict[int, JobProgress]:
     """The progress records of ``sim.snapshot()``, built from the sorted
-    (job, tier, in service) locations of a walk over the queues."""
+    (job, tier, in service) locations of a walk over the queues and the
+    reference's recorded waits and arrivals."""
     clock = sim.clock
     located = sorted(
         (jid, tier, pos == 0 and end is not None)

@@ -32,6 +32,7 @@ from tiersched.sim import Simulator
 
 from conftest import fresh_snapshot, job, loaded_snapshot
 from expected_waits import remaining_wait
+from reference_sim import ReferenceSimulator
 from reference_snapshot import reference_progress, reference_snapshot_checks
 from reference_validate import reference_validate
 from reference_workload import reference_job_checks, reference_jobset_checks
@@ -48,6 +49,22 @@ class TestEnvironmentConfig:
     def test_scalar_resources_refused(self):
         with pytest.raises(TypeError):
             EnvironmentConfig(num_tiers=3, resources_per_tier=2)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(num_tiers=2.0), "num_tiers"),
+        (dict(resources_per_tier=(2.5, 3)), "resources_per_tier"),
+        (dict(resources_per_tier=(3, "3")), "resources_per_tier"),
+    ])
+    def test_non_integer_counts_refused(self, kwargs, field):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            EnvironmentConfig(**kwargs)
+
+    def test_index_counts_become_ints(self):
+        env = EnvironmentConfig(num_tiers=np.int64(2),
+                                resources_per_tier=(np.int32(2), 3))
+        assert env == EnvironmentConfig(num_tiers=2, resources_per_tier=(2, 3))
+        assert type(env.num_tiers) is int
+        assert all(type(m) is int for m in env.resources_per_tier)
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_tiers=0),
@@ -416,8 +433,8 @@ EDITS = ("move", "duplicate", "other-tier", "unknown", "drop", "demote",
 
 
 @st.composite
-def simulators(draw):
-    """A simulator part-way through a seeded stream."""
+def simulators(draw, cls=Simulator):
+    """A simulator of class ``cls`` part-way through a seeded stream."""
     resources = draw(st.sampled_from(FUZZ_RESOURCES))
     env = EnvironmentConfig(num_tiers=len(resources),
                             resources_per_tier=resources)
@@ -425,7 +442,7 @@ def simulators(draw):
         arrival_rate=draw(st.sampled_from([2.0, 6.0])),
         num_jobs=draw(st.integers(1, 30)), seed=draw(st.integers(0, 999))),
         env)
-    sim = Simulator(jobs, env, make_policy(
+    sim = cls(jobs, env, make_policy(
         draw(st.sampled_from(["fcfs", "wlc", "wrr"])), env))
     for _ in range(draw(st.integers(0, 2 * env.num_tiers * len(jobs)))):
         sim.step()
@@ -530,15 +547,16 @@ def edit_progress(draw, snap, progress, kind):
 class TestSnapshotAgainstReference:
     """The one-walk snapshot checks refuse exactly what the two-walk
     reference refuses, and gather the same in-service and waiting ids; a
-    simulator's snapshot holds the reference's progress records in the same
-    order."""
+    simulator's snapshot, derived from its service starts, holds the
+    reference's progress records, built from its recorded waits and
+    arrivals, bit for bit in the same order."""
 
     @settings(max_examples=300, deadline=None)
-    @given(sim=simulators(), data=st.data())
+    @given(sim=simulators(ReferenceSimulator), data=st.data())
     def test_refusals_and_records_agree(self, sim, data):
         snap = sim.snapshot()
         want = reference_progress(sim)
-        assert list(snap.progress.items()) == list(want.items())
+        assert repr(list(snap.progress.items())) == repr(list(want.items()))
         assert (snap.in_service_ids,
                 snap._waiting_by_tier) == reference_snapshot_checks(
             snap.env, snap.jobs, snap.schedule, snap.progress)

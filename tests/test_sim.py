@@ -36,6 +36,7 @@ from tiersched.sim import _ARRIVAL, JobOutcome, Simulator
 from conftest import job
 from reference_queue import erlang_c_wait, erlang_gi_m1_wait, recursion_waits
 from reference_sim import ReferenceSimulator, reference_violation_totals
+from reference_snapshot import reference_progress
 
 
 class TestBasicDynamics:
@@ -131,7 +132,7 @@ class TestReportContract:
     def mid_run(self, env_2x3):
         jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=40, seed=5),
                         env_2x3)
-        sim = Simulator(jobs, env_2x3)
+        sim = Simulator(jobs, env_2x3, keep_trace=True)
         while sim.departed < 20:
             sim.step()
         return sim, sim.report()
@@ -163,10 +164,13 @@ class TestReportContract:
         assert per_job != {**as_dict, 0: as_dict[ids[0]]}
         assert repr(per_job) == repr(as_dict)
         assert list(per_job.items()) == list(as_dict.items())
+        departures = {ev.job_id: ev.time for ev in sim.trace
+                      if ev.kind == "depart"}
+        assert departures.keys() == set(ids)
         for jid, outcome in per_job.items():
             assert type(outcome) is JobOutcome
             assert outcome.job_id == jid
-            assert outcome.completion == sim._completion[jid]
+            assert outcome.completion.hex() == departures[jid].hex()
 
     def test_report_builds_no_records(self, env_2x3):
         """``report()`` peaks well below a report that builds every record:
@@ -184,6 +188,24 @@ class TestReportContract:
                 tracemalloc.stop()
             assert report.job_count == len(jobs)
         assert peaks[0] < 0.4 * peaks[1], peaks
+
+    def test_drained_simulator_and_kept_report_are_small(self, env_2x3):
+        """One time per job and tier in the simulator, and typed columns in
+        the report it leaves behind, measured on a 20,000-job FCFS drain."""
+        jobs = generate(WorkloadSpec(arrival_rate=2.5, num_jobs=20_000,
+                                     seed=1), env_2x3)
+        tracemalloc.start()
+        try:
+            sim = Simulator(jobs, env_2x3).run()
+            drained = tracemalloc.get_traced_memory()[0]
+            report = sim.report()
+            del sim
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.job_count == len(jobs)
+        assert drained / len(jobs) < 100, drained
+        assert kept / len(jobs) < 80, kept
 
 
 class TestInvariants:
@@ -239,6 +261,23 @@ class TestInvariants:
         sim.assert_invariants()
         assert sim.queue(0, 0) == (1, 2)
         return sim
+
+    def test_recorded_start_must_fit_the_busy_end(self):
+        sim = self.one_server_backlog()
+        sim._start[1] = 0.25  # job 1's tier-0 start; its service ends at 1.0
+        with pytest.raises(AssertionError, match=r"^tier 0 resource 0: head 1 "
+                                                 r"started at 0.25, ends at "
+                                                 r"1.0$"):
+            sim.assert_invariants()
+
+    def test_recorded_start_after_the_clock(self):
+        sim = self.one_server_backlog()
+        sim.step()  # job 1 completes and job 2 starts, at 1.0
+        sim.assert_invariants()
+        sim._start[1] = 1.5  # job 1's finished tier-0 service
+        with pytest.raises(AssertionError,
+                           match="^a recorded start lies after 1.0$"):
+            sim.assert_invariants()
 
     def test_event_before_the_clock_is_refused(self, env_2x3):
         jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=25, seed=13),
@@ -485,11 +524,13 @@ class TestRescheduleHook:
         monkeypatch.setattr(Simulator, "snapshot", counted)
         return calls
 
-    @pytest.mark.parametrize("cadence", [0, -3])
+    @pytest.mark.parametrize("cadence", [0, -3, 2.5, 2.0])
     def test_cadence_below_one_rejected(self, env_2x3, cadence):
         jobs = generate(WorkloadSpec(arrival_rate=5.0, num_jobs=5, seed=6),
                         env_2x3)
-        with pytest.raises(ValueError, match="reschedule_every"):
+        # A non-integer cadence is refused, never truncated.
+        error = TypeError if isinstance(cadence, float) else ValueError
+        with pytest.raises(error, match="^reschedule_every must be"):
             Simulator(jobs, env_2x3, optimizer=lambda snap: snap.schedule,
                       reschedule_every=cadence)
 
@@ -993,9 +1034,20 @@ def record_totals(records):
                             (r.cost for r in records))
 
 
+def hexes(value):
+    """``value`` with every float, however nested in tuples, as its
+    ``float.hex``: equal results are equal bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(hexes, value))
+    return value
+
+
 class TestAgainstReference:
-    """The one-body step and the table-reading report against the
-    handler-per-kind reference in ``reference_sim.py``."""
+    """The one-body step and the times it derives from service starts
+    against the handler-per-kind reference in ``reference_sim.py``, which
+    records arrivals, waits and completions."""
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1013,6 +1065,12 @@ class TestAgainstReference:
             assert repr(sim.clock) == repr(ref.clock)
             assert sim._queues == ref._queues
             assert repr(sim._busy) == repr(ref._busy)
+            # Every derived time is the reference's recorded one.
+            assert ([hexes(item) for item in sim.snapshot().progress.items()]
+                    == [hexes(item)
+                        for item in reference_progress(ref).items()])
+            assert ([hexes(item) for item in sim.report().per_job.items()]
+                    == [hexes(item) for item in ref.report().per_job.items()])
             if not stepped:
                 break
         assert sim.trace_lines() == ref.trace_lines()

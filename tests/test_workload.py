@@ -79,6 +79,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             WorkloadSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["num_jobs", "seed"])
+    @pytest.mark.parametrize("value", [10.5, 1.0, "3"])
+    def test_refuses_non_integer_counts(self, field, value):
+        kwargs = {"arrival_rate": 1.0, "num_jobs": 1, field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            WorkloadSpec(**kwargs)
+
 
 class TestGenerateAgainstReference:
     """Column-wise generation builds every job the element-by-element
