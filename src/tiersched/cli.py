@@ -247,7 +247,7 @@ def _job_records(breakdown: ViolationBreakdown, snapshot: Snapshot,
             "alpha": v.alpha,
             "cost": v.cost,
             "waits": list(prog.completed_waits) + [prog.elapsed_wait],
-            "expected_rt": snapshot.jobs.job(jid).total_exec + v.wait,
+            "expected_rt": snapshot.jobs.total_exec[jid] + v.wait,
         })
     return records
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +90,42 @@ def ordered_sum(values):
     return total
 
 
+def _job_rule(arrival, exec_times, target):
+    """Whether a job's execution times are positive and finite, its arrival
+    and target completion finite and its deadline no shorter than its total
+    execution time (added left to right from the int 0), with that total
+    and its allowance: of one job's fields, or elementwise of numpy columns
+    of them (``exec_times`` one per tier)."""
+    positive, total = True, 0
+    for e in exec_times:
+        positive = positive & (0.0 < e) & (e < math.inf)
+        total = total + e
+    deadline = target - arrival
+    return ((positive, (abs(arrival) < math.inf) & (abs(target) < math.inf),
+             deadline >= total - TIME_EPS), total, deadline - total)
+
+
+def check_job(jid, arrival, exec_times, target) -> tuple[float, float]:
+    """Total execution time and allowance of one job's fields, or the
+    ValueError of the first check they fail."""
+    if jid < 1:
+        raise ValueError("job ids start at 1")
+    if not exec_times:
+        raise ValueError(f"job {jid}: needs at least one tier execution time")
+    (positive, finite, in_time), total, allowance = _job_rule(
+        arrival, exec_times, target)
+    if not positive:
+        raise ValueError(
+            f"job {jid}: execution times must be positive and finite")
+    if not finite:
+        raise ValueError(
+            f"job {jid}: arrival and target completion must be finite")
+    if not in_time:
+        raise ValueError(f"job {jid}: deadline {target - arrival!r} below "
+                         f"total execution time {total!r}")
+    return total, allowance
+
+
 @dataclass(frozen=True, slots=True)
 class Job:
     """One client job.
@@ -97,9 +135,10 @@ class Job:
     completion time implies a deadline relative to arrival, and the slack
     between deadline and total execution time is the job's waiting allowance:
     the total time it may spend queued without dissatisfying its client.
-    ``total_exec`` and ``allowance`` are stored once at construction, the
-    total added left to right over the tiers (``ordered_sum``); neither takes
-    part in equality, hashing or ``repr``.  The class has ``__slots__``.
+    The times are kept as floats (others converted through ``float``) and
+    checked by ``check_job``.  ``total_exec`` and ``allowance`` are stored
+    once at construction; neither takes part in equality, hashing or
+    ``repr``.  The class has ``__slots__``.
     """
 
     id: int
@@ -113,38 +152,13 @@ class Job:
     allowance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # A tuple of exact floats is kept as given; anything else becomes
-        # one through ``float``.
-        exec_times = self.exec_times
-        if type(exec_times) is not tuple:
-            exec_times = tuple(map(float, exec_times))
-            object.__setattr__(self, "exec_times", exec_times)
-        else:
-            for e in exec_times:
-                if type(e) is not float:
-                    exec_times = tuple(map(float, exec_times))
-                    object.__setattr__(self, "exec_times", exec_times)
-                    break
-        if self.id < 1:
-            raise ValueError("job ids start at 1")
-        if not exec_times:
-            raise ValueError(f"job {self.id}: needs at least one tier execution time")
-        for e in exec_times:
-            if not 0 < e < math.inf:
-                raise ValueError(
-                    f"job {self.id}: execution times must be positive and finite")
-        arrival, target = self.arrival, self.target_completion
-        if not (math.isfinite(arrival) and math.isfinite(target)):
-            raise ValueError(
-                f"job {self.id}: arrival and target completion must be finite")
-        total = ordered_sum(exec_times)
-        deadline = target - arrival
-        if deadline < total - TIME_EPS:
-            raise ValueError(
-                f"job {self.id}: deadline {deadline!r} below total "
-                f"execution time {total!r}")
+        object.__setattr__(self, "exec_times", tuple(map(float, self.exec_times)))
+        for name in ("arrival", "target_completion"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        total, allowance = check_job(self.id, self.arrival, self.exec_times,
+                                     self.target_completion)
         object.__setattr__(self, "total_exec", total)
-        object.__setattr__(self, "allowance", deadline - total)
+        object.__setattr__(self, "allowance", allowance)
 
     @property
     def deadline(self) -> float:
@@ -152,48 +166,142 @@ class Job:
         return self.target_completion - self.arrival
 
 
-@dataclass(frozen=True)
+def _check_order(arrival, ids=None, same_tiers=True) -> None:
+    """Refuse, at the first job in id order that has one, an id other than
+    its place 1..n (the default ids), an arrival more than ``TIME_EPS``
+    before the latest one so far, or a false ``same_tiers`` entry."""
+    dense = True if ids is None else ids == np.arange(1, len(ids) + 1)
+    ordered = arrival >= np.maximum.accumulate(arrival) - TIME_EPS
+    kept = dense & ordered & same_tiers
+    if kept.all():
+        return
+    pos = int(kept.argmin())
+    if not dense[pos]:
+        raise ValueError(f"job ids must be dense and arrival-ordered; "
+                         f"expected id {pos + 1}, found {ids[pos]}")
+    if not ordered[pos]:
+        raise ValueError(f"job {pos + 1} arrives before job {pos}; ids must "
+                         f"follow arrival order")
+    raise ValueError("all jobs must cover the same number of tiers")
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class JobSet:
-    """Arrival-ordered job collection with dense ids 1..len."""
+    """Arrival-ordered jobs with dense ids 1..len, kept as typed columns.
 
-    jobs: tuple[Job, ...] = ()
+    Each field of ``Job`` is an ``array('d')`` column (``exec_times`` one
+    per tier), not to be written, whose entry ``jid`` is job ``jid``'s
+    (entry 0 unused, as in the simulator's tables).  ``jobs`` reads as the
+    tuple of the jobs, and a ``Job`` is built only when one is read.
+    ``JobSet(jobs)`` takes ``Job`` objects and ``from_columns`` numpy
+    columns, whose every row it checks by ``Job``'s rule; both refuse what
+    ``_check_order`` refuses.
+    """
 
-    def __post_init__(self) -> None:
-        jobs = tuple(self.jobs)
-        object.__setattr__(self, "jobs", jobs)
-        if not jobs:
-            return
-        tiers = len(jobs[0].exec_times)
-        latest = -math.inf
-        for pos, job in enumerate(jobs, start=1):
-            if job.id != pos:
-                raise ValueError(
-                    f"job ids must be dense and arrival-ordered; expected id "
-                    f"{pos}, found {job.id}")
-            arrival = job.arrival
-            if arrival < latest - TIME_EPS:
-                raise ValueError(
-                    f"job {job.id} arrives before job {job.id - 1}; ids must "
-                    f"follow arrival order")
-            if arrival > latest:
-                latest = arrival
-            if len(job.exec_times) != tiers:
-                raise ValueError("all jobs must cover the same number of tiers")
+    arrival: array
+    exec_times: tuple[array, ...]
+    target_completion: array
+    total_exec: array
+    allowance: array
+
+    def __init__(self, jobs: Iterable[Job] = ()) -> None:
+        jobs = tuple(jobs)
+        tiers = len(jobs[0].exec_times) if jobs else 0
+        ids = np.array([job.id for job in jobs])
+        arrival = np.array([job.arrival for job in jobs])
+        _check_order(arrival, ids, np.array(
+            [len(job.exec_times) == tiers for job in jobs], bool))
+        self._store(ids, arrival, [
+            np.array([job.exec_times[t] for job in jobs])
+            for t in range(tiers)],
+            np.array([job.target_completion for job in jobs]))
+
+    @classmethod
+    def from_columns(cls, arrival, exec_times, target_completion,
+                     ids=None) -> JobSet:
+        """The jobs whose fields are numpy columns (``exec_times`` one per
+        tier) and whose ids are ``ids`` (default 1..n); a row ``Job``
+        refuses is refused first, with ``Job``'s error."""
+        jobs = cls.__new__(cls)
+        jobs._store(ids, arrival, exec_times, target_completion)
+        _check_order(arrival, ids)
+        return jobs
+
+    def _store(self, ids, arrival, exec_times, target) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            (positive, finite, in_time), total, allowance = _job_rule(
+                arrival, exec_times, target)
+        kept = positive & finite & in_time
+        if not kept.all():
+            row = int(kept.argmin())
+            check_job(row + 1 if ids is None else ids[row], float(arrival[row]),
+                      [float(e[row]) for e in exec_times], float(target[row]))
+        # With no tiers the set is empty, and so is its total column.
+        for name, values in (("arrival", arrival), ("target_completion", target),
+                             ("total_exec", total if len(exec_times) else arrival),
+                             ("allowance", allowance)):
+            object.__setattr__(self, name, _column(values))
+        object.__setattr__(self, "exec_times", tuple(map(_column, exec_times)))
+
+    @property
+    def jobs(self) -> Sequence[Job]:
+        return _Jobs(self)
 
     def __len__(self) -> int:
-        return len(self.jobs)
+        return len(self.arrival) - 1
 
     def __iter__(self) -> Iterator[Job]:
-        return iter(self.jobs)
+        return map(self.job, range(1, len(self) + 1))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, JobSet):
+            return NotImplemented
+        return self is other or (self.arrival, self.exec_times,
+                                 self.target_completion) == (
+            other.arrival, other.exec_times, other.target_completion)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.arrival), tuple(self.target_completion)))
+
+    def __repr__(self) -> str:
+        return f"JobSet(jobs={self.jobs!r})"
 
     @property
     def num_tiers(self) -> int:
-        return len(self.jobs[0].exec_times) if self.jobs else 0
+        return len(self.exec_times)
 
     def job(self, job_id: int) -> Job:
-        if not 1 <= job_id <= len(self.jobs):
+        if not 1 <= job_id <= len(self):
             raise KeyError(f"unknown job id {job_id}")
-        return self.jobs[job_id - 1]
+        return Job(operator.index(job_id), self.arrival[job_id], tuple(
+            [e[job_id] for e in self.exec_times]),
+            self.target_completion[job_id])
+
+
+def _column(values) -> array:
+    """A numpy column as an ``array('d')`` behind an unused entry 0."""
+    return array("d", bytes(8) + values.tobytes())
+
+
+class _Jobs(Sequence):
+    """``JobSet.jobs``: equal to the tuple of its jobs, each built when read."""
+
+    def __init__(self, jobs: JobSet):
+        self._set = jobs
+
+    def __len__(self) -> int:
+        return len(self._set)
+
+    def __getitem__(self, index):
+        ids = range(1, len(self._set) + 1)[index]
+        return (tuple(map(self._set.job, ids)) if isinstance(ids, range)
+                else self._set.job(ids))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class JobProgress(NamedTuple):
@@ -378,8 +486,8 @@ class Snapshot:
     in_service_ids: frozenset[int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        schedule, jobs, progress = self.schedule, self.jobs.jobs, self.progress
-        num_jobs = len(jobs)
+        schedule, progress = self.schedule, self.progress
+        num_jobs, exec_times = len(self.jobs), self.jobs.exec_times
         layout = tuple(len(tier) for tier in schedule.orders)
         if layout != self.env.resources_per_tier:
             raise ValueError("schedule layout does not match the environment")
@@ -403,8 +511,7 @@ class Snapshot:
                         raise ValueError(f"job {jid} scheduled twice")
                     seen.add(jid)
                     head = pos == 0 and residual is not None
-                    if head and (residual > jobs[jid - 1].exec_times[tier]
-                                 + TIME_EPS):
+                    if head and residual > exec_times[tier][jid] + TIME_EPS:
                         raise ValueError(
                             f"job {jid}: residual exceeds its tier {tier} "
                             f"execution time")

@@ -143,20 +143,19 @@ class ScheduleEvaluator:
         self._exec = execs = [0.0] * size
         self._delays = [
             snapshot.schedule.residual(t, k) for t, k in env.iter_queues()]
-        by_position = jobs.jobs
+        allowance, exec_times = jobs.allowance, jobs.exec_times
         progress, serving = snapshot.progress, snapshot.in_service_ids
         total_mode = mode is AllowanceMode.TOTAL
         pinned: dict[int, JobViolation] = {}
         for jid in sorted(progress):
             waits, elapsed = progress[jid]
             tier = len(waits)
-            job = by_position[jid - 1]
             waited = ordered_sum(waits) + elapsed
             if total_mode:
-                allow = job.allowance
+                allow = allowance[jid]
                 base = waited
             else:
-                allow = differentiated_allowance(job, tier)
+                allow = differentiated_allowance(jobs.job(jid), tier)
                 base = elapsed
             if jid in serving:
                 alpha = base - allow
@@ -164,7 +163,7 @@ class ScheduleEvaluator:
                     alpha, penalty(alpha, env.chi, env.nu), waited)
             else:
                 const[jid] = base - allow
-                execs[jid] = job.exec_times[tier]
+                execs[jid] = exec_times[tier][jid]
         self._pinned = pinned
         #: Signed violation of the in-service jobs, fixed for every candidate.
         self.pinned_total = ordered_sum(v.alpha for v in pinned.values())

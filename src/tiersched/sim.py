@@ -20,8 +20,11 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from heapq import heappop, heappush
-from itertools import compress, islice, pairwise
+from itertools import islice, repeat
+from operator import gt
 from typing import NamedTuple
+
+import numpy as np
 
 from .baselines import AssignmentPolicy, LeastBacklogPolicy
 from .model import (
@@ -86,15 +89,17 @@ class JobOutcome(NamedTuple):
         return self.completion - self.arrival
 
 
-def _timings(start, first: int, job, tiers: int) -> tuple[list[float], float]:
-    """A job's waits at its first ``tiers`` tiers, from its service starts
-    ``start[first + t]``, and its arrival at the next (its completion after
-    the last): the events' own float operations, so bit for bit theirs."""
-    arrival, exec_times, waits = job.arrival, job.exec_times, []
+def _timings(start, first, arrival, exec_times, jid, tiers: int):
+    """Job ``jid``'s waits at its first ``tiers`` tiers, from its service
+    starts ``start[first + t]`` and the job set's columns, and its arrival at
+    the next (its completion after the last): the events' own float
+    operations, so bit for bit theirs, for one id or elementwise for a numpy
+    array of ids over numpy views of the tables."""
+    arrival, waits = arrival[jid], []
     for t in range(tiers):
         began = start[first + t]
         waits.append(began - arrival)
-        arrival = began + exec_times[t]
+        arrival = began + exec_times[t][jid]
     return waits, arrival
 
 
@@ -102,9 +107,10 @@ class _Outcomes(Mapping):
     """A drain report's ``per_job``: the ``JobOutcome`` of each completed
     job by id, built when read.
 
-    It keeps typed columns (completed ids in id order, alphas, costs, a copy
-    of the start table): a report taken mid-run holds no simulator object
-    and does not move with it.  It reads as the equivalent dict.
+    It keeps the job set and typed columns (completed ids in id order,
+    alphas, costs, a copy of the start table): a report taken mid-run holds
+    no simulator object and does not move with it.  It reads as the
+    equivalent dict.
     """
 
     __slots__ = ("_jobs", "_tiers", "_start", "_ids", "_alphas", "_costs")
@@ -124,12 +130,12 @@ class _Outcomes(Mapping):
         i = bisect_left(ids, jid) if isinstance(jid, int) else len(ids)
         if i == len(ids) or ids[i] != jid:
             raise KeyError(jid)
-        jid = ids[i]
-        job, tiers = self._jobs[jid - 1], self._tiers
-        waits, completion = _timings(self._start, jid * tiers, job, tiers)
+        jid, jobs, tiers = ids[i], self._jobs, self._tiers
+        waits, completion = _timings(self._start, jid * tiers, jobs.arrival,
+                                     jobs.exec_times, jid, tiers)
         return tuple.__new__(JobOutcome, (  # skips the Python-level __new__
-            jid, job.arrival, completion, job.total_exec, tuple(waits),
-            self._alphas[i], self._costs[i]))
+            jid, jobs.arrival[jid], completion, jobs.total_exec[jid],
+            tuple(waits), self._alphas[i], self._costs[i]))
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -181,21 +187,21 @@ class Simulator:
         self._busy: list[list[float | None]] = [
             [None] * m for m in env.resources_per_tier]
         # The queues are the only record of where a job is.  Its service
-        # starts sit in one job-major list, entry ``jid * tiers + tier``
+        # starts sit in one job-major column, entry ``jid * tiers + tier``
         # (job 0 unused), and a byte per job, in id order, marks it departed.
         n, tiers = len(jobs) + 1, env.num_tiers
-        self._start = [0.0] * (n * tiers)
+        self._start = array("d", bytes(8 * n * tiers))
         self._departed = bytearray(n - 1)
-        # exec[tier][jid]: execution time of a job at a tier
-        self._exec = [[0.0] + [job.exec_times[t] for job in jobs]
-                      for t in range(tiers)]
+        # exec[tier][jid]: execution time of a job at a tier, the job set's
+        # columns (a set with no jobs has none: here one unused entry each)
+        self._exec = jobs.exec_times or (array("d", bytes(8)),) * tiers
         # External arrivals in the heap's order, (arrival, id).  Ids follow
         # arrivals except where the job set lets one run back by TIME_EPS.
-        ordered = jobs.jobs
-        if any(b.arrival < a.arrival for a, b in pairwise(ordered)):
-            ordered = sorted(ordered, key=lambda job: (job.arrival, job.id))
-        self._arrivals = ((job.arrival, _ARRIVAL, job.id, 0, -1)
-                          for job in ordered)
+        arrival, ids = jobs.arrival, range(1, n)
+        if any(map(gt, islice(arrival, 1, None), islice(arrival, 2, None))):
+            ids = sorted(ids, key=lambda jid: (arrival[jid], jid))
+        self._arrivals = zip(map(arrival.__getitem__, ids), repeat(_ARRIVAL),
+                             ids, repeat(0), repeat(-1))
         # Completions, hand-offs and the next external arrival; every event
         # is (time, rank, job, tier, resource), the resource -1 for an
         # arrival, whose queue the policy names.  No two pending events
@@ -377,7 +383,8 @@ class Simulator:
         One walk over the queues copies their orders and builds each
         resident's progress record; the records are then keyed in id order.
         """
-        clock, jobs = self.clock, self.jobs.jobs
+        clock, arrival, exec_times = (
+            self.clock, self.jobs.arrival, self.jobs.exec_times)
         tiers, start = self.env.num_tiers, self._start
         orders, busy = [], []
         records: dict[int, JobProgress] = {}
@@ -390,10 +397,11 @@ class Simulator:
             for queue, end in zip(tier_queues, tier_busy):
                 in_service = end is not None
                 for jid in queue:
-                    row, job = jid * tiers, jobs[jid - 1]
-                    waits, arrival = _timings(start, row, job, tier)
+                    row = jid * tiers
+                    waits, arrived = _timings(start, row, arrival, exec_times,
+                                              jid, tier)
                     records[jid] = record(JobProgress, (tuple(waits), (
-                        start[row + tier] if in_service else clock) - arrival))
+                        start[row + tier] if in_service else clock) - arrived))
                     in_service = False
         progress = {jid: records[jid] for jid in sorted(records)}
         return Snapshot(env=self.env, jobs=self.jobs, clock=clock,
@@ -443,21 +451,21 @@ class Simulator:
         """Realized outcomes of every completed job plus their totals; alpha
         is the total wait less the allowance.
 
-        One walk over the jobs keeps each completed job's id, alpha and cost
-        in typed columns, which ``violation_totals`` adds; ``per_job`` builds
-        a job's ``JobOutcome`` only when it is read."""
+        ``_timings`` derives the waits of every completed job at once over
+        numpy views of the tables, and typed columns keep each one's id,
+        alpha and cost, which ``violation_totals`` adds; ``per_job`` builds a
+        job's ``JobOutcome`` only when it is read."""
         chi, nu = self.env.chi, self.env.nu
-        tiers, start, done = self.env.num_tiers, self._start, self._departed
-        ids = array("q", compress(range(1, len(done) + 1), done))
-        alphas, costs = array("d"), array("d")
-        for job in compress(self.jobs.jobs, done):
-            waits, _ = _timings(start, job.id * tiers, job, tiers)
-            alpha = ordered_sum(waits) - job.allowance
-            alphas.append(alpha)
-            costs.append(penalty(alpha, chi, nu))
+        tiers, jobs, view = self.env.num_tiers, self.jobs, np.frombuffer
+        ids = np.flatnonzero(view(self._departed, np.uint8)) + 1
+        waits, _ = _timings(view(self._start), ids * tiers, view(jobs.arrival),
+                            [view(e) for e in self._exec], ids, tiers)
+        alphas = array("d", (ordered_sum(waits)
+                             - view(jobs.allowance)[ids]).tobytes())
+        costs = array("d", [penalty(alpha, chi, nu) for alpha in alphas])
         return ViolationBreakdown(
-            per_job=_Outcomes(self.jobs.jobs, tiers, array("d", start), ids,
-                              alphas, costs),
+            per_job=_Outcomes(jobs, tiers, array("d", self._start),
+                              array("q", ids.tobytes()), alphas, costs),
             **violation_totals(alphas, costs))
 
     def trace_lines(self) -> list[str]:

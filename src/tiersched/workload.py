@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EnvironmentConfig, Job, JobSet, count
+from .model import EnvironmentConfig, JobSet, check_job, count
 
 FORMAT_NAME = "tiersched-workload"
 FORMAT_VERSION = 1
@@ -61,8 +61,8 @@ def generate(spec: WorkloadSpec, env: EnvironmentConfig) -> JobSet:
     ``allowance_fraction`` of its total execution time.
     """
     n = spec.num_jobs
-    # An overflow gives inf, which ``Job`` refuses as not finite; numpy's
-    # warning would only repeat that refusal on stderr.
+    # An overflow gives inf, which ``JobSet.from_columns`` refuses as ``Job``
+    # does; numpy's warning would only repeat that refusal on stderr.
     with np.errstate(over="ignore"):
         arrivals = np.cumsum(
             _stream(spec.seed, 0).exponential(1.0 / spec.arrival_rate, n))
@@ -76,9 +76,7 @@ def generate(spec: WorkloadSpec, env: EnvironmentConfig) -> JobSet:
         for column in execs[1:]:
             totals = totals + column
         targets = arrivals + totals + spec.allowance_fraction * totals
-    return JobSet(tuple(map(
-        Job, range(1, n + 1), arrivals.tolist(),
-        zip(*[column.tolist() for column in execs]), targets.tolist())))
+    return JobSet.from_columns(arrivals, execs, targets)
 
 
 def _columns(num_tiers: int) -> list[str]:
@@ -95,11 +93,9 @@ def save(jobs: JobSet, path) -> None:
         f"# tiers {num_tiers}",
         "# columns " + " ".join(_columns(num_tiers)),
     ]
-    for job in jobs:
-        fields = [str(job.id), repr(job.arrival)]
-        fields += [repr(e) for e in job.exec_times]
-        fields.append(repr(job.target_completion))
-        lines.append(" ".join(fields))
+    columns = (jobs.arrival, *jobs.exec_times, jobs.target_completion)
+    for jid in range(1, len(jobs) + 1):
+        lines.append(" ".join([str(jid)] + [repr(c[jid]) for c in columns]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -137,7 +133,7 @@ def load(path) -> JobSet:
     if lines[2].split() != ["#", "columns"] + _columns(num_tiers):
         raise WorkloadFormatError("line 3: column list does not match the tier count")
 
-    jobs = []
+    ids, rows = [], []
     for lineno, line in enumerate(lines[3:], start=4):
         if not line.strip():
             continue
@@ -147,18 +143,16 @@ def load(path) -> JobSet:
                 f"line {lineno}: expected {3 + num_tiers} fields, "
                 f"found {len(fields)}")
         try:
-            job = Job(
-                id=int(fields[0]),
-                arrival=float(fields[1]),
-                exec_times=tuple(float(f) for f in fields[2:2 + num_tiers]),
-                target_completion=float(fields[2 + num_tiers]),
-            )
+            jid, times = int(fields[0]), [float(f) for f in fields[1:]]
+            check_job(jid, times[0], times[1:-1], times[-1])
         except ValueError as err:
             raise WorkloadFormatError(f"line {lineno}: {err}") from None
-        jobs.append(job)
-    if not jobs:
+        ids.append(jid)
+        rows.append(times)
+    if not rows:
         raise WorkloadFormatError(f"{path}: no job lines")
+    arrival, *exec_times, target = np.array(rows).T
     try:
-        return JobSet(tuple(jobs))
+        return JobSet.from_columns(arrival, exec_times, target, np.array(ids))
     except ValueError as err:
         raise WorkloadFormatError(f"{path}: {err}") from None

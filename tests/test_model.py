@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,21 @@ class TestJob:
         assert [f.name for f in dataclasses.fields(j) if f.compare] == [
             "id", "arrival", "exec_times", "target_completion"]
 
+    def test_integer_times_become_floats(self):
+        # Stored as floats, as ``exec_times`` are, an int arrival or target
+        # reaches no trace line, snapshot record or report.
+        j = Job(id=1, arrival=0, exec_times=(1.0,), target_completion=2)
+        twin = Job(id=1, arrival=0.0, exec_times=(1.0,), target_completion=2.0)
+        assert (type(j.arrival), type(j.target_completion)) == (float, float)
+        assert j == twin and hash(j) == hash(twin)
+        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(1,))
+        sim = Simulator(JobSet((j,)), env, keep_trace=True)
+        sim.step()
+        assert sim.trace_lines()[1] == "0.0 arrive 1 1 1"
+        assert type(sim.snapshot().progress[1].elapsed_wait) is float
+        waits = sim.run().report().per_job[1].waits
+        assert [type(w) for w in waits] == [float]
+
 
 class TestJobSet:
     def test_dense_arrival_ordered_ids(self):
@@ -249,6 +265,65 @@ class TestJobSet:
         assert len(stream(0.0, -0.9e-9, -0.5e-9)) == 3
         with pytest.raises(ValueError, match="job 3 arrives before job 2"):
             stream(0.0, -0.9e-9, -1.8e-9)
+
+    def test_jobs_read_as_the_tuple_of_the_jobs(self):
+        want = tuple(job(jid, (1.0, 2.0), arrival=0.5 * jid)
+                     for jid in (1, 2, 3))
+        jobs = JobSet(want)
+        view = jobs.jobs
+        assert len(view) == 3
+        assert (view[0], view[-1], view[1:]) == (want[0], want[-1], want[1:])
+        assert list(view) == list(jobs) == list(want)
+        assert view == want and want == view and view == JobSet(want).jobs
+        assert view != want[:2]
+        with pytest.raises(IndexError):
+            view[3]
+        assert repr(jobs) == f"JobSet(jobs={want!r})"
+        assert repr(JobSet()) == "JobSet(jobs=())"
+
+    @pytest.mark.parametrize("jid", [0, -1, 4])
+    def test_job_outside_the_ids_is_a_key_error(self, jid):
+        jobs = JobSet(tuple(job(i, (1.0,), arrival=float(i)) for i in (1, 2, 3)))
+        with pytest.raises(KeyError, match=f"unknown job id {jid}"):
+            jobs.job(jid)
+
+    def test_every_construction_gives_the_same_set(self, env_2x3, tmp_path):
+        jobs = generate(WorkloadSpec(arrival_rate=2.0, num_jobs=200, seed=3),
+                        env_2x3)
+        save(jobs, tmp_path / "w.txt")
+        for other in (load(tmp_path / "w.txt"), JobSet(jobs.jobs),
+                      JobSet(list(jobs))):
+            assert other == jobs and hash(other) == hash(jobs)
+            for name in ("total_exec", "allowance"):
+                assert (getattr(other, name).tobytes()
+                        == getattr(jobs, name).tobytes())
+        # The columns hold what the jobs hold, bit for bit.
+        assert [(j.total_exec.hex(), j.allowance.hex()) for j in jobs] == [
+            (t.hex(), a.hex())
+            for t, a in zip(jobs.total_exec[1:], jobs.allowance[1:])]
+
+    def test_validating_against_the_snapshots_own_set_compares_no_column(
+            self, env_2x3):
+        compared = []
+
+        class Watched(array):
+            def __eq__(self, other):
+                compared.append(len(self))
+                return array.__eq__(self, other)
+
+            __hash__ = None
+
+        snap = simulate_to_snapshot(generate(
+            WorkloadSpec(arrival_rate=4.0, num_jobs=2_000, seed=1), env_2x3),
+            env_2x3)
+        object.__setattr__(snap.jobs, "arrival",
+                           Watched("d", snap.jobs.arrival))
+        assert validate_schedule(snap.schedule, snap.env, snap.jobs, snap).ok
+        assert compared == []
+        # An equal set that is not the snapshot's own is compared in full.
+        assert validate_schedule(snap.schedule, snap.env,
+                                 JobSet(snap.jobs.jobs), snap).ok
+        assert compared == [2_001]
 
 
 class TestSchedule:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ class TestGenerate:
         with pytest.raises(ValueError):
             WorkloadSpec(**kwargs)
 
+    def test_a_generated_set_holds_columns_not_jobs(self, env_2x3):
+        """Six ``array('d')`` columns take about 51 B per two-tier job; a
+        ``Job`` object per job took about 335 B."""
+        generate(WorkloadSpec(arrival_rate=2.5, num_jobs=1), env_2x3)  # imports
+        tracemalloc.start()
+        try:
+            jobs = generate(WorkloadSpec(arrival_rate=2.5, num_jobs=20_000,
+                                         seed=1), env_2x3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(jobs) == 20_000
+        assert held / len(jobs) < 80, held
+
+    def test_generate_and_load_build_no_job(self, env_2x3, spec, tmp_path,
+                                            monkeypatch):
+        save(generate(spec, env_2x3), tmp_path / "w.txt")
+
+        def refuse(job):
+            raise AssertionError(f"built job {job.id}")
+
+        monkeypatch.setattr(Job, "__post_init__", refuse)
+        assert len(generate(spec, env_2x3)) == len(load(tmp_path / "w.txt"))
+
     @pytest.mark.parametrize("field", ["num_jobs", "seed"])
     @pytest.mark.parametrize("value", [10.5, 1.0, "3"])
     def test_refuses_non_integer_counts(self, field, value):
@@ -113,6 +138,31 @@ class TestGenerateAgainstReference:
         got = [bits((j.id, j.arrival, j.exec_times, j.target_completion))
                for j in generate(spec, env)]
         assert got == [bits(f) for f in reference_generate(spec, env)]
+
+    @pytest.mark.parametrize("kwargs", [
+        # job 1: the target rounds to the arrival, below the work
+        dict(arrival_rate=1e-306, num_jobs=400),
+        # job 1: an execution time overflows
+        dict(arrival_rate=1.0, num_jobs=50, service_rate=6e-309, seed=0),
+        # job 2: the target overflows
+        dict(arrival_rate=1.0, num_jobs=50, service_rate=6e-309, seed=3),
+    ])
+    def test_refuses_the_first_job_the_reference_refuses(self, env_2x3,
+                                                          kwargs):
+        spec = WorkloadSpec(**kwargs)
+        with np.errstate(over="ignore"):
+            fields = reference_generate(spec, env_2x3)
+        want = None
+        for f in fields:
+            try:
+                Job(*f)
+            except ValueError as err:
+                want = err
+                break
+        assert want is not None
+        with pytest.raises(ValueError) as got:
+            generate(spec, env_2x3)
+        assert (type(got.value), str(got.value)) == (type(want), str(want))
 
 
 class TestFileFormat:
