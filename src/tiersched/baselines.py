@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import EnvironmentConfig
+from .model import EnvironmentConfig, count
 
 
 class PolicyKind(Enum):
@@ -93,6 +93,10 @@ class RandomAssignPolicy(AssignmentPolicy):
 
     def __init__(self, env: EnvironmentConfig, seed: int = 0):
         super().__init__(env)
+        seed = count("seed", seed)
+        if seed < 0:
+            raise ValueError(f"random policy seed must be nonnegative, got "
+                             f"{seed}")
         self._rng = np.random.default_rng(seed)
 
     def pick(self, sim, job_id: int, tier: int) -> int:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Schedule, Snapshot, ordered_sum
+from .model import Schedule, Snapshot, count, ordered_sum
 from .penalty import AllowanceMode, ScheduleEvaluator
 
 #: One waiting order per queue, tier-major, as ``Schedule.flat_waiting()``.
@@ -53,6 +53,8 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("population", "generations", "seed"):
+            object.__setattr__(self, name, count(name, getattr(self, name)))
         if self.population < 2:
             raise ValueError("population must hold at least two chromosomes")
         if self.generations < 1:

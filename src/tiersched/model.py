@@ -61,10 +61,6 @@ class EnvironmentConfig:
         if not 0 < self.nu < math.inf:
             raise ValueError("scaling factor nu must be positive and finite")
 
-    def queue_offset(self, tier: int) -> int:
-        """Flat index of the tier's first queue (tier-major ordering)."""
-        return sum(self.resources_per_tier[:tier])
-
     def iter_queues(self) -> Iterator[tuple[int, int]]:
         """All (tier, resource) pairs in tier-major order."""
         for tier, count in enumerate(self.resources_per_tier):
@@ -191,8 +187,8 @@ class JobSet:
 
     Each field of ``Job`` is an ``array('d')`` column (``exec_times`` one
     per tier), not to be written, whose entry ``jid`` is job ``jid``'s
-    (entry 0 unused, as in the simulator's tables).  ``jobs`` reads as the
-    tuple of the jobs, and a ``Job`` is built only when one is read.
+    (entry 0 unused, as in the simulator's tables).  Iterating it, or
+    ``job(jid)``, builds each ``Job`` only when it is read.
     ``JobSet(jobs)`` takes ``Job`` objects and ``from_columns`` numpy
     columns, whose every row it checks by ``Job``'s rule; both refuse what
     ``_check_order`` refuses.
@@ -243,10 +239,6 @@ class JobSet:
             object.__setattr__(self, name, _column(values))
         object.__setattr__(self, "exec_times", tuple(map(_column, exec_times)))
 
-    @property
-    def jobs(self) -> Sequence[Job]:
-        return _Jobs(self)
-
     def __len__(self) -> int:
         return len(self.arrival) - 1
 
@@ -264,7 +256,7 @@ class JobSet:
         return hash((tuple(self.arrival), tuple(self.target_completion)))
 
     def __repr__(self) -> str:
-        return f"JobSet(jobs={self.jobs!r})"
+        return f"JobSet(jobs={tuple(self)!r})"
 
     @property
     def num_tiers(self) -> int:
@@ -281,27 +273,6 @@ class JobSet:
 def _column(values) -> array:
     """A numpy column as an ``array('d')`` behind an unused entry 0."""
     return array("d", bytes(8) + values.tobytes())
-
-
-class _Jobs(Sequence):
-    """``JobSet.jobs``: equal to the tuple of its jobs, each built when read."""
-
-    def __init__(self, jobs: JobSet):
-        self._set = jobs
-
-    def __len__(self) -> int:
-        return len(self._set)
-
-    def __getitem__(self, index):
-        ids = range(1, len(self._set) + 1)[index]
-        return (tuple(map(self._set.job, ids)) if isinstance(ids, range)
-                else self._set.job(ids))
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == other
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 class JobProgress(NamedTuple):
@@ -357,16 +328,6 @@ class Schedule:
                 if residual < -TIME_EPS:
                     raise ValueError(
                         f"tier {tier} resource {k}: negative residual")
-
-    @property
-    def num_tiers(self) -> int:
-        return len(self.orders)
-
-    def resources_in(self, tier: int) -> int:
-        return len(self.orders[tier])
-
-    def queue(self, tier: int, k: int) -> tuple[int, ...]:
-        return self.orders[tier][k]
 
     def residual(self, tier: int, k: int) -> float:
         r = self.busy[tier][k]
@@ -441,7 +402,7 @@ def validate_schedule(schedule: Schedule,
     violations: list[str] = []
     for tier, want in enumerate(snapshot._waiting_by_tier):
         have = sorted(
-            jid for k in range(schedule.resources_in(tier))
+            jid for k in range(len(schedule.orders[tier]))
             for jid in schedule.waiting(tier, k))
         if tuple(have) != want:
             violations.append(f"tier {tier}: waiting job set changed")

@@ -110,15 +110,12 @@ def exhaustive_best(snapshot: Snapshot,
             f"ceiling of {DEFAULT_MAX_STATES}")
 
     evaluator = ScheduleEvaluator(snapshot, mode)
-    env = snapshot.env
     best_orders: list[tuple[tuple[int, ...], ...]] = []
     total_fitness = evaluator.pinned_total
-    states = 0
-    for tier in range(env.num_tiers):
+    states = offset = 0  # offset: flat index of the tier's first queue
+    for tier, m in enumerate(snapshot.env.resources_per_tier):
         ids = snapshot.waiting_ids(tier)
         n = len(ids)
-        m = env.resources_per_tier[tier]
-        offset = env.queue_offset(tier)
         splits = [_block_bounds(bars, n)
                   for bars in combinations(range(n + m - 1), m - 1)]
         id_array = np.array(ids, dtype=np.intp)
@@ -149,5 +146,6 @@ def exhaustive_best(snapshot: Snapshot,
             raise AssertionError(f"tier {tier}: no schedule enumerated")
         best_orders.extend(best_blocks)
         total_fitness += best_score
+        offset += m
     schedule = snapshot.schedule.with_waiting(best_orders)
     return OracleResult(schedule=schedule, fitness=total_fitness, states=states)

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from heapq import heappop, heappush
 from itertools import islice, repeat
-from operator import gt
+from operator import gt, index
 from typing import NamedTuple
 
 import numpy as np
@@ -127,7 +127,10 @@ class _Outcomes(Mapping):
 
     def __getitem__(self, jid) -> JobOutcome:
         ids = self._ids
-        i = bisect_left(ids, jid) if isinstance(jid, int) else len(ids)
+        try:
+            i = bisect_left(ids, index(jid))
+        except TypeError:
+            raise KeyError(jid) from None
         if i == len(ids) or ids[i] != jid:
             raise KeyError(jid)
         jid, jobs, tiers = ids[i], self._jobs, self._tiers
@@ -349,18 +352,21 @@ class Simulator:
     def install_schedule(self, schedule: Schedule, snapshot: Snapshot) -> bool:
         """Replace the waiting orders with those of a candidate schedule.
 
-        ``validate_schedule`` checks the candidate against ``snapshot``, the
-        snapshot of the current state it was computed from: the layout, each
-        tier's waiting set, and the pinned in-service heads with their
-        residuals.  The snapshot is structurally valid by construction, so
-        these checks also rule out unknown, duplicated and cross-tier ids.
-        Invalid candidates are rejected (logged, previous schedule kept).
+        ``snapshot`` must describe the current state: its clock and queue
+        orders must be the live ones, which every event and every install
+        that moves a job changes.  ``validate_schedule`` then checks the
+        candidate against it: the layout, each tier's waiting set, and the
+        pinned in-service heads with their residuals.  The snapshot is
+        structurally valid by construction, so these checks also rule out
+        unknown, duplicated and cross-tier ids.  A stale snapshot or an
+        invalid candidate is rejected (logged, previous schedule kept).
         One walk over the queues rebuilds each and starts its head if the
         resource is idle; a start touches only its own queue.
         """
-        report = validate_schedule(schedule, self.env, self.jobs,
-                                   snapshot=snapshot)
-        if not report.ok:
+        if (snapshot.clock != self.clock
+                or snapshot.schedule.orders != self._orders()
+                or not validate_schedule(schedule, self.env, self.jobs,
+                                         snapshot=snapshot).ok):
             if self.keep_trace:
                 self._trace("reject", 0, -1, -1)
             return False
@@ -377,21 +383,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # snapshots and reports
 
+    def _orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The live queue orders, as a ``Schedule`` holds them."""
+        return tuple(tuple(map(tuple, tier)) for tier in self._queues)
+
     def snapshot(self) -> Snapshot:
         """Immutable view of the current queues and per-job progress.
 
-        One walk over the queues copies their orders and builds each
-        resident's progress record; the records are then keyed in id order.
+        One walk over the queues builds each resident's progress record;
+        the records are then keyed in id order.
         """
         clock, arrival, exec_times = (
             self.clock, self.jobs.arrival, self.jobs.exec_times)
         tiers, start = self.env.num_tiers, self._start
-        orders, busy = [], []
+        busy = []
         records: dict[int, JobProgress] = {}
         record = tuple.__new__  # skips JobProgress's Python-level __new__
         for tier, (tier_queues, tier_busy) in enumerate(
                 zip(self._queues, self._busy)):
-            orders.append(tuple(tuple(q) for q in tier_queues))
             busy.append(tuple(None if end is None else max(0.0, end - clock)
                               for end in tier_busy))
             for queue, end in zip(tier_queues, tier_busy):
@@ -405,7 +414,7 @@ class Simulator:
                     in_service = False
         progress = {jid: records[jid] for jid in sorted(records)}
         return Snapshot(env=self.env, jobs=self.jobs, clock=clock,
-                        schedule=Schedule(orders=tuple(orders),
+                        schedule=Schedule(orders=self._orders(),
                                           busy=tuple(busy)),
                         progress=progress)
 

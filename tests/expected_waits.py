@@ -35,8 +35,7 @@ def remaining_wait(schedule: Schedule, job_id: int, tier: int,
     in-service head at its residual (a non-preemptive head physically delays
     everyone behind it).  Zero for the in-service head itself.
     """
-    for k in range(schedule.resources_in(tier)):
-        queue = schedule.queue(tier, k)
+    for k, queue in enumerate(schedule.orders[tier]):
         for pos, jid in enumerate(queue):
             if jid != job_id:
                 continue

@@ -66,7 +66,7 @@ def reference_best(snapshot: Snapshot,
     for tier in range(env.num_tiers):
         ids = snapshot.waiting_ids(tier)
         m = env.resources_per_tier[tier]
-        offset = env.queue_offset(tier)
+        offset = sum(env.resources_per_tier[:tier])
         best_blocks = None
         best_score = None
         for blocks in ordered_splits(ids, m):

@@ -148,7 +148,7 @@ class ReferenceSimulator(Simulator):
         wait, completions = self._wait, self._completion
         outcomes: dict[int, JobOutcome] = {}
         self.derived: dict[int, tuple[float, float]] = {}
-        for job in self.jobs.jobs:
+        for job in self.jobs:
             jid = job.id
             completion = completions[jid]
             if completion is None:

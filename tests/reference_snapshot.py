@@ -33,7 +33,7 @@ def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
     """Raise ``ValueError`` where a ``Snapshot`` of these fields must be
     refused; otherwise return the in-service ids and the sorted waiting ids
     of each tier."""
-    job_list = jobs.jobs
+    job_list = tuple(jobs)
     num_jobs = len(job_list)
     layout = tuple(len(tier) for tier in schedule.orders)
     if layout != env.resources_per_tier:

@@ -34,17 +34,15 @@ def reference_validate(schedule: Schedule,
     """
     violations: list[str] = []
 
-    if schedule.num_tiers != env.num_tiers or any(
-            schedule.resources_in(t) != env.resources_per_tier[t]
-            for t in range(schedule.num_tiers)):
+    if tuple(len(tier) for tier in schedule.orders) != env.resources_per_tier:
         violations.append("layout does not match the environment")
         return ValidationReport(violations=tuple(violations))
 
     seen_tier: dict[int, int] = {}
-    for tier in range(schedule.num_tiers):
+    for tier, tier_queues in enumerate(schedule.orders):
         counted: dict[int, int] = {}
-        for k in range(schedule.resources_in(tier)):
-            for jid in schedule.queue(tier, k):
+        for queue in tier_queues:
+            for jid in queue:
                 if not 1 <= jid <= len(jobs):
                     violations.append(f"unknown job id {jid} in tier {tier}")
                     continue
@@ -73,7 +71,7 @@ def reference_validate(schedule: Schedule,
         for tier in range(env.num_tiers):
             want = sorted(snapshot.waiting_ids(tier))
             have = sorted(
-                jid for k in range(schedule.resources_in(tier))
+                jid for k in range(len(schedule.orders[tier]))
                 for jid in schedule.waiting(tier, k))
             if want != have:
                 violations.append(f"tier {tier}: waiting job set changed")

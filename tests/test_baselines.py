@@ -67,6 +67,15 @@ class TestRandomAssign:
         assert a != c
         assert sum(len(q) for q in a) == 30
 
+    @pytest.mark.parametrize("seed, error, message", [
+        (-1, ValueError, "random policy seed must be nonnegative, got -1"),
+        (1.5, TypeError, "seed must be an integer, not 1.5"),
+        ("3", TypeError, "seed must be an integer, not '3'")])
+    def test_bad_seed_rejected_by_name(self, seed, error, message):
+        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(3,))
+        with pytest.raises(error, match=f"^{message}$"):
+            make_policy("random", env, seed=seed)
+
 
 class TestAppendOnly:
     @pytest.mark.parametrize("name", ["fcfs", "wrr", "wlc", "random"])

@@ -2,6 +2,7 @@ import os
 import statistics
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -40,10 +41,10 @@ from reference_ga import reference_run_ga
 
 def tier_genes(genome, env):
     """Each tier's genes in genome order, read through the tier's queue span."""
-    return {tier: [g for seg in genome[env.queue_offset(tier):
-                                       env.queue_offset(tier) + count]
+    spans = np.cumsum((0,) + env.resources_per_tier)
+    return {tier: [g for seg in genome[spans[tier]:spans[tier + 1]]
                    for g in seg]
-            for tier, count in enumerate(env.resources_per_tier)}
+            for tier in range(env.num_tiers)}
 
 
 def queue_tiers(snap):
@@ -343,6 +344,20 @@ class TestGAConfig:
     def test_bad_size_or_variant_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             GAConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("population", 10.0), ("generations", 2.5), ("seed", 1.5),
+        ("seed", "1")])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            GAConfig(**{name: value})
+
+    def test_integer_like_counts_become_ints(self):
+        config = GAConfig(population=np.int64(12), generations=np.int32(3),
+                          seed=np.uint8(4))
+        assert config == GAConfig(population=12, generations=3, seed=4)
+        assert all(type(v) is int for v in (
+            config.population, config.generations, config.seed))
 
     def test_elite_is_not_a_setting(self):
         with pytest.raises(TypeError):
@@ -724,17 +739,48 @@ class TestDraws:
             draws.integers(n)
 
     def test_range_check_holds_without_asserts(self):
-        # ``python -O`` strips assert statements; the check must survive.
-        code = ("import numpy as np; from tiersched import ga\n"
-                "try:\n"
-                "    ga._Draws(np.random.default_rng(0)).integers(2**32)\n"
-                "except ValueError:\n"
-                "    print('raised')\n")
+        # ``python -O`` strips assert statements; the checks must survive:
+        # this range check, the count checks of GAConfig and the random
+        # policy, and the simulator's refusal of a stale snapshot.
+        code = textwrap.dedent("""
+            import numpy as np
+            from tiersched import (EnvironmentConfig, GAConfig, WorkloadSpec,
+                                   ga, generate, make_policy)
+            from tiersched.sim import Simulator
+            try:
+                ga._Draws(np.random.default_rng(0)).integers(2**32)
+            except ValueError:
+                print('raised')
+            for call in (lambda: GAConfig(generations=2.5),
+                         lambda: GAConfig(population=10.0),
+                         lambda: GAConfig(seed=1.5),
+                         lambda: make_policy("random", EnvironmentConfig(),
+                                             seed=-1)):
+                try:
+                    call()
+                except (TypeError, ValueError) as err:
+                    print(type(err).__name__, err)
+            env = EnvironmentConfig()
+            sim = Simulator(generate(WorkloadSpec(arrival_rate=4.0,
+                                                  num_jobs=60, seed=1), env),
+                            env)
+            sim.run(until_external_arrivals=30)
+            snap = sim.snapshot()
+            for _ in range(15):
+                sim.step()
+            print("installed", sim.install_schedule(snap.schedule, snap))
+        """)
         src = str(Path(ga.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "raised"
+        assert out.stdout.splitlines() == [
+            "raised",
+            "TypeError generations must be an integer, not 2.5",
+            "TypeError population must be an integer, not 10.0",
+            "TypeError seed must be an integer, not 1.5",
+            "ValueError random policy seed must be nonnegative, got -1",
+            "installed False"]
 
     def test_other_bit_generators_rejected(self):
         with pytest.raises(TypeError, match="PCG64"):

@@ -39,13 +39,13 @@ class TestTinyInstances:
         snap = fresh_snapshot(env_1x1, jobs, (((1,),),))
         result = exhaustive_best(snap, AllowanceMode.TOTAL)
         assert result.fitness == pytest.approx(-jobs.job(1).allowance)
-        assert result.schedule.queue(0, 0) == (1,)
+        assert result.schedule.orders[0][0] == (1,)
 
     def test_two_jobs_shorter_first(self, env_1x1):
         jobs = JobSet((job(1, (5.0,)), job(2, (2.0,))))
         snap = fresh_snapshot(env_1x1, jobs, (((1, 2),),))
         result = exhaustive_best(snap, AllowanceMode.TOTAL)
-        assert result.schedule.queue(0, 0) == (2, 1)
+        assert result.schedule.orders[0][0] == (2, 1)
         # Hand algebra: leader scores -allowance, the trailer absorbs the
         # leader's execution time.
         expected = (-jobs.job(2).allowance) + (2.0 - jobs.job(1).allowance)
@@ -56,7 +56,7 @@ class TestTinyInstances:
         snap = fresh_snapshot(env_1x1, jobs, (((1, 2),),))
         result = exhaustive_best(snap, AllowanceMode.TOTAL)
         # Equal execution times tie; the id-ordered schedule wins.
-        assert result.schedule.queue(0, 0) == (1, 2)
+        assert result.schedule.orders[0][0] == (1, 2)
 
 
 class TestSearchSpace:

@@ -9,6 +9,7 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from tiersched import (
     total_penalty,
 )
 from tiersched.baselines import AssignmentPolicy, PolicyKind
+from tiersched.ga import random_chromosome
 from tiersched.penalty import JobViolation, ViolationBreakdown, violation_totals
 from tiersched.sim import _ARRIVAL, JobOutcome, Simulator
 
@@ -152,6 +154,16 @@ class TestReportContract:
             with pytest.raises(KeyError):
                 report.per_job[key]
             assert key not in report.per_job
+
+    def test_numpy_integer_ids_find_their_records(self, mid_run):
+        _, report = mid_run
+        per_job = report.per_job
+        as_dict = dict(per_job)
+        for jid in per_job:
+            for key in (np.int64(jid), np.int32(jid), np.uint16(jid)):
+                assert key in per_job
+                assert per_job[key] == as_dict[key] == per_job[jid]
+        assert np.int64(0) not in per_job and np.float64(1.0) not in per_job
 
     def test_reads_as_the_dict_of_its_records(self, mid_run):
         sim, report = mid_run
@@ -596,7 +608,7 @@ class TestRescheduleHook:
         # Demote the in-service head behind another job.
         tampered = Schedule(
             orders=((tuple(snap.schedule.waiting(0, 0)) + (busy_head,),
-                     snap.schedule.queue(0, 1)),),
+                     snap.schedule.orders[0][1]),),
             busy=((None, snap.schedule.busy[0][1]),))
         before = [sim.queue(0, k) for k in range(2)]
         assert not sim.install_schedule(tampered, snap)
@@ -625,6 +637,43 @@ class TestRescheduleHook:
         sim.run()
         (wait,) = sim.report().per_job[3].waits
         assert wait == 1.1 - 0.2
+
+    @staticmethod
+    def departures(sim):
+        return sorted(ev.job_id for ev in sim.trace if ev.kind == "depart")
+
+    def test_snapshot_from_before_events_is_refused(self, env_2x3):
+        jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=60, seed=1),
+                        env_2x3)
+        sim = Simulator(jobs, env_2x3, keep_trace=True)
+        sim.run(until_external_arrivals=30)
+        snap = sim.snapshot()
+        for _ in range(15):
+            sim.step()
+        assert not sim.install_schedule(snap.schedule, snap)
+        assert sim.trace[-1].kind == "reject"
+        sim.assert_invariants()
+        sim.run()
+        assert self.departures(sim) == list(range(1, 61))
+
+    def test_second_install_from_one_snapshot_is_refused(self):
+        # The first install starts job 3 on the idle resource 2; the
+        # snapshot still shows job 3 waiting behind job 1.
+        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
+        jobs = JobSet((job(1, (4.0,)), job(2, (1.0,), arrival=0.1),
+                       job(3, (2.0,), arrival=0.2)))
+        sim = Simulator(jobs, env, make_policy("wrr", env), keep_trace=True)
+        sim.run(until_external_arrivals=3)
+        sim.step()
+        snap = sim.snapshot()
+        moved = snap.schedule.with_waiting(((), (3,)))
+        assert sim.install_schedule(moved, snap)
+        assert not sim.install_schedule(moved, snap)
+        assert sim.trace[-1].kind == "reject"
+        assert [sim.queue(0, k) for k in range(2)] == [(1,), (3,)]
+        sim.assert_invariants()
+        sim.run()
+        assert self.departures(sim) == [1, 2, 3]
 
 
 class TestInvariantsUnderOptimize:
@@ -1013,6 +1062,50 @@ class TestStreamProperties:
             assert list(sim.snapshot().progress) == queued
         assert checking.arrivals == len(jobs) * env.num_tiers
         assert sim.departed == len(jobs) == sim.report().job_count
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_streams(), st.lists(st.tuples(
+        st.sampled_from(["step", "snapshot", "install"]), st.integers(0, 2)),
+        max_size=80), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_only_a_snapshot_of_the_current_state_installs(
+            self, stream, calls, warmup, seed):
+        # A snapshot is current until the next event, or the next install
+        # that moves a job; an install from it is accepted, and every other
+        # install refused.  The warm-up loads the queues, so that installs
+        # move jobs.
+        env, jobs, policy, _ = stream
+        sim = Simulator(jobs, env, make_policy(policy, env), keep_trace=True)
+        if min(warmup, len(jobs)):
+            sim.run(until_external_arrivals=min(warmup, len(jobs)))
+        rng = np.random.default_rng(seed)
+
+        def live():
+            return [sim.queue(t, k) for t, k in env.iter_queues()]
+
+        snaps: list[list] = []  # [snapshot, still current]
+        for call, back in calls:
+            if call == "snapshot":
+                snaps.append([sim.snapshot(), True])
+            elif call == "step":
+                if sim.step():
+                    for entry in snaps:
+                        entry[1] = False
+            elif snaps:
+                snap, current = snaps[max(len(snaps) - 1 - back, 0)]
+                candidate = snap.schedule.with_waiting(
+                    random_chromosome(snap, rng))
+                before = live()
+                assert sim.install_schedule(candidate, snap) == current
+                assert sim.trace[-1].kind == (
+                    "reschedule" if current else "reject")
+                if live() != before:
+                    for entry in snaps:
+                        entry[1] = False
+            sim.assert_invariants()
+        sim.run()
+        assert sorted(ev.job_id for ev in sim.trace if ev.kind == "depart") == (
+            list(range(1, len(jobs) + 1)))
 
 
 def reverse_waiting(snap):
