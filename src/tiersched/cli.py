@@ -233,20 +233,21 @@ def _ga_config(args, policy, seed: int) -> GAConfig | None:
 
 def _job_records(breakdown: ViolationBreakdown, snapshot: Snapshot,
                  phase: str) -> list[dict]:
-    records = []
-    for jid in sorted(breakdown.per_job):
+    records, rows = [], snapshot.residents
+    order = snapshot.progress.order  # the rows in id order
+    for jid, tier, serving, waits, elapsed in zip(*(
+            column[order].tolist() for column in (
+                rows.ids, rows.tier, rows.serving, rows.waits, rows.elapsed))):
         v = breakdown.per_job[jid]
-        prog = snapshot.progress[jid]
         records.append({
             "schema": "tiersched.job/1",
             "phase": phase,
             "job": jid,
-            "tier": prog.tier + 1,
-            "status": ("in_service" if jid in snapshot.in_service_ids
-                       else "waiting"),
+            "tier": tier + 1,
+            "status": "in_service" if serving else "waiting",
             "alpha": v.alpha,
             "cost": v.cost,
-            "waits": list(prog.completed_waits) + [prog.elapsed_wait],
+            "waits": waits[:tier] + [elapsed],
             "expected_rt": snapshot.jobs.total_exec[jid] + v.wait,
         })
     return records
@@ -325,12 +326,11 @@ def _frozen(jobs, env, arrival: str, mode: AllowanceMode, config, seed: int,
 
 
 def _snapshot_counts(snapshot: Snapshot) -> dict:
-    per_tier = [len([j for j, p in snapshot.progress.items() if p.tier == t])
-                for t in range(snapshot.env.num_tiers)]
     return {
         "resident": len(snapshot.progress),
         "waiting": len(snapshot.waiting_ids()),
-        "per_tier": per_tier,
+        "per_tier": [rows.stop - rows.start
+                     for rows in snapshot.residents.tier_rows],
     }
 
 

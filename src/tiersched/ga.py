@@ -295,11 +295,11 @@ def random_chromosome(snapshot: Snapshot, rng: np.random.Generator) -> Genome:
     ``rng.integers(count, size=n)`` for its ``count`` queues; a tier with
     none draws nothing.  Each queue gets the permuted ids dealt to it, in
     permutation order, as Python ints.  The ids come from the snapshot's
-    per-tier arrays, built once per snapshot; a stable sort by queue deals
-    them all at once.
+    ``waiting_by_tier``, built once per snapshot; a stable sort by queue
+    deals them all at once.
     """
     genome: list[tuple[int, ...]] = []
-    for ids, count in zip(snapshot.waiting_arrays,
+    for ids, count in zip(snapshot.waiting_by_tier,
                           snapshot.env.resources_per_tier):
         n = len(ids)
         if not n:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -309,11 +309,9 @@ class Schedule:
     busy: tuple[tuple[float | None, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "orders",
-            tuple(tuple(tuple(q) for q in tier) for tier in self.orders))
-        object.__setattr__(
-            self, "busy", tuple(tuple(tier) for tier in self.busy))
+        object.__setattr__(self, "orders", tuple(
+            tuple(map(tuple, tier)) for tier in self.orders))
+        object.__setattr__(self, "busy", tuple(map(tuple, self.busy)))
         if len(self.busy) != len(self.orders):
             raise ValueError("busy map must mirror the queue layout")
         for tier, (tqs, tbs) in enumerate(zip(self.orders, self.busy)):
@@ -328,6 +326,26 @@ class Schedule:
                 if residual < -TIME_EPS:
                     raise ValueError(
                         f"tier {tier} resource {k}: negative residual")
+
+    def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                            tuple[slice, ...]]:
+        """Every scheduled id in walk order (tier-major, each queue front to
+        back), with its tier and whether it is in service, and each tier's
+        rows."""
+        ids, heads, bounds = array("q"), [], [0]
+        for tier_queues, tier_busy in zip(self.orders, self.busy):
+            for queue, residual in zip(tier_queues, tier_busy):
+                if residual is not None:
+                    heads.append(len(ids))
+                ids.extend(queue)
+            bounds.append(len(ids))
+        serving = np.zeros(len(ids), bool)
+        serving[heads] = True
+        tier_rows = tuple(map(slice, bounds, bounds[1:]))
+        tier = np.zeros(len(ids), np.min_scalar_type(len(tier_rows)))
+        for t, rows in enumerate(tier_rows[1:], 1):
+            tier[rows] = t  # each row's tier, in the narrowest type
+        return np.frombuffer(ids, np.int64), tier, serving, tier_rows
 
     def residual(self, tier: int, k: int) -> float:
         r = self.busy[tier][k]
@@ -400,11 +418,11 @@ def validate_schedule(schedule: Schedule,
             "layout does not match the environment",))
 
     violations: list[str] = []
-    for tier, want in enumerate(snapshot._waiting_by_tier):
+    for tier, want in enumerate(snapshot.waiting_by_tier):
         have = sorted(
             jid for k in range(len(schedule.orders[tier]))
             for jid in schedule.waiting(tier, k))
-        if tuple(have) != want:
+        if have != want.tolist():
             violations.append(f"tier {tier}: waiting job set changed")
     reference = snapshot.schedule
     for tier, k in env.iter_queues():
@@ -422,20 +440,111 @@ def validate_schedule(schedule: Schedule,
     return ValidationReport(violations=tuple(violations))
 
 
+class Residents(NamedTuple):
+    """A snapshot's residents as columns, one row each in the walk order of
+    its schedule (``Schedule.walk``): id, tier, whether in service, the
+    completed waits (a column per tier but the last, 0.0 from the job's
+    tier on) and the elapsed wait; ``tier_rows`` slices each tier's rows."""
+
+    ids: np.ndarray
+    tier: np.ndarray
+    serving: np.ndarray
+    waits: np.ndarray
+    elapsed: np.ndarray
+    tier_rows: tuple[slice, ...]
+
+
+class _Progress(Mapping):
+    """A snapshot's ``progress``: each resident's ``JobProgress`` by id,
+    built when read from its row; ``ranked`` holds the ids in id order and
+    ``order`` their rows.  It reads as the equivalent dict."""
+
+    def __init__(self, columns: Residents, ranked: np.ndarray):
+        self.columns, self.ranked = columns, ranked
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return self.columns.ids.argsort()
+
+    def __len__(self) -> int:
+        return len(self.ranked)
+
+    def __iter__(self):
+        return iter(self.ranked.tolist())
+
+    def __getitem__(self, jid) -> JobProgress:
+        try:
+            i = int(self.ranked.searchsorted(operator.index(jid)))
+        except TypeError:
+            raise KeyError(jid) from None
+        if i == len(self.ranked) or self.ranked[i] != jid:
+            raise KeyError(jid)
+        row, (_, tier, _, waits, elapsed, _) = self.order[i], self.columns
+        return tuple.__new__(JobProgress, (  # skips the Python-level __new__
+            tuple(waits[row, :tier[row]].tolist()), elapsed[row].item()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _check_residents(schedule: Schedule, jobs: JobSet, residents: Residents,
+                     held: np.ndarray, records: int) -> np.ndarray:
+    """The ids in id order, or the ValueError of the first row that fails a
+    check, with the first check it fails: an unknown id, an id seen in an
+    earlier row, an in-service residual above the head's execution time, no
+    progress record (``held`` -1), a record in another tier, a negative
+    completed or elapsed wait.  Then ``records`` must count the rows.  The
+    rows are searched only when a summary of the columns shows a failure."""
+    ids, tier, _, waits, elapsed, _ = residents
+    num_jobs, floor = len(jobs), -TIME_EPS
+    ranked, over, row = ids.copy(), [], 0
+    ranked.sort()
+    for t, (tier_queues, tier_busy) in enumerate(
+            zip(schedule.orders, schedule.busy)):
+        for queue, residual in zip(tier_queues, tier_busy):
+            if (residual is not None and 1 <= queue[0] <= num_jobs
+                    and residual > jobs.exec_times[t][queue[0]] + TIME_EPS):
+                over.append(row)
+            row += len(queue)
+    if len(ids) and (ranked[0] < 1 or ranked[-1] > num_jobs or over
+                     or np.count_nonzero(ranked[1:] == ranked[:-1])
+                     or np.count_nonzero(held != tier)
+                     or np.count_nonzero(waits < floor)
+                     or np.count_nonzero(elapsed < floor)):
+        order, twice = ids.argsort(kind="stable"), np.zeros(len(ids), bool)
+        twice[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+        fails = ((ids < 1) | (ids > num_jobs), twice, np.isin(
+            np.arange(len(ids)), over), held < 0, held != tier,
+            (waits < floor).any(1), elapsed < floor)
+        row = int(reduce(operator.or_, fails).argmax())
+        jid, t = ids[row], tier[row]
+        raise ValueError(next(message for fail, message in zip(fails, (
+            f"unknown job id {jid} in tier {t}", f"job {jid} scheduled twice",
+            f"job {jid}: residual exceeds its tier {t} execution time",
+            "schedule and progress must cover the same jobs",
+            f"job {jid} scheduled in tier {t} but resides in tier {held[row]}",
+            f"job {jid}: negative completed wait",
+            f"job {jid}: negative elapsed wait")) if fail[row]))
+    if records != len(ids):
+        raise ValueError("schedule and progress must cover the same jobs")
+    return ranked
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """Frozen view of the environment at one instant.
 
     Bundles the live schedule with per-job progress so violation times of
     candidate schedules can be evaluated without touching the simulator.
-    It is structurally valid by construction; ``ValueError`` refuses a
-    schedule laid out unlike ``env``, jobs with another tier count, an id
-    outside ``1..len(jobs)``, a job scheduled twice (in one tier or two), an
-    in-service residual above the head's execution time, and progress
-    records that disagree with the queues (coverage, tier, negative waits).
-    All of it is checked in one walk over the schedule, which looks each
-    job's record up by id and gathers ``in_service_ids`` and
-    ``_waiting_by_tier``, the sorted waiting ids of each tier, on the way.
+    ``progress`` is given as ``JobProgress`` records by id, or as the
+    ``Residents`` over ``schedule`` that ``Simulator.snapshot`` builds; it
+    is kept as ``residents`` and read as a mapping that builds each record
+    when read.  One vectorised check over the columns makes it structurally
+    valid by construction: ``ValueError`` refuses a schedule laid out
+    unlike ``env``, jobs with another tier count, an id outside
+    ``1..len(jobs)``, a job scheduled twice (in one tier or two), an
+    in-service residual above the head's execution time, and records that
+    disagree with the queues (coverage, tier, negative waits).
     ``validate_schedule`` checks candidates against a snapshot.
     """
 
@@ -443,72 +552,52 @@ class Snapshot:
     jobs: JobSet
     clock: float
     schedule: Schedule
-    progress: dict[int, JobProgress] = field(default_factory=dict)
-    in_service_ids: frozenset[int] = field(init=False, compare=False)
+    progress: Mapping[int, JobProgress] | Residents = field(
+        default_factory=dict)
 
     def __post_init__(self) -> None:
         schedule, progress = self.schedule, self.progress
-        num_jobs, exec_times = len(self.jobs), self.jobs.exec_times
         layout = tuple(len(tier) for tier in schedule.orders)
         if layout != self.env.resources_per_tier:
             raise ValueError("schedule layout does not match the environment")
         if self.jobs.num_tiers not in (0, self.env.num_tiers):
             raise ValueError("job tier count does not match the environment")
-        # One walk over the schedule: each job is checked where it is queued,
-        # against its own progress record, and the in-service heads and each
-        # tier's waiting ids are gathered on the way.
-        floor = -TIME_EPS
-        seen: set[int] = set()
-        serving: list[int] = []
-        by_tier: list[tuple[int, ...]] = []
-        for tier, (tier_queues, tier_busy) in enumerate(
-                zip(schedule.orders, schedule.busy)):
-            waiting: list[int] = []
-            for queue, residual in zip(tier_queues, tier_busy):
-                for pos, jid in enumerate(queue):
-                    if not 1 <= jid <= num_jobs:
-                        raise ValueError(f"unknown job id {jid} in tier {tier}")
-                    if jid in seen:
-                        raise ValueError(f"job {jid} scheduled twice")
-                    seen.add(jid)
-                    head = pos == 0 and residual is not None
-                    if head and residual > exec_times[tier][jid] + TIME_EPS:
-                        raise ValueError(
-                            f"job {jid}: residual exceeds its tier {tier} "
-                            f"execution time")
-                    prog = progress.get(jid)
-                    if prog is None:
-                        raise ValueError(
-                            "schedule and progress must cover the same jobs")
-                    waits, elapsed = prog
-                    if len(waits) != tier:
-                        raise ValueError(
-                            f"job {jid} scheduled in tier {tier} but resides "
-                            f"in tier {len(waits)}")
-                    for wait in waits:
-                        if wait < floor:
-                            raise ValueError(
-                                f"job {jid}: negative completed wait")
-                    if elapsed < floor:
-                        raise ValueError(f"job {jid}: negative elapsed wait")
-                    if head:
-                        serving.append(jid)
-                    else:
-                        waiting.append(jid)
+        if type(progress) is Residents:
+            residents, held, records = progress, progress.tier, len(progress.ids)
+        else:  # each scheduled job's record, and the tier it gives (-1: none)
+            ids, tier, serving, tier_rows = schedule.walk()
+            got = [progress.get(jid) for jid in ids.tolist()]
+            held = np.array([len(r[0]) if r else -1 for r in got], int)
+            waits = np.zeros((len(ids), self.env.num_tiers - 1))
+            for row, record in enumerate(got):
+                done = record[0][:waits.shape[1]] if record else ()
+                waits[row, :len(done)] = done
+            elapsed = np.array([r[1] if r else 0.0 for r in got], float)
+            residents = Residents(ids, tier, serving, waits, elapsed, tier_rows)
+            records = len(progress)
+        ranked = _check_residents(schedule, self.jobs, residents, held, records)
+        object.__setattr__(self, "progress", _Progress(residents, ranked))
+
+    @property
+    def residents(self) -> Residents:
+        """The residents' columns, in the walk order of the schedule."""
+        return self.progress.columns
+
+    @cached_property
+    def in_service_ids(self) -> frozenset[int]:
+        """The pinned heads, each in service at its queue's front."""
+        return frozenset(self.residents.ids[self.residents.serving].tolist())
+
+    @cached_property
+    def waiting_by_tier(self) -> tuple[np.ndarray, ...]:
+        """Each tier's waiting ids, in id order."""
+        ids, _, serving, _, _, tier_rows = self.residents
+        by_tier = tuple(ids[rows][~serving[rows]] for rows in tier_rows)
+        for waiting in by_tier:
             waiting.sort()
-            by_tier.append(tuple(waiting))
-        if len(seen) != len(progress):
-            raise ValueError("schedule and progress must cover the same jobs")
-        object.__setattr__(self, "in_service_ids", frozenset(serving))
-        object.__setattr__(self, "_waiting_by_tier", tuple(by_tier))
+        return by_tier
 
     def waiting_ids(self, tier: int | None = None) -> list[int]:
         if tier is None:
-            return sorted(jid for ids in self._waiting_by_tier for jid in ids)
-        return list(self._waiting_by_tier[tier])
-
-    @cached_property
-    def waiting_arrays(self) -> tuple[np.ndarray, ...]:
-        """Each tier's sorted waiting ids as an array, built on first use
-        for the GA's random genomes."""
-        return tuple(np.array(ids) for ids in self._waiting_by_tier)
+            return np.sort(self.residents.ids[~self.residents.serving]).tolist()
+        return self.waiting_by_tier[tier].tolist()

@@ -50,7 +50,7 @@ def count_states(snapshot: Snapshot) -> int:
     """Number of distinct schedules the oracle would enumerate."""
     total = 0
     for tier in range(snapshot.env.num_tiers):
-        k = len(snapshot.waiting_ids(tier))
+        k = len(snapshot.waiting_by_tier[tier])
         m = snapshot.env.resources_per_tier[tier]
         total += math.factorial(k) * math.comb(k + m - 1, m - 1)
     return total
@@ -114,11 +114,10 @@ def exhaustive_best(snapshot: Snapshot,
     total_fitness = evaluator.pinned_total
     states = offset = 0  # offset: flat index of the tier's first queue
     for tier, m in enumerate(snapshot.env.resources_per_tier):
-        ids = snapshot.waiting_ids(tier)
-        n = len(ids)
+        id_array = snapshot.waiting_by_tier[tier]
+        n = len(id_array)
         splits = [_block_bounds(bars, n)
                   for bars in combinations(range(n + m - 1), m - 1)]
-        id_array = np.array(ids, dtype=np.intp)
         best_blocks = None
         best_score = None
         total_rows = math.factorial(n)

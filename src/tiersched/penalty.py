@@ -132,46 +132,59 @@ class ScheduleEvaluator:
     ``pinned_total`` plus the :meth:`queue_score` of every queue, added in
     queue order.  :meth:`prefix_scores` scores many orders of one queue at
     once, with the same additions as :meth:`queue_score`.  :meth:`breakdown`
-    is the package's one source of each resident's expected wait.
+    is the package's one source of each resident's expected wait.  The
+    constants come from the snapshot's columns by array operations, with
+    the float operations of one job's computation, in either mode.
     """
 
     def __init__(self, snapshot: Snapshot, mode: AllowanceMode):
         self.snapshot = snapshot
-        env, jobs = snapshot.env, snapshot.jobs
-        size = len(jobs) + 1
-        self._const = const = [0.0] * size
-        self._exec = execs = [0.0] * size
-        self._delays = [
-            snapshot.schedule.residual(t, k) for t, k in env.iter_queues()]
-        allowance, exec_times = jobs.allowance, jobs.exec_times
-        progress, serving = snapshot.progress, snapshot.in_service_ids
-        total_mode = mode is AllowanceMode.TOTAL
-        pinned: dict[int, JobViolation] = {}
-        for jid in sorted(progress):
-            waits, elapsed = progress[jid]
-            tier = len(waits)
-            waited = ordered_sum(waits) + elapsed
-            if total_mode:
-                allow = allowance[jid]
-                base = waited
-            else:
-                allow = differentiated_allowance(jobs.job(jid), tier)
-                base = elapsed
-            if jid in serving:
-                alpha = base - allow
-                pinned[jid] = JobViolation(
-                    alpha, penalty(alpha, env.chi, env.nu), waited)
-            else:
-                const[jid] = base - allow
-                execs[jid] = exec_times[tier][jid]
-        self._pinned = pinned
+        env, jobs, view = snapshot.env, snapshot.jobs, np.frombuffer
+        ids, _, serving, waits, elapsed, tier_rows = snapshot.residents
+        self._delays = [0.0 if residual is None else residual
+                        for tier in snapshot.schedule.busy for residual in tier]
+        # Completed waits added left to right from 0.0, as ordered_sum adds
+        # them (the 0.0 past a job's tier adds nothing).
+        self._done = done = np.zeros(len(ids))
+        for column in waits.T:
+            done += column
+        waited, execs = done + elapsed, np.empty(len(ids))
+        for column, rows in zip(jobs.exec_times, tier_rows):
+            execs[rows] = view(column)[ids[rows]]  # each one's at its tier
+        allowance = view(jobs.allowance)[ids]
+        if mode is AllowanceMode.TOTAL:
+            base = waited
+        else:  # differentiated_allowance's arithmetic
+            base = elapsed
+            allowance = allowance * execs / view(jobs.total_exec)[ids]
+        # Each resident's constant (an in-service job's is its violation)
+        # and execution time; queue_score reads the waiting ones' by id.
+        self._rows = ids, base - allowance, execs
+        heads = serving.nonzero()[0]
+        self._pinned = pinned = {  # in id order
+            jid: JobViolation(alpha, penalty(alpha, env.chi, env.nu), wait)
+            for jid, alpha, wait in sorted(zip(
+                ids[heads].tolist(), self._rows[1][heads].tolist(),
+                waited[heads].tolist()))}
         #: Signed violation of the in-service jobs, fixed for every candidate.
         self.pinned_total = ordered_sum(v.alpha for v in pinned.values())
+
+    @cached_property
+    def _lists(self) -> tuple[list[float], list[float]]:
+        """The constants and execution times in lists indexed by job id
+        (0.0 for a job not resident), built on first use: ``queue_score``
+        reads them, and a dict measured 45% slower there."""
+        const = [0.0] * (len(self.snapshot.jobs) + 1)
+        exec_at = [0.0] * len(const)
+        for jid, c, e in zip(*(column.tolist() for column in self._rows)):
+            const[jid] = c
+            exec_at[jid] = e
+        return const, exec_at
 
     def queue_score(self, queue_index: int, order) -> float:
         """Signed violation total of one queue's waiting order."""
         run = self._delays[queue_index]
-        const, execs = self._const, self._exec
+        const, execs = self._lists
         total = 0.0
         for jid in order:
             total += const[jid] + run
@@ -182,7 +195,10 @@ class ScheduleEvaluator:
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The per-job constants and execution times as arrays indexed by
         job id, built on the first :meth:`prefix_scores` call."""
-        return np.array(self._const), np.array(self._exec)
+        ids, const, execs = self._rows
+        tables = np.zeros((2, len(self.snapshot.jobs) + 1))
+        tables[0, ids], tables[1, ids] = const, execs
+        return tables[0], tables[1]
 
     def prefix_scores(self, queue_index: int, orders) -> np.ndarray:
         """Signed violation totals of every prefix of many orders of one
@@ -217,18 +233,19 @@ class ScheduleEvaluator:
     def breakdown(self, schedule: Schedule | None = None) -> ViolationBreakdown:
         """Full per-job evaluation of a schedule (default: the snapshot's)."""
         sched = schedule if schedule is not None else self.snapshot.schedule
-        progress, env = self.snapshot.progress, self.snapshot.env
-        violations = dict(self._pinned)
+        env, residents = self.snapshot.env, self.snapshot.residents
+        waited = dict(zip(residents.ids.tolist(), zip(
+            self._done.tolist(), residents.elapsed.tolist())))
+        violations, (const, execs) = dict(self._pinned), self._lists
         for qi, (tier, k) in enumerate(env.iter_queues()):
             run = self._delays[qi]
             for jid in sched.waiting(tier, k):
-                prog = progress[jid]
-                alpha = self._const[jid] + run
+                done, elapsed_wait = waited[jid]
+                alpha = const[jid] + run
                 violations[jid] = JobViolation(
                     alpha, penalty(alpha, env.chi, env.nu),
-                    ordered_sum(prog.completed_waits)
-                    + (prog.elapsed_wait + run))
-                run += self._exec[jid]
+                    done + (elapsed_wait + run))
+                run += execs[jid]
         records = violations.values()
         return ViolationBreakdown(violations, **violation_totals(
             (v.alpha for v in records), (v.cost for v in records)))

@@ -31,8 +31,8 @@ from .model import (
     TIME_EPS,
     EnvironmentConfig,
     InvalidScheduleError,
-    JobProgress,
     JobSet,
+    Residents,
     Schedule,
     Snapshot,
     count,
@@ -390,33 +390,34 @@ class Simulator:
     def snapshot(self) -> Snapshot:
         """Immutable view of the current queues and per-job progress.
 
-        One walk over the queues builds each resident's progress record;
-        the records are then keyed in id order.
+        One walk over the queues (``Schedule.walk``) lists the residents;
+        ``_timings`` then derives their waits tier by tier over numpy views
+        of the tables, as ``report()`` does, into ``Residents`` columns.
         """
-        clock, arrival, exec_times = (
-            self.clock, self.jobs.arrival, self.jobs.exec_times)
-        tiers, start = self.env.num_tiers, self._start
-        busy = []
-        records: dict[int, JobProgress] = {}
-        record = tuple.__new__  # skips JobProgress's Python-level __new__
-        for tier, (tier_queues, tier_busy) in enumerate(
-                zip(self._queues, self._busy)):
-            busy.append(tuple(None if end is None else max(0.0, end - clock)
-                              for end in tier_busy))
-            for queue, end in zip(tier_queues, tier_busy):
-                in_service = end is not None
-                for jid in queue:
-                    row = jid * tiers
-                    waits, arrived = _timings(start, row, arrival, exec_times,
-                                              jid, tier)
-                    records[jid] = record(JobProgress, (tuple(waits), (
-                        start[row + tier] if in_service else clock) - arrived))
-                    in_service = False
-        progress = {jid: records[jid] for jid in sorted(records)}
+        clock, tiers, view = self.clock, self.env.num_tiers, np.frombuffer
+        schedule = Schedule(orders=self._orders(), busy=tuple(
+            tuple(None if end is None else max(0.0, end - clock)
+                  for end in tier_busy) for tier_busy in self._busy))
+        ids, tier, serving, tier_rows = schedule.walk()
+        start, arrival = view(self._start), view(self.jobs.arrival)
+        exec_times = [view(e) for e in self._exec]
+        first = ids * tiers  # each one's row of the start table
+        # A job waits until the clock, or until its service started.
+        elapsed, heads = np.empty(len(ids)), serving.nonzero()[0]
+        elapsed.fill(clock)
+        elapsed[heads] = start[first[heads] + tier[heads]]
+        waits = np.zeros((len(ids), tiers - 1))
+        for t, rows in enumerate(tier_rows):
+            if rows.start == rows.stop:
+                continue
+            done, arrived = _timings(start, first[rows], arrival, exec_times,
+                                     ids[rows], t)
+            for c, wait in enumerate(done):
+                waits[rows, c] = wait
+            elapsed[rows] -= arrived
         return Snapshot(env=self.env, jobs=self.jobs, clock=clock,
-                        schedule=Schedule(orders=self._orders(),
-                                          busy=tuple(busy)),
-                        progress=progress)
+                        schedule=schedule, progress=Residents(
+                            ids, tier, serving, waits, elapsed, tier_rows))
 
     def assert_invariants(self) -> None:
         """Raise if conservation or work-conservation is broken, if the

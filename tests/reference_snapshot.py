@@ -4,12 +4,16 @@
 then walks the progress records to check each against its location, and
 gathers the in-service ids and each tier's sorted waiting ids from the
 locations.
+``reference_one_walk_checks`` is the same check in one walk over the
+schedule that looks each job's record up by id, as ``Snapshot`` made it
+before it kept its residents as columns; the messages of its refusals are
+the ones the package's vectorised check must raise.
 ``reference_progress`` builds a ``ReferenceSimulator``'s progress records
 from a sorted list of queue locations and the waits and arrivals its
-handlers recorded.  The package does both in one walk each, and derives
-every time from the service starts; the tests hold the two to each other:
-the same inputs refused, the same in-service and waiting ids, the same
-records in the same order.
+handlers recorded.  The package checks a snapshot once over its columns,
+and derives every time from the service starts; the tests hold the two to
+each other: the same inputs refused with the same messages, the same
+in-service and waiting ids, the same records in the same order.
 """
 
 from __future__ import annotations
@@ -78,6 +82,65 @@ def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
             by_tier[tier].append(jid)
     in_service = frozenset(jid for jid, (_, head) in located.items() if head)
     return in_service, tuple(tuple(ids) for ids in by_tier)
+
+
+def reference_one_walk_checks(env: EnvironmentConfig, jobs: JobSet,
+                              schedule: Schedule,
+                              progress: dict[int, JobProgress]
+                              ) -> tuple[frozenset[int],
+                                         tuple[tuple[int, ...], ...]]:
+    """``reference_snapshot_checks`` in one walk: each job is checked where
+    it is queued, against its own progress record, and the in-service heads
+    and each tier's waiting ids are gathered on the way."""
+    num_jobs, exec_times = len(jobs), jobs.exec_times
+    layout = tuple(len(tier) for tier in schedule.orders)
+    if layout != env.resources_per_tier:
+        raise ValueError("schedule layout does not match the environment")
+    if jobs.num_tiers not in (0, env.num_tiers):
+        raise ValueError("job tier count does not match the environment")
+    floor = -TIME_EPS
+    seen: set[int] = set()
+    serving: list[int] = []
+    by_tier: list[tuple[int, ...]] = []
+    for tier, (tier_queues, tier_busy) in enumerate(
+            zip(schedule.orders, schedule.busy)):
+        waiting: list[int] = []
+        for queue, residual in zip(tier_queues, tier_busy):
+            for pos, jid in enumerate(queue):
+                if not 1 <= jid <= num_jobs:
+                    raise ValueError(f"unknown job id {jid} in tier {tier}")
+                if jid in seen:
+                    raise ValueError(f"job {jid} scheduled twice")
+                seen.add(jid)
+                head = pos == 0 and residual is not None
+                if head and residual > exec_times[tier][jid] + TIME_EPS:
+                    raise ValueError(
+                        f"job {jid}: residual exceeds its tier {tier} "
+                        f"execution time")
+                prog = progress.get(jid)
+                if prog is None:
+                    raise ValueError(
+                        "schedule and progress must cover the same jobs")
+                waits, elapsed = prog
+                if len(waits) != tier:
+                    raise ValueError(
+                        f"job {jid} scheduled in tier {tier} but resides "
+                        f"in tier {len(waits)}")
+                for wait in waits:
+                    if wait < floor:
+                        raise ValueError(
+                            f"job {jid}: negative completed wait")
+                if elapsed < floor:
+                    raise ValueError(f"job {jid}: negative elapsed wait")
+                if head:
+                    serving.append(jid)
+                else:
+                    waiting.append(jid)
+        waiting.sort()
+        by_tier.append(tuple(waiting))
+    if len(seen) != len(progress):
+        raise ValueError("schedule and progress must cover the same jobs")
+    return frozenset(serving), tuple(by_tier)
 
 
 def reference_progress(sim: ReferenceSimulator) -> dict[int, JobProgress]:

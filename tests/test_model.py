@@ -34,7 +34,11 @@ from tiersched.sim import Simulator
 from conftest import fresh_snapshot, job, loaded_snapshot
 from expected_waits import remaining_wait
 from reference_sim import ReferenceSimulator
-from reference_snapshot import reference_progress, reference_snapshot_checks
+from reference_snapshot import (
+    reference_one_walk_checks,
+    reference_progress,
+    reference_snapshot_checks,
+)
 from reference_validate import reference_validate
 from reference_workload import reference_job_checks, reference_jobset_checks
 
@@ -610,12 +614,36 @@ def edit_progress(draw, snap, progress, kind):
         progress[jid] = prog._replace(elapsed_wait=-draw(small))
 
 
+class TestProgressView:
+    """A snapshot's ``progress`` builds each record when read, and reads as
+    the dict of records it replaced."""
+
+    def test_reads_as_the_dict(self):
+        snap = loaded_snapshot(7.0, 110, seed=2)
+        records = {jid: snap.progress[jid] for jid in sorted(snap.progress)}
+        assert list(snap.progress) == sorted(records) and len(records) > 50
+        assert snap.progress == records and records == snap.progress
+        assert repr(snap.progress) == repr(records)
+        assert len(snap.progress) == len(snap.residents.ids)
+        assert type(records[min(records)]) is JobProgress
+        for missing in (0, len(snap.jobs) + 1, "1", 1.5):
+            assert missing not in snap.progress
+            with pytest.raises(KeyError):
+                snap.progress[missing]
+
+
 class TestSnapshotAgainstReference:
-    """The one-walk snapshot checks refuse exactly what the two-walk
-    reference refuses, and gather the same in-service and waiting ids; a
-    simulator's snapshot, derived from its service starts, holds the
-    reference's progress records, built from its recorded waits and
-    arrivals, bit for bit in the same order."""
+    """The vectorised snapshot check refuses exactly what the two-walk
+    reference refuses, with the message of the one-walk reference, and
+    gathers the same in-service and waiting ids; a simulator's snapshot,
+    derived from its service starts, holds the reference's progress records,
+    built from its recorded waits and arrivals, bit for bit in the same
+    order."""
+
+    @staticmethod
+    def gathered(snap):
+        return snap.in_service_ids, tuple(
+            tuple(ids.tolist()) for ids in snap.waiting_by_tier)
 
     @settings(max_examples=300, deadline=None)
     @given(sim=simulators(ReferenceSimulator), data=st.data())
@@ -623,8 +651,7 @@ class TestSnapshotAgainstReference:
         snap = sim.snapshot()
         want = reference_progress(sim)
         assert repr(list(snap.progress.items())) == repr(list(want.items()))
-        assert (snap.in_service_ids,
-                snap._waiting_by_tier) == reference_snapshot_checks(
+        assert self.gathered(snap) == reference_snapshot_checks(
             snap.env, snap.jobs, snap.schedule, snap.progress)
 
         orders = [[list(q) for q in row] for row in snap.schedule.orders]
@@ -643,12 +670,18 @@ class TestSnapshotAgainstReference:
         except ValueError:
             want = None
         try:
+            message = None
+            reference_one_walk_checks(snap.env, snap.jobs, schedule, progress)
+        except ValueError as err:
+            message = str(err)
+        try:
             got = Snapshot(env=snap.env, jobs=snap.jobs, clock=snap.clock,
                            schedule=schedule, progress=progress)
         except ValueError as err:
             assert want is None, err
+            assert str(err) == message
         else:
-            assert (got.in_service_ids, got._waiting_by_tier) == want
+            assert self.gathered(got) == want
 
 
 class TestRemainingWait:

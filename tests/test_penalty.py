@@ -227,6 +227,19 @@ class TestScheduleEvaluator:
         assert total == pytest.approx(evaluator.fitness(orders), abs=1e-12)
 
 
+    def test_per_tier_mode_builds_no_job(self, monkeypatch):
+        """PER_TIER constants come from the job set's columns, with
+        ``differentiated_allowance``'s arithmetic, not from ``Job`` objects."""
+        snap = loaded_snapshot(7.0, 110, seed=1)
+        read = []
+        job = JobSet.job
+        monkeypatch.setattr(JobSet, "job",
+                            lambda jobs, jid: read.append(jid) or job(jobs, jid))
+        evaluator = ScheduleEvaluator(snap, AllowanceMode.PER_TIER)
+        assert len(snap.progress) > 50 and evaluator.pinned_total
+        assert read == []
+
+
 class TestOneScoringPath:
     """``breakdown`` is the package's only source of expected waits; each
     one must equal the per-job reference bit for bit, which holds only if

@@ -201,6 +201,26 @@ class TestReportContract:
             assert report.job_count == len(jobs)
         assert peaks[0] < 0.4 * peaks[1], peaks
 
+    def test_snapshot_builds_no_records(self, env_2x3):
+        """``snapshot()`` keeps its residents as columns: it peaks well below
+        building their progress records, the reference's, for one state with
+        over 400 residents."""
+        jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=3000,
+                                     seed=9), env_2x3)
+        sim = ReferenceSimulator(jobs, env_2x3)
+        for _ in range(6000):
+            sim.step()
+        peaks = []
+        for build in (sim.snapshot, lambda: reference_progress(sim)):
+            tracemalloc.start()
+            try:
+                built = build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(built) >= 400
+        assert peaks[0] < 0.4 * peaks[1], peaks
+
     def test_drained_simulator_and_kept_report_are_small(self, env_2x3):
         """One time per job and tier in the simulator, and typed columns in
         the report it leaves behind, measured on a 20,000-job FCFS drain."""
