@@ -233,11 +233,10 @@ def _ga_config(args, policy, seed: int) -> GAConfig | None:
 
 def _job_records(breakdown: ViolationBreakdown, snapshot: Snapshot,
                  phase: str) -> list[dict]:
-    records, rows = [], snapshot.residents
-    order = snapshot.progress.order  # the rows in id order
+    records, order = [], snapshot.progress.order  # the rows in id order
     for jid, tier, serving, waits, elapsed in zip(*(
             column[order].tolist() for column in (
-                rows.ids, rows.tier, rows.serving, rows.waits, rows.elapsed))):
+                *snapshot.schedule.walk[:3], *snapshot.residents))):
         v = breakdown.per_job[jid]
         records.append({
             "schema": "tiersched.job/1",
@@ -330,7 +329,7 @@ def _snapshot_counts(snapshot: Snapshot) -> dict:
         "resident": len(snapshot.progress),
         "waiting": len(snapshot.waiting_ids()),
         "per_tier": [rows.stop - rows.start
-                     for rows in snapshot.residents.tier_rows],
+                     for rows in snapshot.schedule.walk[3]],
     }
 
 

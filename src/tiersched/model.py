@@ -283,7 +283,7 @@ class JobProgress(NamedTuple):
     current tier; ``elapsed_wait`` is the wait accrued so far in the current
     tier (frozen at its final value once service starts).  The record's key
     in ``Snapshot.progress`` is the job's id, and the schedule says where it
-    is queued and whether it is in service (``Snapshot.in_service_ids``).
+    is queued and whether it is in service (``Schedule.walk``).
     """
 
     completed_waits: tuple[float, ...]
@@ -327,11 +327,12 @@ class Schedule:
                     raise ValueError(
                         f"tier {tier} resource {k}: negative residual")
 
+    @cached_property
     def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                             tuple[slice, ...]]:
         """Every scheduled id in walk order (tier-major, each queue front to
         back), with its tier and whether it is in service, and each tier's
-        rows."""
+        rows; computed once per schedule, not to be written."""
         ids, heads, bounds = array("q"), [], [0]
         for tier_queues, tier_busy in zip(self.orders, self.busy):
             for queue, residual in zip(tier_queues, tier_busy):
@@ -441,17 +442,13 @@ def validate_schedule(schedule: Schedule,
 
 
 class Residents(NamedTuple):
-    """A snapshot's residents as columns, one row each in the walk order of
-    its schedule (``Schedule.walk``): id, tier, whether in service, the
-    completed waits (a column per tier but the last, 0.0 from the job's
-    tier on) and the elapsed wait; ``tier_rows`` slices each tier's rows."""
+    """A snapshot's waits as columns, one row per resident in the walk order
+    of its schedule (``Schedule.walk``, which gives each row's id, tier and
+    in-service flag): the completed waits (a column per tier but the last,
+    0.0 from the job's tier on) and the elapsed wait."""
 
-    ids: np.ndarray
-    tier: np.ndarray
-    serving: np.ndarray
     waits: np.ndarray
     elapsed: np.ndarray
-    tier_rows: tuple[slice, ...]
 
 
 class _Progress(Mapping):
@@ -459,12 +456,12 @@ class _Progress(Mapping):
     built when read from its row; ``ranked`` holds the ids in id order and
     ``order`` their rows.  It reads as the equivalent dict."""
 
-    def __init__(self, columns: Residents, ranked: np.ndarray):
-        self.columns, self.ranked = columns, ranked
+    def __init__(self, walk, residents: Residents, ranked: np.ndarray):
+        self.walk, self.residents, self.ranked = walk, residents, ranked
 
     @cached_property
     def order(self) -> np.ndarray:
-        return self.columns.ids.argsort()
+        return self.walk[0].argsort()
 
     def __len__(self) -> int:
         return len(self.ranked)
@@ -479,7 +476,7 @@ class _Progress(Mapping):
             raise KeyError(jid) from None
         if i == len(self.ranked) or self.ranked[i] != jid:
             raise KeyError(jid)
-        row, (_, tier, _, waits, elapsed, _) = self.order[i], self.columns
+        row, tier, (waits, elapsed) = self.order[i], self.walk[1], self.residents
         return tuple.__new__(JobProgress, (  # skips the Python-level __new__
             tuple(waits[row, :tier[row]].tolist()), elapsed[row].item()))
 
@@ -492,10 +489,11 @@ def _check_residents(schedule: Schedule, jobs: JobSet, residents: Residents,
     """The ids in id order, or the ValueError of the first row that fails a
     check, with the first check it fails: an unknown id, an id seen in an
     earlier row, an in-service residual above the head's execution time, no
-    progress record (``held`` -1), a record in another tier, a negative
-    completed or elapsed wait.  Then ``records`` must count the rows.  The
-    rows are searched only when a summary of the columns shows a failure."""
-    ids, tier, _, waits, elapsed, _ = residents
+    progress record (``held`` -1), a record in another tier (columns pass
+    the walk's own tiers as ``held``), a negative completed or elapsed wait,
+    a non-finite one.  Then ``records`` must count the rows.  The rows are searched only when a summary of the
+    columns (a NaN makes the least and greatest wait NaN) shows a failure."""
+    (ids, tier, _, _), (waits, elapsed) = schedule.walk, residents
     num_jobs, floor = len(jobs), -TIME_EPS
     ranked, over, row = ids.copy(), [], 0
     ranked.sort()
@@ -508,14 +506,15 @@ def _check_residents(schedule: Schedule, jobs: JobSet, residents: Residents,
             row += len(queue)
     if len(ids) and (ranked[0] < 1 or ranked[-1] > num_jobs or over
                      or np.count_nonzero(ranked[1:] == ranked[:-1])
-                     or np.count_nonzero(held != tier)
-                     or np.count_nonzero(waits < floor)
-                     or np.count_nonzero(elapsed < floor)):
+                     or held is not tier and np.count_nonzero(held != tier)
+                     or not floor <= waits.min(initial=elapsed.min())
+                         <= waits.max(initial=elapsed.max()) < math.inf):
         order, twice = ids.argsort(kind="stable"), np.zeros(len(ids), bool)
         twice[order[1:]] = ids[order[1:]] == ids[order[:-1]]
         fails = ((ids < 1) | (ids > num_jobs), twice, np.isin(
             np.arange(len(ids)), over), held < 0, held != tier,
-            (waits < floor).any(1), elapsed < floor)
+            (waits < floor).any(1), elapsed < floor,
+            ~(np.isfinite(waits).all(1) & np.isfinite(elapsed)))
         row = int(reduce(operator.or_, fails).argmax())
         jid, t = ids[row], tier[row]
         raise ValueError(next(message for fail, message in zip(fails, (
@@ -524,7 +523,8 @@ def _check_residents(schedule: Schedule, jobs: JobSet, residents: Residents,
             "schedule and progress must cover the same jobs",
             f"job {jid} scheduled in tier {t} but resides in tier {held[row]}",
             f"job {jid}: negative completed wait",
-            f"job {jid}: negative elapsed wait")) if fail[row]))
+            f"job {jid}: negative elapsed wait",
+            f"job {jid}: non-finite wait")) if fail[row]))
     if records != len(ids):
         raise ValueError("schedule and progress must cover the same jobs")
     return ranked
@@ -536,15 +536,16 @@ class Snapshot:
 
     Bundles the live schedule with per-job progress so violation times of
     candidate schedules can be evaluated without touching the simulator.
-    ``progress`` is given as ``JobProgress`` records by id, or as the
-    ``Residents`` over ``schedule`` that ``Simulator.snapshot`` builds; it
-    is kept as ``residents`` and read as a mapping that builds each record
-    when read.  One vectorised check over the columns makes it structurally
-    valid by construction: ``ValueError`` refuses a schedule laid out
-    unlike ``env``, jobs with another tier count, an id outside
-    ``1..len(jobs)``, a job scheduled twice (in one tier or two), an
-    in-service residual above the head's execution time, and records that
-    disagree with the queues (coverage, tier, negative waits).
+    ``Schedule.walk`` gives each resident's id, tier and in-service flag,
+    and ``progress`` its waits: ``JobProgress`` records by id, or the
+    ``Residents`` columns over the walk that ``Simulator.snapshot`` builds,
+    kept as ``residents`` and read as a mapping that builds each record when
+    read.  One vectorised check makes it structurally valid by construction:
+    ``ValueError`` refuses a schedule laid out unlike ``env``, jobs with
+    another tier count, an id outside ``1..len(jobs)``, a job scheduled
+    twice (in one tier or two), an in-service residual above the head's
+    execution time, and waits that disagree with the queues (coverage, row
+    or column count, tier, negative or non-finite waits).
     ``validate_schedule`` checks candidates against a snapshot.
     """
 
@@ -562,10 +563,14 @@ class Snapshot:
             raise ValueError("schedule layout does not match the environment")
         if self.jobs.num_tiers not in (0, self.env.num_tiers):
             raise ValueError("job tier count does not match the environment")
-        if type(progress) is Residents:
-            residents, held, records = progress, progress.tier, len(progress.ids)
+        ids, tier, _, _ = walk = schedule.walk
+        if type(progress) is Residents:  # refused unless a row per walk row
+            residents, held, records = progress, tier, len(ids)
+            if (progress.waits.shape, progress.elapsed.shape) != (
+                    (records, self.env.num_tiers - 1), (records,)):
+                raise ValueError(
+                    "schedule and progress must cover the same jobs")
         else:  # each scheduled job's record, and the tier it gives (-1: none)
-            ids, tier, serving, tier_rows = schedule.walk()
             got = [progress.get(jid) for jid in ids.tolist()]
             held = np.array([len(r[0]) if r else -1 for r in got], int)
             waits = np.zeros((len(ids), self.env.num_tiers - 1))
@@ -573,25 +578,19 @@ class Snapshot:
                 done = record[0][:waits.shape[1]] if record else ()
                 waits[row, :len(done)] = done
             elapsed = np.array([r[1] if r else 0.0 for r in got], float)
-            residents = Residents(ids, tier, serving, waits, elapsed, tier_rows)
-            records = len(progress)
+            residents, records = Residents(waits, elapsed), len(progress)
         ranked = _check_residents(schedule, self.jobs, residents, held, records)
-        object.__setattr__(self, "progress", _Progress(residents, ranked))
+        object.__setattr__(self, "progress", _Progress(walk, residents, ranked))
 
     @property
     def residents(self) -> Residents:
-        """The residents' columns, in the walk order of the schedule."""
-        return self.progress.columns
-
-    @cached_property
-    def in_service_ids(self) -> frozenset[int]:
-        """The pinned heads, each in service at its queue's front."""
-        return frozenset(self.residents.ids[self.residents.serving].tolist())
+        """The residents' waits, in the walk order of the schedule."""
+        return self.progress.residents
 
     @cached_property
     def waiting_by_tier(self) -> tuple[np.ndarray, ...]:
         """Each tier's waiting ids, in id order."""
-        ids, _, serving, _, _, tier_rows = self.residents
+        ids, _, serving, tier_rows = self.schedule.walk
         by_tier = tuple(ids[rows][~serving[rows]] for rows in tier_rows)
         for waiting in by_tier:
             waiting.sort()
@@ -599,5 +598,5 @@ class Snapshot:
 
     def waiting_ids(self, tier: int | None = None) -> list[int]:
         if tier is None:
-            return np.sort(self.residents.ids[~self.residents.serving]).tolist()
+            return np.sort(np.concatenate(self.waiting_by_tier)).tolist()
         return self.waiting_by_tier[tier].tolist()

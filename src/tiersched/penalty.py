@@ -133,14 +133,15 @@ class ScheduleEvaluator:
     queue order.  :meth:`prefix_scores` scores many orders of one queue at
     once, with the same additions as :meth:`queue_score`.  :meth:`breakdown`
     is the package's one source of each resident's expected wait.  The
-    constants come from the snapshot's columns by array operations, with
-    the float operations of one job's computation, in either mode.
+    constants come from the walk and the wait columns by array operations,
+    with the float operations of one job's computation, in either mode.
     """
 
     def __init__(self, snapshot: Snapshot, mode: AllowanceMode):
         self.snapshot = snapshot
         env, jobs, view = snapshot.env, snapshot.jobs, np.frombuffer
-        ids, _, serving, waits, elapsed, tier_rows = snapshot.residents
+        ids, _, serving, tier_rows = snapshot.schedule.walk
+        waits, elapsed = snapshot.residents
         self._delays = [0.0 if residual is None else residual
                         for tier in snapshot.schedule.busy for residual in tier]
         # Completed waits added left to right from 0.0, as ordered_sum adds
@@ -233,9 +234,9 @@ class ScheduleEvaluator:
     def breakdown(self, schedule: Schedule | None = None) -> ViolationBreakdown:
         """Full per-job evaluation of a schedule (default: the snapshot's)."""
         sched = schedule if schedule is not None else self.snapshot.schedule
-        env, residents = self.snapshot.env, self.snapshot.residents
-        waited = dict(zip(residents.ids.tolist(), zip(
-            self._done.tolist(), residents.elapsed.tolist())))
+        env, elapsed = self.snapshot.env, self.snapshot.residents.elapsed
+        waited = dict(zip(self._rows[0].tolist(), zip(
+            self._done.tolist(), elapsed.tolist())))
         violations, (const, execs) = dict(self._pinned), self._lists
         for qi, (tier, k) in enumerate(env.iter_queues()):
             run = self._delays[qi]

@@ -364,7 +364,8 @@ class Simulator:
         resource is idle; a start touches only its own queue.
         """
         if (snapshot.clock != self.clock
-                or snapshot.schedule.orders != self._orders()
+                or snapshot.schedule.orders != tuple(
+                    tuple(map(tuple, tier)) for tier in self._queues)
                 or not validate_schedule(schedule, self.env, self.jobs,
                                          snapshot=snapshot).ok):
             if self.keep_trace:
@@ -383,10 +384,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # snapshots and reports
 
-    def _orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The live queue orders, as a ``Schedule`` holds them."""
-        return tuple(tuple(map(tuple, tier)) for tier in self._queues)
-
     def snapshot(self) -> Snapshot:
         """Immutable view of the current queues and per-job progress.
 
@@ -395,10 +392,10 @@ class Simulator:
         of the tables, as ``report()`` does, into ``Residents`` columns.
         """
         clock, tiers, view = self.clock, self.env.num_tiers, np.frombuffer
-        schedule = Schedule(orders=self._orders(), busy=tuple(
+        schedule = Schedule(orders=self._queues, busy=tuple(
             tuple(None if end is None else max(0.0, end - clock)
                   for end in tier_busy) for tier_busy in self._busy))
-        ids, tier, serving, tier_rows = schedule.walk()
+        ids, tier, serving, tier_rows = schedule.walk
         start, arrival = view(self._start), view(self.jobs.arrival)
         exec_times = [view(e) for e in self._exec]
         first = ids * tiers  # each one's row of the start table
@@ -416,8 +413,7 @@ class Simulator:
                 waits[rows, c] = wait
             elapsed[rows] -= arrived
         return Snapshot(env=self.env, jobs=self.jobs, clock=clock,
-                        schedule=schedule, progress=Residents(
-                            ids, tier, serving, waits, elapsed, tier_rows))
+                        schedule=schedule, progress=Residents(waits, elapsed))
 
     def assert_invariants(self) -> None:
         """Raise if conservation or work-conservation is broken, if the

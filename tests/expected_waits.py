@@ -23,8 +23,10 @@ def resident(snapshot: Snapshot, job_id: int
              ) -> tuple[int, JobProgress, bool]:
     """A resident's id, progress record and in-service status, in the order
     the functions below take them."""
-    return (job_id, snapshot.progress[job_id],
-            job_id in snapshot.in_service_ids)
+    schedule = snapshot.schedule
+    return (job_id, snapshot.progress[job_id], any(
+        schedule.in_service_id(tier, k) == job_id
+        for tier, k in snapshot.env.iter_queues()))
 
 
 def remaining_wait(schedule: Schedule, job_id: int, tier: int,

@@ -18,6 +18,8 @@ in-service and waiting ids, the same records in the same order.
 
 from __future__ import annotations
 
+import math
+
 from tiersched import (
     EnvironmentConfig,
     JobProgress,
@@ -74,6 +76,9 @@ def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
             raise ValueError(f"job {jid}: negative completed wait")
         if prog.elapsed_wait < -TIME_EPS:
             raise ValueError(f"job {jid}: negative elapsed wait")
+        if not all(map(math.isfinite, (*prog.completed_waits,
+                                       prog.elapsed_wait))):
+            raise ValueError(f"job {jid}: non-finite wait")
 
     by_tier: list[list[int]] = [[] for _ in schedule.orders]
     for jid in sorted(located):
@@ -132,6 +137,9 @@ def reference_one_walk_checks(env: EnvironmentConfig, jobs: JobSet,
                             f"job {jid}: negative completed wait")
                 if elapsed < floor:
                     raise ValueError(f"job {jid}: negative elapsed wait")
+                for wait in (*waits, elapsed):
+                    if not math.isfinite(wait):
+                        raise ValueError(f"job {jid}: non-finite wait")
                 if head:
                     serving.append(jid)
                 else:

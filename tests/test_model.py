@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from array import array
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,13 @@ from hypothesis import strategies as st
 
 import tiersched
 from tiersched import (
+    AllowanceMode,
     EnvironmentConfig,
     Job,
     JobProgress,
     JobSet,
     Schedule,
+    ScheduleEvaluator,
     Snapshot,
     ValidationReport,
     WorkloadSpec,
@@ -29,6 +32,7 @@ from tiersched import (
     simulate_to_snapshot,
     validate_schedule,
 )
+from tiersched.model import Residents
 from tiersched.sim import Simulator
 
 from conftest import fresh_snapshot, job, loaded_snapshot
@@ -455,23 +459,31 @@ class TestSnapshotChecks:
                                busy=((2.1, None), (None, None)))
 
     def test_duplicate_id_raises_under_python_O(self):
-        # The checks are raise statements, not asserts that -O strips.
+        # The checks are raise statements, not asserts that -O strips: a
+        # job queued twice, columns a row short of the walk and a NaN wait.
         script = textwrap.dedent("""
+            import numpy as np
             from tiersched import (EnvironmentConfig, Job, JobProgress,
                                    JobSet, Schedule, Snapshot)
+            from tiersched.model import Residents
             env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
             jobs = JobSet((Job(id=1, arrival=0.0, exec_times=(1.0,),
                                target_completion=2.0),))
             print("debug", __debug__)
-            try:
-                Snapshot(env=env, jobs=jobs, clock=0.0,
-                         schedule=Schedule(orders=(((1,), (1,)),),
-                                           busy=((None, None),)),
-                         progress={1: JobProgress((), 0.0)})
-            except ValueError as err:
-                print("raised", err)
-            else:
-                print("built silently")
+            cases = (
+                (((1,), (1,)), {1: JobProgress((), 0.0)}),
+                (((1,), ()), Residents(np.zeros((0, 0)), np.zeros(0))),
+                (((1,), ()), {1: JobProgress((), float("nan"))}))
+            for orders, progress in cases:
+                try:
+                    Snapshot(env=env, jobs=jobs, clock=0.0,
+                             schedule=Schedule(orders=(orders,),
+                                               busy=((None, None),)),
+                             progress=progress)
+                except ValueError as err:
+                    print("raised", err)
+                else:
+                    print("built silently")
         """)
         src = Path(tiersched.__file__).resolve().parents[1]
         out = subprocess.run(
@@ -479,14 +491,26 @@ class TestSnapshotChecks:
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=120, check=True)
         assert out.stdout.splitlines() == [
-            "debug False", "raised job 1 scheduled twice"]
+            "debug False", "raised job 1 scheduled twice",
+            "raised schedule and progress must cover the same jobs",
+            "raised job 1: non-finite wait"]
 
     @pytest.mark.parametrize("jid, broken, message", [
         (4, lambda p: p[4]._replace(completed_waits=(-0.5,)),
          "job 4: negative completed wait"),
         (2, lambda p: p[2]._replace(elapsed_wait=-0.5),
          "job 2: negative elapsed wait"),
-    ], ids=["negative-completed-wait", "negative-elapsed-wait"])
+        (4, lambda p: p[4]._replace(completed_waits=(math.nan,)),
+         "job 4: non-finite wait"),
+        (4, lambda p: p[4]._replace(completed_waits=(math.inf,)),
+         "job 4: non-finite wait"),
+        (2, lambda p: p[2]._replace(elapsed_wait=math.nan),
+         "job 2: non-finite wait"),
+        (2, lambda p: p[2]._replace(elapsed_wait=math.inf),
+         "job 2: non-finite wait"),
+    ], ids=["negative-completed-wait", "negative-elapsed-wait",
+            "nan-completed-wait", "infinite-completed-wait",
+            "nan-elapsed-wait", "infinite-elapsed-wait"])
     def test_broken_progress_record(self, env_2x2, jid, broken, message):
         jobs = JobSet((job(1, (2.0, 1.0)), job(2, (1.0, 1.0), arrival=0.5),
                        job(3, (1.0, 2.0), arrival=0.6),
@@ -495,6 +519,22 @@ class TestSnapshotChecks:
                               busy=((1.5, None), (None, None)))
         with pytest.raises(ValueError, match=message):
             self.rebuilt(snap, {**snap.progress, jid: broken(snap.progress)})
+
+    @pytest.mark.parametrize("columns", [
+        lambda waits, elapsed: Residents(waits[:-1], elapsed[:-1]),
+        lambda waits, elapsed: Residents(waits, elapsed[:-1]),
+        lambda waits, elapsed: Residents(waits[:, :0], elapsed),
+    ], ids=["a-row-short", "elapsed-a-row-short", "waits-without-a-column"])
+    def test_residents_unlike_the_walk(self, columns):
+        # A simulated 2-tier snapshot's columns, one row per row of its
+        # schedule's walk and one wait column, are accepted as they are.
+        snap = loaded_snapshot(7.0, 40, seed=3)
+        waits, elapsed = snap.residents
+        assert waits.shape == (len(snap.schedule.walk[0]), 1)
+        assert self.rebuilt(snap, Residents(waits, elapsed)).progress == (
+            snap.progress)
+        with pytest.raises(ValueError, match="cover the same jobs"):
+            self.rebuilt(snap, columns(waits, elapsed))
 
 
 FUZZ_RESOURCES = ((3, 3), (2, 3, 1), (1, 1))
@@ -582,7 +622,7 @@ class TestValidateAgainstReference:
 
 
 PROGRESS_EDITS = ("forget", "extra", "tier", "completed-wait",
-                  "elapsed-wait")
+                  "elapsed-wait", "non-finite-wait")
 
 
 def edit_progress(draw, snap, progress, kind):
@@ -612,6 +652,13 @@ def edit_progress(draw, snap, progress, kind):
             prog.completed_waits[:-1] + (-draw(small),)))
     elif kind == "elapsed-wait":
         progress[jid] = prog._replace(elapsed_wait=-draw(small))
+    elif kind == "non-finite-wait":
+        wait = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if prog.completed_waits and draw(st.booleans()):
+            progress[jid] = prog._replace(completed_waits=(
+                prog.completed_waits[:-1] + (wait,)))
+        else:
+            progress[jid] = prog._replace(elapsed_wait=wait)
 
 
 class TestProgressView:
@@ -624,12 +671,40 @@ class TestProgressView:
         assert list(snap.progress) == sorted(records) and len(records) > 50
         assert snap.progress == records and records == snap.progress
         assert repr(snap.progress) == repr(records)
-        assert len(snap.progress) == len(snap.residents.ids)
+        assert len(snap.progress) == len(snap.schedule.walk[0])
         assert type(records[min(records)]) is JobProgress
         for missing in (0, len(snap.jobs) + 1, "1", 1.5):
             assert missing not in snap.progress
             with pytest.raises(KeyError):
                 snap.progress[missing]
+
+
+class TestOneWalk:
+    def test_snapshot_evaluator_and_waiting_ids_walk_once(self, monkeypatch):
+        """One ``Simulator.snapshot()``, its check, its evaluators in both
+        modes, its progress records and its waiting ids all read the one
+        walk of its schedule."""
+        walks = []
+
+        def counted(schedule, walk=Schedule.walk.func):
+            walks.append(schedule)
+            return walk(schedule)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Schedule, "walk")
+        monkeypatch.setattr(Schedule, "walk", prop)
+        env = EnvironmentConfig()
+        jobs = generate(WorkloadSpec(arrival_rate=7.0, num_jobs=110, seed=2),
+                        env)
+        sim = Simulator(jobs, env).run(until_external_arrivals=110)
+        snap = sim.snapshot()
+        for mode in AllowanceMode:
+            evaluator = ScheduleEvaluator(snap, mode)
+            evaluator.fitness(snap.schedule.flat_waiting())
+            evaluator.breakdown()
+        assert len(snap.waiting_by_tier) == env.num_tiers
+        assert len(snap.waiting_ids()) > 50 and dict(snap.progress)
+        assert walks == [snap.schedule]
 
 
 class TestSnapshotAgainstReference:
@@ -642,7 +717,8 @@ class TestSnapshotAgainstReference:
 
     @staticmethod
     def gathered(snap):
-        return snap.in_service_ids, tuple(
+        ids, _, serving, _ = snap.schedule.walk
+        return frozenset(ids[serving].tolist()), tuple(
             tuple(ids.tolist()) for ids in snap.waiting_by_tier)
 
     @settings(max_examples=300, deadline=None)

@@ -676,6 +676,34 @@ class TestRescheduleHook:
         sim.run()
         assert self.departures(sim) == list(range(1, 61))
 
+    def test_snapshot_is_current_again_once_its_orders_return(self):
+        # A, an install from A that moves a job, B, an install from B that
+        # moves the queues back to A's orders: no event has happened since
+        # A, and the live queues are A's again, so an install from A is
+        # accepted.
+        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
+        jobs = JobSet((job(1, (4.0,)), job(2, (4.0,), arrival=0.1),
+                       job(3, (1.0,), arrival=0.2),
+                       job(4, (1.0,), arrival=0.3)))
+        sim = Simulator(jobs, env, keep_trace=True)
+        sim.run(until_external_arrivals=4)
+        a = sim.snapshot()
+        assert a.schedule.flat_waiting() == ((3,), (4,))
+        assert sim.install_schedule(a.schedule.with_waiting(((3, 4), ())), a)
+        b = sim.snapshot()
+        assert not sim.install_schedule(a.schedule, a)
+        assert sim.install_schedule(
+            b.schedule.with_waiting(a.schedule.flat_waiting()), b)
+        assert [sim.queue(0, k) for k in range(2)] == [(1, 3), (2, 4)]
+        assert sim.install_schedule(a.schedule.with_waiting(((4,), (3,))), a)
+        assert not sim.install_schedule(b.schedule, b)
+        assert [ev.kind for ev in sim.trace[-5:]] == [
+            "reschedule", "reject", "reschedule", "reschedule", "reject"]
+        assert [sim.queue(0, k) for k in range(2)] == [(1, 4), (2, 3)]
+        sim.assert_invariants()
+        sim.run()
+        assert self.departures(sim) == [1, 2, 3, 4]
+
     def test_second_install_from_one_snapshot_is_refused(self):
         # The first install starts job 3 on the idle resource 2; the
         # snapshot still shows job 3 waiting behind job 1.
@@ -1090,10 +1118,12 @@ class TestStreamProperties:
         max_size=80), st.integers(0, 40), st.integers(0, 2**32 - 1))
     def test_only_a_snapshot_of_the_current_state_installs(
             self, stream, calls, warmup, seed):
-        # A snapshot is current until the next event, or the next install
-        # that moves a job; an install from it is accepted, and every other
-        # install refused.  The warm-up loads the queues, so that installs
-        # move jobs.
+        # A snapshot is current while no event has happened since it was
+        # taken and the live queues hold its orders, as install_schedule
+        # documents: an install from it is accepted, and every other install
+        # refused.  An install that moves a job makes it stale until another
+        # install moves the queues back.  The warm-up loads the queues, so
+        # that installs move jobs.
         env, jobs, policy, _ = stream
         sim = Simulator(jobs, env, make_policy(policy, env), keep_trace=True)
         if min(warmup, len(jobs)):
@@ -1103,7 +1133,7 @@ class TestStreamProperties:
         def live():
             return [sim.queue(t, k) for t, k in env.iter_queues()]
 
-        snaps: list[list] = []  # [snapshot, still current]
+        snaps: list[list] = []  # [snapshot, no event since it was taken]
         for call, back in calls:
             if call == "snapshot":
                 snaps.append([sim.snapshot(), True])
@@ -1112,16 +1142,14 @@ class TestStreamProperties:
                     for entry in snaps:
                         entry[1] = False
             elif snaps:
-                snap, current = snaps[max(len(snaps) - 1 - back, 0)]
+                snap, fresh = snaps[max(len(snaps) - 1 - back, 0)]
+                current = fresh and live() == [
+                    snap.schedule.orders[t][k] for t, k in env.iter_queues()]
                 candidate = snap.schedule.with_waiting(
                     random_chromosome(snap, rng))
-                before = live()
                 assert sim.install_schedule(candidate, snap) == current
                 assert sim.trace[-1].kind == (
                     "reschedule" if current else "reject")
-                if live() != before:
-                    for entry in snaps:
-                        entry[1] = False
             sim.assert_invariants()
         sim.run()
         assert sorted(ev.job_id for ev in sim.trace if ev.kind == "depart") == (
