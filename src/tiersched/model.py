@@ -490,10 +490,11 @@ def _check_residents(schedule: Schedule, jobs: JobSet, residents: Residents,
     check, with the first check it fails: an unknown id, an id seen in an
     earlier row, an in-service residual above the head's execution time, no
     progress record (``held`` -1), a record in another tier (columns pass
-    the walk's own tiers as ``held``), a negative completed or elapsed wait,
-    a non-finite one.  Then ``records`` must count the rows.  The rows are searched only when a summary of the
-    columns (a NaN makes the least and greatest wait NaN) shows a failure."""
-    (ids, tier, _, _), (waits, elapsed) = schedule.walk, residents
+    the walk's own tiers as ``held``), a completed wait past its tier, a
+    negative completed or elapsed wait, a non-finite one.  Then ``records``
+    must count the rows.  The rows are searched only when a summary of the
+    columns (NaN extremes, a nonzero wait past a tier) shows a failure."""
+    (ids, tier, _, tier_rows), (waits, elapsed) = schedule.walk, residents
     num_jobs, floor = len(jobs), -TIME_EPS
     ranked, over, row = ids.copy(), [], 0
     ranked.sort()
@@ -508,11 +509,14 @@ def _check_residents(schedule: Schedule, jobs: JobSet, residents: Residents,
                      or np.count_nonzero(ranked[1:] == ranked[:-1])
                      or held is not tier and np.count_nonzero(held != tier)
                      or not floor <= waits.min(initial=elapsed.min())
-                         <= waits.max(initial=elapsed.max()) < math.inf):
+                         <= waits.max(initial=elapsed.max()) < math.inf
+                     or any(np.count_nonzero(waits[:rows.stop, c])
+                            for c, rows in enumerate(tier_rows[:-1]))):
         order, twice = ids.argsort(kind="stable"), np.zeros(len(ids), bool)
         twice[order[1:]] = ids[order[1:]] == ids[order[:-1]]
         fails = ((ids < 1) | (ids > num_jobs), twice, np.isin(
             np.arange(len(ids)), over), held < 0, held != tier,
+            ((waits != 0) & (tier[:, None] <= np.arange(len(waits.T)))).any(1),
             (waits < floor).any(1), elapsed < floor,
             ~(np.isfinite(waits).all(1) & np.isfinite(elapsed)))
         row = int(reduce(operator.or_, fails).argmax())
@@ -522,6 +526,7 @@ def _check_residents(schedule: Schedule, jobs: JobSet, residents: Residents,
             f"job {jid}: residual exceeds its tier {t} execution time",
             "schedule and progress must cover the same jobs",
             f"job {jid} scheduled in tier {t} but resides in tier {held[row]}",
+            f"job {jid}: completed wait past its tier",
             f"job {jid}: negative completed wait",
             f"job {jid}: negative elapsed wait",
             f"job {jid}: non-finite wait")) if fail[row]))

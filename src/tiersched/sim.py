@@ -213,6 +213,7 @@ class Simulator:
             islice(self._arrivals, 1))
         self.arrived = [0] * env.num_tiers
         self.departed = 0
+        self.installs = 0  # schedules installed
         self._in_flight = [0] * env.num_tiers
         self._since_reschedule = 0
 
@@ -377,6 +378,7 @@ class Simulator:
             queues[k] = waiting if idle else queues[k][:1] + waiting
             if idle and waiting:
                 self._start_head(tier, k)
+        self.installs += 1
         if self.keep_trace:
             self._trace("reschedule", 0, -1, -1)
         return True

@@ -8,6 +8,9 @@ locations.
 schedule that looks each job's record up by id, as ``Snapshot`` made it
 before it kept its residents as columns; the messages of its refusals are
 the ones the package's vectorised check must raise.
+Both also take the waits as ``Residents`` columns, one row per scheduled
+id in walk order, and then refuse a completed wait past a row's tier that
+is not 0.0, which a record cannot hold.
 ``reference_progress`` builds a ``ReferenceSimulator``'s progress records
 from a sorted list of queue locations and the waits and arrivals its
 handlers recorded.  The package checks a snapshot once over its columns,
@@ -26,14 +29,24 @@ from tiersched import (
     JobSet,
     Schedule,
 )
-from tiersched.model import TIME_EPS
+from tiersched.model import TIME_EPS, Residents
 
 from reference_sim import ReferenceSimulator
 
 
+def _column_shape_checked(env: EnvironmentConfig, schedule: Schedule,
+                          progress) -> None:
+    """Refuse ``Residents`` columns without a row per scheduled id or a
+    column per tier but the last."""
+    rows = sum(len(queue) for tier in schedule.orders for queue in tier)
+    if (progress.waits.shape, progress.elapsed.shape) != (
+            (rows, env.num_tiers - 1), (rows,)):
+        raise ValueError("schedule and progress must cover the same jobs")
+
+
 def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
                               schedule: Schedule,
-                              progress: dict[int, JobProgress]
+                              progress: dict[int, JobProgress] | Residents
                               ) -> tuple[frozenset[int],
                                          tuple[tuple[int, ...], ...]]:
     """Raise ``ValueError`` where a ``Snapshot`` of these fields must be
@@ -46,6 +59,9 @@ def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
         raise ValueError("schedule layout does not match the environment")
     if jobs.num_tiers not in (0, env.num_tiers):
         raise ValueError("job tier count does not match the environment")
+    columns = isinstance(progress, Residents)
+    if columns:
+        _column_shape_checked(env, schedule, progress)
     # One pass over the schedule: each job's (tier, in-service head)
     # location, checked against its progress record below.
     located: dict[int, tuple[int, bool]] = {}
@@ -64,6 +80,13 @@ def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
                         f"job {jid}: residual exceeds its tier {tier} "
                         f"execution time")
                 located[jid] = (tier, head)
+    past: dict[int, list[float]] = {}  # each row's waits past its tier
+    if columns:  # rows in walk order, the order ``located`` keeps
+        waits, elapsed = progress.waits.tolist(), progress.elapsed.tolist()
+        progress = {}
+        for row, (jid, (tier, _)) in enumerate(located.items()):
+            progress[jid] = JobProgress(tuple(waits[row][:tier]), elapsed[row])
+            past[jid] = waits[row][tier:]
     if located.keys() != progress.keys():
         raise ValueError("schedule and progress must cover the same jobs")
     for jid, prog in progress.items():
@@ -72,6 +95,8 @@ def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
             raise ValueError(
                 f"job {jid} scheduled in tier {tier} but resides in "
                 f"tier {prog.tier}")
+        if any(w != 0.0 for w in past.get(jid, ())):
+            raise ValueError(f"job {jid}: completed wait past its tier")
         if any(w < -TIME_EPS for w in prog.completed_waits):
             raise ValueError(f"job {jid}: negative completed wait")
         if prog.elapsed_wait < -TIME_EPS:
@@ -91,19 +116,24 @@ def reference_snapshot_checks(env: EnvironmentConfig, jobs: JobSet,
 
 def reference_one_walk_checks(env: EnvironmentConfig, jobs: JobSet,
                               schedule: Schedule,
-                              progress: dict[int, JobProgress]
+                              progress: dict[int, JobProgress] | Residents
                               ) -> tuple[frozenset[int],
                                          tuple[tuple[int, ...], ...]]:
     """``reference_snapshot_checks`` in one walk: each job is checked where
-    it is queued, against its own progress record, and the in-service heads
-    and each tier's waiting ids are gathered on the way."""
+    it is queued, against its own progress record (or row), and the
+    in-service heads and each tier's waiting ids are gathered on the way."""
     num_jobs, exec_times = len(jobs), jobs.exec_times
     layout = tuple(len(tier) for tier in schedule.orders)
     if layout != env.resources_per_tier:
         raise ValueError("schedule layout does not match the environment")
     if jobs.num_tiers not in (0, env.num_tiers):
         raise ValueError("job tier count does not match the environment")
-    floor = -TIME_EPS
+    columns = isinstance(progress, Residents)
+    if columns:
+        _column_shape_checked(env, schedule, progress)
+        waits_rows = progress.waits.tolist()
+        elapsed_rows = progress.elapsed.tolist()
+    floor, row = -TIME_EPS, 0
     seen: set[int] = set()
     serving: list[int] = []
     by_tier: list[tuple[int, ...]] = []
@@ -122,7 +152,13 @@ def reference_one_walk_checks(env: EnvironmentConfig, jobs: JobSet,
                     raise ValueError(
                         f"job {jid}: residual exceeds its tier {tier} "
                         f"execution time")
-                prog = progress.get(jid)
+                if columns:
+                    prog = JobProgress(tuple(waits_rows[row][:tier]),
+                                       elapsed_rows[row])
+                    past = waits_rows[row][tier:]
+                else:
+                    prog, past = progress.get(jid), ()
+                row += 1
                 if prog is None:
                     raise ValueError(
                         "schedule and progress must cover the same jobs")
@@ -131,6 +167,9 @@ def reference_one_walk_checks(env: EnvironmentConfig, jobs: JobSet,
                     raise ValueError(
                         f"job {jid} scheduled in tier {tier} but resides "
                         f"in tier {len(waits)}")
+                if any(w != 0.0 for w in past):
+                    raise ValueError(
+                        f"job {jid}: completed wait past its tier")
                 for wait in waits:
                     if wait < floor:
                         raise ValueError(
@@ -146,7 +185,7 @@ def reference_one_walk_checks(env: EnvironmentConfig, jobs: JobSet,
                     waiting.append(jid)
         waiting.sort()
         by_tier.append(tuple(waiting))
-    if len(seen) != len(progress):
+    if not columns and len(seen) != len(progress):
         raise ValueError("schedule and progress must cover the same jobs")
     return frozenset(serving), tuple(by_tier)
 

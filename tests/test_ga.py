@@ -741,7 +741,9 @@ class TestDraws:
     def test_range_check_holds_without_asserts(self):
         # ``python -O`` strips assert statements; the checks must survive:
         # this range check, the count checks of GAConfig and the random
-        # policy, and the simulator's refusal of a stale snapshot.
+        # policy, the simulator's refusal of a stale snapshot, and FCFS
+        # placement's guard, which leaves a near-tie to the exact walk
+        # (``near_tie_jobs`` in test_sim.py).
         code = textwrap.dedent("""
             import numpy as np
             from tiersched import (EnvironmentConfig, GAConfig, WorkloadSpec,
@@ -769,6 +771,17 @@ class TestDraws:
             for _ in range(15):
                 sim.step()
             print("installed", sim.install_schedule(snap.schedule, snap))
+            from tiersched import Job, JobSet
+            walked, backlog = [], Simulator.backlog
+            Simulator.backlog = lambda sim, tier, k: (
+                walked.append(sim.arrived[0]) or backlog(sim, tier, k))
+            jobs = JobSet(tuple(
+                Job(id=jid, arrival=10000.0, exec_times=(e,),
+                    target_completion=10010.0)
+                for jid, e in enumerate((2.0, 2.0, 0.1, 0.3, 0.2, 1.0), 1)))
+            one = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
+            sim = Simulator(jobs, one).run(until_external_arrivals=6)
+            print("walked", walked.count(6), sim.queue(0, 0), sim.queue(0, 1))
         """)
         src = str(Path(ga.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", code],
@@ -780,7 +793,8 @@ class TestDraws:
             "TypeError population must be an integer, not 10.0",
             "TypeError seed must be an integer, not 1.5",
             "ValueError random policy seed must be nonnegative, got -1",
-            "installed False"]
+            "installed False",
+            "walked 2 (1, 3, 5, 6) (2, 4)"]
 
     def test_other_bit_generators_rejected(self):
         with pytest.raises(TypeError, match="PCG64"):

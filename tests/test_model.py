@@ -536,6 +536,21 @@ class TestSnapshotChecks:
         with pytest.raises(ValueError, match="cover the same jobs"):
             self.rebuilt(snap, columns(waits, elapsed))
 
+    def test_completed_wait_past_its_tier(self):
+        # Job 12 waits in tier 0 of a simulated 2-tier snapshot, so its one
+        # completed-wait column lies past its tier and must stay 0.0: the
+        # evaluator adds every column, while ``progress`` reads none of it.
+        snap = loaded_snapshot(7.0, 40, seed=3)
+        waits, elapsed = snap.residents
+        ids, tier, _, _ = snap.schedule.walk
+        row = int(np.flatnonzero(ids == 12)[0])
+        assert tier[row] == 0 and waits[row, 0] == 0.0
+        waits = waits.copy()
+        waits[row, 0] = 5.0
+        with pytest.raises(ValueError,
+                           match="^job 12: completed wait past its tier$"):
+            self.rebuilt(snap, Residents(waits, elapsed))
+
 
 FUZZ_RESOURCES = ((3, 3), (2, 3, 1), (1, 1))
 EDITS = ("move", "duplicate", "other-tier", "unknown", "drop", "demote",
@@ -621,8 +636,9 @@ class TestValidateAgainstReference:
         assert got.ok == want.ok, (got.violations, want.violations)
 
 
+# "past-tier-wait" acts on the columns, after every other edit.
 PROGRESS_EDITS = ("forget", "extra", "tier", "completed-wait",
-                  "elapsed-wait", "non-finite-wait")
+                  "elapsed-wait", "non-finite-wait", "past-tier-wait")
 
 
 def edit_progress(draw, snap, progress, kind):
@@ -659,6 +675,29 @@ def edit_progress(draw, snap, progress, kind):
                 prog.completed_waits[:-1] + (wait,)))
         else:
             progress[jid] = prog._replace(elapsed_wait=wait)
+
+
+def with_past_tier_wait(draw, schedule, progress):
+    """The records as ``Residents`` columns over the schedule's walk, with
+    one completed wait past its resident's tier set where a row has one; the
+    records as they are where columns cannot hold them (an id scheduled
+    twice, an id without a record of its tier, a record of no scheduled id).
+    """
+    ids, tier, _, _ = schedule.walk
+    ids, tier = ids.tolist(), tier.tolist()
+    got = [progress.get(jid) for jid in ids]
+    if len(set(ids)) != len(ids) or len(progress) != len(ids) or any(
+            r is None or r.tier != t for r, t in zip(got, tier)):
+        return progress
+    width = len(schedule.orders) - 1
+    waits = np.zeros((len(ids), width))
+    for row, record in enumerate(got):
+        waits[row, :record.tier] = record.completed_waits
+    cells = [(row, c) for row, t in enumerate(tier) for c in range(t, width)]
+    if cells:
+        waits[draw(st.sampled_from(cells))] = draw(
+            st.sampled_from([5.0, 1e-12, -1e-6, -0.0, math.nan, math.inf]))
+    return Residents(waits, np.array([r.elapsed_wait for r in got], float))
 
 
 class TestProgressView:
@@ -733,13 +772,16 @@ class TestSnapshotAgainstReference:
         orders = [[list(q) for q in row] for row in snap.schedule.orders]
         busy = [list(row) for row in snap.schedule.busy]
         progress = dict(snap.progress)
-        for kind in data.draw(st.lists(
-                st.sampled_from(EDITS + PROGRESS_EDITS), max_size=3)):
+        kinds = data.draw(st.lists(st.sampled_from(EDITS + PROGRESS_EDITS),
+                                   max_size=3))
+        for kind in kinds:
             if kind in EDITS:
                 edit(data.draw, snap, orders, busy, kind)
-            else:
+            elif kind != "past-tier-wait":
                 edit_progress(data.draw, snap, progress, kind)
         schedule = Schedule(orders=orders, busy=busy)
+        if "past-tier-wait" in kinds:
+            progress = with_past_tier_wait(data.draw, schedule, progress)
         try:
             want = reference_snapshot_checks(snap.env, snap.jobs, schedule,
                                              progress)

@@ -30,12 +30,13 @@ from tiersched import (
     simulate_to_snapshot,
     total_penalty,
 )
-from tiersched.baselines import AssignmentPolicy, PolicyKind
+from tiersched.baselines import AssignmentPolicy, LeastBacklogPolicy, PolicyKind
 from tiersched.ga import random_chromosome
 from tiersched.penalty import JobViolation, ViolationBreakdown, violation_totals
-from tiersched.sim import _ARRIVAL, JobOutcome, Simulator
+from tiersched.sim import _ARRIVAL, _COMPLETION, JobOutcome, Simulator
 
 from conftest import job
+from reference_dispatch import ReferenceLeastBacklogPolicy
 from reference_queue import erlang_c_wait, erlang_gi_m1_wait, recursion_waits
 from reference_sim import ReferenceSimulator, reference_violation_totals
 from reference_snapshot import reference_progress
@@ -1160,6 +1161,180 @@ def reverse_waiting(snap):
     """Optimizer that reverses every queue's waiting order."""
     return snap.schedule.with_waiting(
         [order[::-1] for order in snap.schedule.flat_waiting()])
+
+
+class WalkCheckedPolicy(LeastBacklogPolicy):
+    """The cached least-backlog policy, holding each of its picks to the
+    exact walk's (``tests/reference_dispatch.py``) at the same state."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.walk = ReferenceLeastBacklogPolicy(env)
+        self.picks = 0
+
+    def pick(self, sim, job_id, tier):
+        k = super().pick(sim, job_id, tier)
+        assert k == self.walk.pick(sim, job_id, tier), (sim.clock, job_id)
+        self.picks += 1
+        return k
+
+
+class LaterEndSimulator(Simulator):
+    """A simulator whose every service end is the next float after the start
+    plus the execution time: its chain of ends differs from the policy's
+    cached one by rounding, as another ``_start_head`` could make it."""
+
+    def _start_head(self, tier, k):
+        head, clock = self._queues[tier][k][0], self.clock
+        self._start[head * self.env.num_tiers + tier] = clock
+        end = math.nextafter(clock + self._exec[tier][head], math.inf)
+        self._busy[tier][k] = end
+        heapq.heappush(self._events, (end, _COMPLETION, head, tier, k))
+
+
+def rotate_waiting(snap):
+    """Optimizer that hands each queue's waiting jobs to the next queue of
+    its tier, moving the load between them."""
+    orders, flat, start = [], snap.schedule.flat_waiting(), 0
+    for tier_queues in snap.schedule.orders:
+        tier = flat[start:start + len(tier_queues)]
+        orders += tier[-1:] + tier[:-1]
+        start += len(tier_queues)
+    return snap.schedule.with_waiting(orders)
+
+
+def shifted(jobs, offset):
+    """The job set with every time moved later by ``offset``."""
+    return JobSet(tuple(
+        Job(id=j.id, arrival=j.arrival + offset, exec_times=j.exec_times,
+            target_completion=j.target_completion + offset) for j in jobs))
+
+
+def near_tie_jobs():
+    """Six jobs at one instant, for one tier of two resources: the first
+    five load the queues so that the sixth compares (2 + 0.1) + 0.2 with
+    2 + 0.3, equal in exact arithmetic but not in floats.  At 10000.0 the
+    cached free times round so that, unguarded, they would reverse it."""
+    return JobSet(tuple(job(jid, (e,), arrival=10000.0) for jid, e in
+                        enumerate((2.0, 2.0, 0.1, 0.3, 0.2, 1.0), 1)))
+
+
+def drain_trace(jobs, env, policy=None, **kwargs):
+    return Simulator(jobs, env, policy, keep_trace=True,
+                     **kwargs).run().trace_lines()
+
+
+class TestCachedPlacement:
+    """``LeastBacklogPolicy`` reads each queue's cached free time, and each
+    of its picks is the exact walk's: near-ties go to the walk, and a stale
+    cache (another simulator, an install, a pick outside an arrival) is
+    read again from the simulator."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_streams(), st.sampled_from([0.0, 1000.0, 2.0**20 + 0.1]),
+           st.lists(st.booleans(), max_size=150), st.integers(0, 2**32 - 1),
+           st.sampled_from([Simulator, LaterEndSimulator]))
+    def test_every_pick_is_the_walks(self, stream, offset, installs, seed,
+                                     cls):
+        # DURATIONS' dyadic 0.5, 1 and 2 make exact ties common; a later
+        # time base makes each free time round more coarsely.
+        env, jobs, _, _ = stream
+        policy, rng = WalkCheckedPolicy(env), np.random.default_rng(seed)
+        sim = cls(shifted(jobs, offset), env, policy)
+        for install in installs + [False] * (2 * len(jobs) * env.num_tiers):
+            if install:
+                snap = sim.snapshot()
+                assert sim.install_schedule(snap.schedule.with_waiting(
+                    random_chromosome(snap, rng)), snap)
+            if not sim.step():
+                break
+        assert sim.done and policy.picks == len(jobs) * env.num_tiers
+
+    def test_a_near_tie_is_left_to_the_walk(self, monkeypatch):
+        env = EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
+        walked, backlog = [], Simulator.backlog
+
+        def counted(sim, tier, k):
+            walked.append(sim.arrived[0])
+            return backlog(sim, tier, k)
+
+        monkeypatch.setattr(Simulator, "backlog", counted)
+        sim = Simulator(near_tie_jobs(), env, WalkCheckedPolicy(env))
+        sim.run(until_external_arrivals=6)
+        # Job 6 walked: two backlogs read by the policy, two by its check.
+        assert walked.count(6) == 4
+        assert [sim.queue(0, k) for k in range(2)] == [(1, 3, 5, 6), (2, 4)]
+        assert (2.0 + 0.1) + 0.2 > 2.0 + 0.3
+        t = 10000.0  # both heads end at t + 2.0
+        assert (t + 2.0) + 0.3 - t < ((t + 2.0) + 0.1) + 0.2 - t - 1e-12
+
+    def test_a_cached_end_before_the_clock_may_still_be_busy(self):
+        # Service ends one float late.  The cache reads job 1's end, then
+        # chains jobs 3 and 4 to t + 3.0 and a float, two floats before
+        # queue 0's last end; job 5 arrives one float after the cached end.
+        # The walk reads a backlog of one float (2.3e-10), above 1e-12, and
+        # picks idle queue 1; the cached end alone says queue 0 is idle.
+        t, env = 2.0**20, EnvironmentConfig(num_tiers=1, resources_per_tier=(2,))
+        late = math.nextafter(math.nextafter(t + 3.0, t + 4), t + 4)
+        jobs = JobSet(tuple(job(jid, (e,), arrival=a) for jid, e, a in (
+            (1, 1.0, t), (2, 2.5, t), (3, 1.0, t), (4, 1.0, t),
+            (5, 1.0, late))))
+        policy = WalkCheckedPolicy(env)
+        sim = LaterEndSimulator(jobs, env, policy, keep_trace=True).run()
+        assert policy.picks == 5
+        assert [e.resource for e in sim.trace if e.kind == "arrive"] == [
+            0, 1, 0, 0, 1]
+
+    def test_one_policy_for_two_interleaved_simulators(self, env_2x3):
+        shared = LeastBacklogPolicy(env_2x3)
+        streams = [generate(WorkloadSpec(arrival_rate=4.0, num_jobs=400,
+                                         seed=seed), env_2x3)
+                   for seed in (1, 2)]
+        sims = [Simulator(jobs, env_2x3, shared, keep_trace=True)
+                for jobs in streams]
+        rng = np.random.default_rng(5)
+        while not all(sim.done for sim in sims):
+            for _ in range(rng.integers(1, 4)):
+                sims[rng.integers(2)].step()
+        for sim, jobs in zip(sims, streams):
+            assert sim.trace_lines() == drain_trace(jobs, env_2x3)
+
+    def test_a_pick_outside_an_arrival_is_forgotten(self, env_2x3):
+        jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=400, seed=3),
+                        env_2x3)
+        sim = Simulator(jobs, env_2x3, keep_trace=True)
+        rng = np.random.default_rng(6)
+        while sim.step():
+            for _ in range(rng.integers(3) * (rng.random() < 0.3)):
+                sim.policy.pick(sim, int(rng.integers(1, 401)),
+                                int(rng.integers(2)))
+        assert sim.trace_lines() == drain_trace(jobs, env_2x3)
+
+    def test_a_simulator_another_policy_serves(self, env_2x3):
+        # Its arrivals never reach this policy, so every pick walks.
+        jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=300, seed=5),
+                        env_2x3)
+        sim = Simulator(jobs, env_2x3, make_policy("wrr", env_2x3))
+        outside, walk = (LeastBacklogPolicy(env_2x3),
+                         ReferenceLeastBacklogPolicy(env_2x3))
+        rng = np.random.default_rng(7)
+        while sim.step():
+            jid, tier = int(rng.integers(1, 301)), int(rng.integers(2))
+            assert (outside.pick(sim, jid, tier)
+                    == walk.pick(sim, jid, tier))
+
+    @pytest.mark.parametrize("optimizer", [reverse_waiting, rotate_waiting])
+    @pytest.mark.parametrize("every", [1, 4, 13])
+    def test_installs_every_few_events(self, env_2x3, optimizer, every):
+        jobs = generate(WorkloadSpec(arrival_rate=4.0, num_jobs=300, seed=4),
+                        env_2x3)
+        got = drain_trace(jobs, env_2x3, optimizer=optimizer,
+                          reschedule_every=every)
+        assert sum("reschedule" in line for line in got) > 20
+        assert got == drain_trace(
+            jobs, env_2x3, ReferenceLeastBacklogPolicy(env_2x3),
+            optimizer=optimizer, reschedule_every=every)
 
 
 # Finite floats, with signed zeros, ties and cancelling magnitudes frequent.
